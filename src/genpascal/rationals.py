@@ -18,8 +18,13 @@ ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"3"``, ``"-3/2"`` or an exact decimal literal into a Fraction."""
-    return Fraction(text.strip())
+    """Parse ``"3"``, ``"-3/2"`` or an exact decimal literal; ValueError on anything else."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except AttributeError:
+        raise ValueError(f"expected a rational string, got {text!r}") from None
 
 
 def format_rational(value: Fraction | int) -> str:

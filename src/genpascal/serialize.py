@@ -37,7 +37,11 @@ def matrix_to_json(matrix: TriangularMatrix, kind: str, q=None, phi=None) -> str
 
 
 def matrix_from_doc(doc: dict) -> TriangularMatrix:
-    rows = [[parse_rational(e) for e in row] for row in doc["rows"]]
+    # shape checked per document and per row, never per entry: parse_rational rejects bad entries
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError('a matrix document is a JSON object whose "rows" is a list of lists')
+    rows = [[parse_rational(e) for e in row] for row in rows]
     matrix = TriangularMatrix(rows)
     if matrix.size != doc.get("size", matrix.size):
         raise ValueError("size field disagrees with row count")

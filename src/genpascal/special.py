@@ -14,13 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ZeroEntry, ZeroPhi
-from .matrices import (
-    TriangularMatrix,
-    build_from_c,
-    first_column_b,
-    hadamard,
-    hadamard_product,
-)
+from .matrices import TriangularMatrix, build_from_c, first_column_b, hadamard
 from .polynomials import geometric, mul_trunc
 from .rationals import ONE, ZERO
 from .report import Report
@@ -71,18 +65,17 @@ class PhiCoordinates:
         return max(self.betas) if self.betas else 1
 
     def recompose(self, size: int) -> TriangularMatrix:
-        """Hadamard product of the mask matrices over all stored moduli.
+        """Hadamard product of the mask matrices over all stored moduli,
+        streamed per entry; with no moduli it is the all-ones triangle.
 
         Moduli q > size leave the block untouched (n mod q = n >= m there), so
         coordinates through q = size are enough to rebuild the size x size
         truncation exactly.
         """
-        factors = [phi_q_matrix(beta, q, size) for q, beta in sorted(self.betas.items())]
-        if not factors:
-            from .matrices import all_ones
+        from .specs import GPSpec  # specs imports this module
 
-            return all_ones(size)
-        return hadamard_product(factors)
+        masks = [GPSpec.phiq(beta, q) for q, beta in sorted(self.betas.items())]
+        return GPSpec.hadamard(masks).materialize(size)
 
     def is_involution(self) -> bool:
         return all(beta in (1, -1) for beta in self.betas.values())

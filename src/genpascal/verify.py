@@ -12,35 +12,30 @@ from fractions import Fraction
 from math import comb
 
 from . import fractal, special, zeroalg
-from .matrices import (
-    TriangularMatrix,
-    all_ones,
-    build_from_c,
-    identity_check,
-    identity_matrix,
-    matmul,
-)
+from .matrices import TriangularMatrix, build_from_c, identity_check, identity_matrix, matmul
 from .rationals import ONE
 from .report import Report, merge_reports
 from .sequences import CSequence
+from .specs import GPSpec
 
 
 def golden_family(size: int) -> list[tuple[str, TriangularMatrix]]:
     """The matrix families exercised by the identity suite."""
-    return [
-        ("pascal", build_from_c(CSequence.exponential(), size)),
-        ("ones", all_ones(size)),
-        ("phiq(7,2)", special.phi_q_matrix(7, 2, size)),
-        ("phiq(7,3)", special.phi_q_matrix(7, 3, size)),
-        ("phiq(0,2)", special.phi_q_matrix(0, 2, size)),
-        ("fractal(2,2)", fractal.fractal_matrix(2, 2, size)),
-        ("fractal(3,3)", fractal.fractal_matrix(3, 3, size)),
-        ("fractal(1/2,2)", fractal.fractal_matrix(Fraction(1, 2), 2, size)),
-        ("fractal(0,2)", fractal.fractal_matrix(0, 2, size)),
-        ("qumbral(-1)", special.q_umbral_matrix(-1, size)),
-        ("tmatrix(3)", zeroalg.t_matrix(3, size)),
-        ("zero-overlay(2)", special.zero_overlay_matrix(2, size)),
+    specs = [
+        ("pascal", GPSpec("pascal")),
+        ("ones", GPSpec("ones")),
+        ("phiq(7,2)", GPSpec.phiq(7, 2)),
+        ("phiq(7,3)", GPSpec.phiq(7, 3)),
+        ("phiq(0,2)", GPSpec.phiq(0, 2)),
+        ("fractal(2,2)", GPSpec.fractal(2, 2)),
+        ("fractal(3,3)", GPSpec.fractal(3, 3)),
+        ("fractal(1/2,2)", GPSpec.fractal(Fraction(1, 2), 2)),
+        ("fractal(0,2)", GPSpec.fractal(0, 2)),
+        ("qumbral(-1)", GPSpec.qumbral(-1)),
+        ("tmatrix(3)", GPSpec.tmatrix(3)),
+        ("zero-overlay(2)", GPSpec("zero-overlay", q=2)),
     ]
+    return [(name, spec.materialize(size)) for name, spec in specs]
 
 
 def suite_identities(size: int) -> Report:

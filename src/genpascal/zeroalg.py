@@ -9,7 +9,6 @@ digit-product matrices built from the first q rows of the Pascal matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
@@ -132,26 +131,6 @@ def masked_row(a: Series, q: int, n: int) -> Polynomial:
         if d:
             out = out * base[d].substitute_power(q**i)
     return out
-
-
-@dataclass(frozen=True)
-class MaskedMatrixSpec:
-    """Symbolic (a(x)|q): series coefficients plus the dominance mask."""
-
-    q: int
-    a: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, a: Series, q: int) -> "MaskedMatrixSpec":
-        return cls(q, tuple(Fraction(x) for x in a))
-
-    def entry(self, n: int, m: int) -> Fraction:
-        if m > n:
-            return ZERO
-        return _coeff(self.a, n - m) if digit_binom(self.q, n, m) else ZERO
-
-    def materialize(self, size: int) -> TriangularMatrix:
-        return masked_matrix(self.a, self.q, size)
 
 
 def block_matrix(a: Series, b: Series, q: int, k: int, size: int) -> TriangularMatrix:

@@ -71,6 +71,19 @@ def test_gen_missing_parameter(capsys):
     assert "requires" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "fractal", "--q", "2", "--phi=1/0"],
+        ["convolve", "--q", "2", "1,1/0", "1,1"],
+    ],
+)
+def test_zero_denominator_is_a_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: zero denominator in '1/0'\n"
+
+
 def test_gen_bad_size(capsys):
     code, _, _ = run(capsys, "gen", "--kind", "pascal", "--size", "0")
     assert code == 2
@@ -118,6 +131,23 @@ def test_decompose_from_file(capsys, tmp_path):
     code, out, _ = run(capsys, "decompose", "--input", str(path))
     assert code == 0
     assert json.loads(out)["4"] == "2"
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ('{"size": 2}', "list of lists"),
+        ("[1, 2]", "list of lists"),
+        ('{"rows": [1, 2]}', "list of lists"),
+        ('{"rows": [[1]]}', "rational string"),
+    ],
+)
+def test_decompose_rejects_malformed_documents(capsys, tmp_path, document, message):
+    path = tmp_path / "m.json"
+    path.write_text(document)
+    code, out, err = run(capsys, "decompose", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_decompose_zero_matrix_fails(capsys):

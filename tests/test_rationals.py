@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +23,12 @@ def test_parse():
     assert parse_rational("1/24") == Fraction(1, 24)
     assert parse_rational("-3/2") == Fraction(-3, 2)
     assert parse_rational(" 5 ") == 5
+
+
+@pytest.mark.parametrize("bad", ["1/0", "-3/0", "abc", "1/2/3", 1, None, [1]])
+def test_parse_rejects_with_value_error(bad):
+    with pytest.raises(ValueError):
+        parse_rational(bad)
 
 
 @given(st.fractions())

@@ -14,6 +14,7 @@ from genpascal.matrices import (
 )
 from genpascal.sequences import CSequence
 from genpascal.special import (
+    PhiCoordinates,
     homomorphism_check,
     phi_coordinates,
     phi_q_matrix,
@@ -59,6 +60,10 @@ def test_coordinates_of_pascal():
     coords = phi_coordinates(m, 6)
     assert coords.betas == {2: 2, 3: 3, 4: 2, 5: 5, 6: 1}
     assert coords.recompose(6) == m.truncate(6)
+
+
+def test_recompose_without_moduli_is_all_ones():
+    assert PhiCoordinates({}).recompose(3) == all_ones(3)
 
 
 def test_coordinates_displayed_factors():

@@ -17,6 +17,8 @@ CASES = [
     GPSpec.qumbral(Fraction(-1)),
     GPSpec.qumbral(Fraction(2)),
     GPSpec.tmatrix(3),
+    GPSpec.masked([Fraction(1)] * 16, 2),
+    GPSpec.masked([1, Fraction(-2, 3), 5, 0, Fraction(1, 7)] + [1] * 11, 3),
 ]
 
 
@@ -26,7 +28,9 @@ def test_entry_matches_materialized(spec):
     built = spec.materialize(size)
     for n in range(size):
         for m in range(n + 1):
-            assert spec.entry(n, m) == built.entry(n, m)
+            value = spec.entry(n, m)
+            assert type(value) is Fraction
+            assert value == built.entry(n, m)
     assert spec.entry(2, 5) == 0
 
 
@@ -36,6 +40,14 @@ def test_hadamard_spec_streams():
     streamed = spec.materialize(11)
     collected = hadamard_product([f.materialize(11) for f in factors])
     assert streamed == collected
+
+
+@pytest.mark.parametrize("kind", ["pascal", "ones", "qumbral-inverse", "zero-overlay"])
+def test_kinds_without_entry_form(kind):
+    spec = GPSpec(kind, q=2)
+    assert spec.materialize(4).size == 4
+    with pytest.raises(ValueError, match="no per-entry form"):
+        spec.entry(1, 0)
 
 
 def test_unknown_kind():

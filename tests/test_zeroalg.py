@@ -10,7 +10,6 @@ from genpascal.errors import NotFractal, SizeMismatch
 from genpascal.matrices import TriangularMatrix, identity_matrix, matmul
 from genpascal.polynomials import Polynomial
 from genpascal.zeroalg import (
-    MaskedMatrixSpec,
     block_matrix,
     block_product_check,
     carryless_convolve,
@@ -69,14 +68,6 @@ def test_masked_matrix_cases():
     assert masked_matrix(DELTA16, 2, 16) == identity_matrix(16)
     with pytest.raises(SizeMismatch):
         masked_matrix([Fraction(1)] * 3, 2, 16)
-
-
-def test_masked_spec_agrees():
-    spec = MaskedMatrixSpec.of(ONES16, 2)
-    built = spec.materialize(16)
-    for n in range(16):
-        for m in range(n + 1):
-            assert spec.entry(n, m) == built.entry(n, m)
 
 
 def test_squared_pattern_display():
