@@ -57,6 +57,7 @@ from .zeroalg import (
     block_product_check,
     carryless_convolve,
     digit_binom,
+    fractal_series,
     kronecker,
     masked_convolve,
     masked_matrix,

@@ -44,7 +44,8 @@ def _require_q(args, minimum: float = 2) -> int:
     return args.q
 
 
-def build_matrix(args) -> TriangularMatrix:
+def build_matrix(args) -> tuple[TriangularMatrix, Fraction | None]:
+    """The matrix the arguments describe, and ``--phi`` as given (None when omitted)."""
     if args.size < 1:
         raise ConfigError("--size must be >= 1")
     kind = args.kind
@@ -52,9 +53,8 @@ def build_matrix(args) -> TriangularMatrix:
     if kind == "phiq" and phi is None:
         raise ConfigError("--kind phiq requires --phi")
     q = None if Q_MIN[kind] is None else _require_q(args, Q_MIN[kind])
-    if kind == "fractal" and phi is None:
-        phi = Fraction(q)
-    return GPSpec(kind, phi=phi, q=q).materialize(args.size)
+    spec_phi = Fraction(q) if kind == "fractal" and phi is None else phi
+    return GPSpec(kind, phi=spec_phi, q=q).materialize(args.size), phi
 
 
 def _write(text: str, path: str | None) -> None:
@@ -68,8 +68,7 @@ def _write(text: str, path: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    matrix = build_matrix(args)
-    phi = parse_rational(args.phi) if args.phi is not None else None
+    matrix, phi = build_matrix(args)
     if args.format == "json":
         text = matrix_to_json(matrix, args.kind, args.q, phi)
     elif args.format == "csv":
@@ -107,7 +106,7 @@ def cmd_decompose(args) -> int:
         with open(args.input, encoding="ascii") as handle:
             matrix = matrix_from_json(handle.read())
     elif args.kind is not None:
-        matrix = build_matrix(args)
+        matrix, _ = build_matrix(args)
     else:
         raise ConfigError("decompose needs --kind or --input")
     max_q = args.max_q if args.max_q is not None else matrix.size - 1
@@ -123,11 +122,7 @@ def _parse_series(text: str, q: int, degree: int) -> list[Fraction]:
     if len(coeffs) >= degree + 1:
         return coeffs
     if len(coeffs) == q:
-        # base block: extend by the digit-multiplicative rule a_{qn+i} = a_n a_i
-        out = list(coeffs)
-        for n in range(q, degree + 1):
-            out.append(out[n // q] * out[n % q])
-        return out
+        return zeroalg.fractal_series(coeffs, q, degree)
     raise ConfigError(
         f"series needs at least {degree + 1} coefficients, or exactly {q} for a fractal base block"
     )
@@ -147,7 +142,7 @@ def cmd_convolve(args) -> int:
 def cmd_export(args) -> int:
     if args.format != "pbm":
         raise ConfigError("export supports --format pbm")
-    matrix = build_matrix(args)
+    matrix, _ = build_matrix(args)
     _write(matrix_to_pbm(matrix), args.output)
     return 0
 

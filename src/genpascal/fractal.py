@@ -17,7 +17,7 @@ from .digits import valuation
 from .matrices import TriangularMatrix
 from .polynomials import Polynomial, mul_trunc, w_poly
 from .rationals import ONE, ZERO
-from .report import Report
+from .report import Report, check_equal, merge_reports
 from .sequences import BSequence, fractal_b
 from .zeroalg import digit_binom
 
@@ -174,21 +174,18 @@ def fractal_c_check(q: int, degree: int) -> Report:
     while q**level <= degree:
         product = mul_trunc(product, _w_factor_coeffs(q, level, degree), degree)
         level += 1
-    checked = degree + 1
-    for n in range(degree + 1):
-        if product[n] != target[n]:
-            return Report(
-                "series-product", False, {"q": q, "n": n, "got": str(product[n]), "want": str(target[n])}, checked
-            )
     prime_seqs = [BSequence.fractal(p, p) for p in _primes_upto(degree)]
+    hadamard = []
     for n in range(degree + 1):
-        checked += 1
         value = ONE
         for seq in prime_seqs:
             value *= ONE / seq.factorial(n)
-        if value != Fraction(1, factorial(n)):
-            return Report("series-product", False, {"hadamard": n, "got": str(value)}, checked)
-    return Report("series-product", True, None, checked)
+        hadamard.append(value)
+    exponential = [Fraction(1, factorial(n)) for n in range(degree + 1)]
+    return merge_reports("series-product", [
+        check_equal("series-product", product, target, q=q),
+        check_equal("series-hadamard", hadamard, exponential),
+    ])
 
 
 def b_functional_equation_check(q: int, degree: int) -> Report:
@@ -204,10 +201,4 @@ def b_functional_equation_check(q: int, degree: int) -> Report:
                 rhs[d] += cw
     for n in range(q, degree + 1, q):
         rhs[n] += q * lhs[n // q]
-    checked = degree + 1
-    for n in range(degree + 1):
-        if lhs[n] != rhs[n]:
-            return Report(
-                "b-functional", False, {"q": q, "n": n, "lhs": str(lhs[n]), "rhs": str(rhs[n])}, checked
-            )
-    return Report("b-functional", True, None, checked)
+    return check_equal("b-functional", lhs, rhs, q=q)

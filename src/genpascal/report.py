@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Any
 
 
@@ -35,3 +36,35 @@ def merge_reports(suite: str, reports: list[Report]) -> Report:
             ce.setdefault("subsuite", r.suite)
             return Report(suite, False, ce, checked)
     return Report(suite, True, None, checked)
+
+
+def check_equal(suite: str, got, want, **context: Any) -> Report:
+    """Exact equality of two sequences, or of two matrices (anything with
+    ``rows``) row by row. One check per entry of ``want``: ``len(want)`` for a
+    sequence, n(n+1)/2 for a matrix of size n.
+
+    The whole objects are compared first; only on failure is the first
+    differing entry located. Its counterexample is ``context`` plus ``n`` (and
+    ``m`` inside a row) and both values as strings, ``None`` for an entry
+    past the end of the shorter one."""
+    matrix = hasattr(want, "rows")
+    checked = len(want.rows) * (len(want.rows) + 1) // 2 if matrix else len(want)
+    if got == want:
+        return Report(suite, True, None, checked)
+    if matrix:
+        pairs = (
+            ({"n": n, "m": m}, x, y)
+            for n, (g, w) in enumerate(zip_longest(got.rows, want.rows, fillvalue=()))
+            for m, (x, y) in enumerate(zip_longest(g, w))
+        )
+    else:
+        pairs = (({"n": n}, x, y) for n, (x, y) in enumerate(zip_longest(got, want)))
+    for where, x, y in pairs:
+        if x != y:
+            ce = {**context, **where, "got": _text(x), "want": _text(y)}
+            return Report(suite, False, ce, checked)
+    return Report(suite, True, None, checked)  # equal entries in another container type
+
+
+def _text(value: Any) -> str | None:
+    return None if value is None else str(value)

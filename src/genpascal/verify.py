@@ -14,7 +14,7 @@ from math import comb
 from . import fractal, special, zeroalg
 from .matrices import TriangularMatrix, build_from_c, identity_check, identity_matrix, matmul
 from .rationals import ONE
-from .report import Report, merge_reports
+from .report import Report, check_equal, merge_reports
 from .sequences import CSequence
 from .specs import GPSpec
 
@@ -48,13 +48,8 @@ def suite_identities(size: int) -> Report:
 
 def lucas_check(limit: int) -> Report:
     """Digit dominance against the parity of ordinary binomials."""
-    checked = 0
-    for n in range(limit):
-        for m in range(n + 1):
-            checked += 1
-            if zeroalg.digit_binom(2, n, m) != comb(n, m) % 2:
-                return Report("lucas", False, {"n": n, "m": m}, checked)
-    return Report("lucas", True, None, checked)
+    parity = TriangularMatrix.from_fn(limit, lambda n, m: comb(n, m) % 2)
+    return check_equal("lucas", zeroalg.sierpinski_matrix(2, limit), parity)
 
 
 def suite_lucas(size: int) -> Report:
@@ -75,22 +70,18 @@ def suite_kron(size: int) -> Report:
         while q ** (k + 1) <= size:
             reports.append(zeroalg.sierpinski_selfsim_check(q, k))
             k += 1
-    if not reports:
-        return Report("kron", True, None, 0)
     return merge_reports("kron", reports)
 
 
 def recurrence_check(q: int, size: int) -> Report:
     """Rows and columns from the recurrences against the materialized matrix."""
     matrix = fractal.fractal_matrix(q, q, size)
-    checked = 0
-    for n in range(size):
-        checked += 2
-        if fractal.fractal_row(q, n) != matrix.row_poly(n):
-            return Report("recurrences", False, {"q": q, "row": n}, checked)
-        if fractal.fractal_column(q, n, size) != matrix.column_poly(n):
-            return Report("recurrences", False, {"q": q, "column": n}, checked)
-    return Report("recurrences", True, None, checked)
+    rows = [fractal.fractal_row(q, n) for n in range(size)]
+    columns = [fractal.fractal_column(q, n, size) for n in range(size)]
+    return merge_reports("recurrences", [
+        check_equal("recurrence-rows", rows, [matrix.row_poly(n) for n in range(size)], q=q),
+        check_equal("recurrence-columns", columns, [matrix.column_poly(n) for n in range(size)], q=q),
+    ])
 
 
 def suite_recurrences(size: int) -> Report:
@@ -102,13 +93,10 @@ def suite_umbral(size: int) -> Report:
     ident = identity_matrix(size)
     for qv in (-1, 0, 1, 2, 3):
         product = matmul(special.q_umbral_matrix(qv, size), special.q_umbral_inverse(qv, size))
-        ok = product == ident
-        reports.append(
-            Report("umbral", ok, None if ok else {"q": qv}, size * (size + 1) // 2)
-        )
+        reports.append(check_equal("umbral", product, ident, q=qv))
     # the q = -1 member coincides with the modulus-2 overlay
-    ok = special.q_umbral_matrix(-1, size) == special.zero_overlay_matrix(2, size)
-    reports.append(Report("umbral-overlay", ok, None if ok else {"q": -1}, size * (size + 1) // 2))
+    overlay = special.zero_overlay_matrix(2, size)
+    reports.append(check_equal("umbral-overlay", special.q_umbral_matrix(-1, size), overlay, q=-1))
     return merge_reports("umbral", reports)
 
 
@@ -116,15 +104,7 @@ def _random_fractal_series(rng: random.Random, q: int, degree: int) -> list[Frac
     base = [ONE] + [
         Fraction(rng.choice([x for x in range(-6, 7) if x]), rng.randint(1, 6)) for _ in range(q - 1)
     ]
-    out = []
-    for n in range(degree + 1):
-        value = ONE
-        t = n
-        while t:
-            value *= base[t % q]
-            t //= q
-        out.append(value)
-    return out
+    return zeroalg.fractal_series(base, q, degree)
 
 
 def convolution_check(q: int, size: int, trials: int = 5, seed: int = 20240801) -> Report:
@@ -140,11 +120,9 @@ def convolution_check(q: int, size: int, trials: int = 5, seed: int = 20240801) 
         product = matmul(zeroalg.masked_matrix(a, q, size), zeroalg.masked_matrix(b, q, size))
         convolved = zeroalg.carryless_convolve(a, b, q, size - 1)
         direct = zeroalg.masked_matrix(convolved, q, size)
-        ok = product == direct
-        reports.append(Report("convolution", ok, None if ok else {"q": q}, size * (size + 1) // 2))
+        reports.append(check_equal("convolution", product, direct, q=q))
         general = zeroalg.masked_convolve(a, b, q, size - 1)
-        ok2 = general == convolved
-        reports.append(Report("convolution-direct", ok2, None if ok2 else {"q": q}, size))
+        reports.append(check_equal("convolution-direct", general, convolved, q=q))
     return merge_reports("convolution", reports)
 
 
@@ -169,10 +147,7 @@ def decompose_roundtrip_check(size: int, trials: int, seed: int = 20240802) -> R
         matrices.append(build_from_c(random_c_sequence(rng, size), size))
     for matrix in matrices:
         coords = special.phi_coordinates(matrix, size - 1)
-        ok = coords.recompose(size) == matrix
-        reports.append(
-            Report("decompose-roundtrip", ok, None if ok else {"size": size}, size * (size + 1) // 2)
-        )
+        reports.append(check_equal("decompose-roundtrip", coords.recompose(size), matrix, size=size))
     return merge_reports("decompose-roundtrip", reports)
 
 

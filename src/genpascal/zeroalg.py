@@ -18,7 +18,7 @@ from .errors import NotFractal, SizeMismatch
 from .matrices import TriangularMatrix, build_from_c, hadamard, matmul
 from .polynomials import P_ONE, Polynomial
 from .rationals import ONE, ZERO
-from .report import Report, merge_reports
+from .report import Report, check_equal, merge_reports
 from .sequences import CSequence
 
 Series = Sequence[Fraction | int]
@@ -57,12 +57,10 @@ def sierpinski_selfsim_check(q: int, k: int) -> Report:
     s1 = sierpinski_matrix(q, q)
     sk = sierpinski_matrix(q, q**k)
     big = sierpinski_matrix(q, q ** (k + 1))
-    checked = 2 * big.size * (big.size + 1) // 2
-    if kronecker(s1, sk) != big:
-        return Report("kron", False, {"q": q, "k": k, "order": "coarse-first"}, checked)
-    if kronecker(sk, s1) != big:
-        return Report("kron", False, {"q": q, "k": k, "order": "fine-first"}, checked)
-    return Report("kron", True, None, checked)
+    return merge_reports("kron", [
+        check_equal("kron", kronecker(s1, sk), big, q=q, k=k, order="coarse-first"),
+        check_equal("kron", kronecker(sk, s1), big, q=q, k=k, order="fine-first"),
+    ])
 
 
 def _coeff(a: Series, n: int) -> Fraction:
@@ -77,6 +75,15 @@ def check_fractal(a: Series, q: int, degree: int) -> None:
     for d in range(q, degree + 1):
         if _coeff(a, d) != _coeff(a, d % q) * _coeff(a, d // q):
             raise NotFractal(f"digit-multiplicative condition fails at degree {d}")
+
+
+def fractal_series(base: Series, q: int, degree: int) -> list[Fraction]:
+    """The digit-multiplicative series a_n = a_{n div q} * a_{n mod q} through
+    ``degree``, extended from its base block a_0 = 1, a_1, ..., a_{q-1}."""
+    out = [Fraction(x) for x in base[: degree + 1]]
+    for n in range(q, degree + 1):
+        out.append(out[n // q] * out[n % q])
+    return out
 
 
 def masked_matrix(a: Series, q: int, size: int) -> TriangularMatrix:
@@ -112,13 +119,7 @@ def carryless_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fracti
     window = [
         sum((_coeff(a, t) * _coeff(b, d - t) for t in range(d + 1)), ZERO) for d in range(min(q, degree + 1))
     ]
-    out = [ONE]
-    for n in range(1, degree + 1):
-        value = ONE
-        for d in digits(n, q):
-            value *= window[d]
-        out.append(value)
-    return out
+    return fractal_series(window, q, degree)
 
 
 def masked_row(a: Series, q: int, n: int) -> Polynomial:
@@ -161,19 +162,7 @@ def block_product_check(
     block = q**k
     ac = masked_convolve(a, c, q, size // block - 1)
     bd = masked_convolve(b, d, q, block - 1)
-    right = block_matrix(ac, bd, q, k, size)
-    checked = size * (size + 1) // 2
-    if left != right:
-        for n in range(size):
-            for m in range(n + 1):
-                if left.rows[n][m] != right.rows[n][m]:
-                    return Report(
-                        "block-product",
-                        False,
-                        {"n": n, "m": m, "left": str(left.rows[n][m]), "right": str(right.rows[n][m])},
-                        checked,
-                    )
-    return Report("block-product", True, None, checked)
+    return check_equal("block-product", left, block_matrix(ac, bd, q, k, size))
 
 
 def t_coefficient(q: int, n: int, m: int) -> Fraction:
@@ -208,12 +197,7 @@ def t_matrix_via_kronecker(q: int, size: int) -> TriangularMatrix:
 def t_matrix_via_overlay(q: int, size: int) -> TriangularMatrix:
     """Dominance mask applied to the matrix of the digit-factorial series
     c_n = prod_i 1/(n_i!)."""
-    coeffs = []
-    for n in range(size):
-        value = 1
-        for d in digits(n, q):
-            value *= factorial(d)
-        coeffs.append(Fraction(1, value))
+    coeffs = fractal_series([Fraction(1, factorial(d)) for d in range(q)], q, size - 1)
     base = build_from_c(CSequence.explicit(coeffs), size)
     return hadamard(sierpinski_matrix(q, size), base)
 
@@ -232,14 +216,7 @@ def t_row(q: int, n: int) -> Polynomial:
 def t_threeway_check(q: int, size: int) -> Report:
     """Digit products, Kronecker construction and mask overlay must agree."""
     direct = t_matrix(q, size)
-    reports = []
-    kron_built = t_matrix_via_kronecker(q, size)
-    overlay = t_matrix_via_overlay(q, size)
-    n_entries = size * (size + 1) // 2
-    reports.append(
-        Report("t-kronecker", kron_built == direct, None if kron_built == direct else {"q": q}, n_entries)
-    )
-    reports.append(
-        Report("t-overlay", overlay == direct, None if overlay == direct else {"q": q}, n_entries)
-    )
-    return merge_reports("t-threeway", reports)
+    return merge_reports("t-threeway", [
+        check_equal("t-kronecker", t_matrix_via_kronecker(q, size), direct, q=q),
+        check_equal("t-overlay", t_matrix_via_overlay(q, size), direct, q=q),
+    ])

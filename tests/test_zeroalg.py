@@ -14,6 +14,7 @@ from genpascal.zeroalg import (
     block_product_check,
     carryless_convolve,
     digit_binom,
+    fractal_series,
     kronecker,
     masked_convolve,
     masked_matrix,
@@ -82,6 +83,21 @@ def test_carryless_values():
     assert out[5] == 4  # digits 101 -> 2*1*2
     assert out[15] == 16
     assert carryless_convolve(ONES16, DELTA16, 2, 15) == list(ONES16)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_fractal_series_is_the_digit_product(q):
+    from genpascal.digits import digits
+
+    base = [Fraction(1)] + [Fraction(3 * t - 7, t + 1) for t in range(1, q)]
+    series = fractal_series(base, q, 80)
+    assert len(series) == 81 and all(isinstance(x, Fraction) for x in series)
+    for n, value in enumerate(series):
+        expected = Fraction(1)
+        for d in digits(n, q):
+            expected *= base[d]
+        assert value == expected
+    assert fractal_series(base, q, q - 2) == base[: q - 1]
 
 
 def test_carryless_rejects_non_fractal():
