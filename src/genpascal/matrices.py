@@ -21,7 +21,9 @@ class TriangularMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
-        rs = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        # re-wrapping an exact Fraction costs a full construction; anything else (an int, a
+        # bool, a Fraction subclass) is coerced, so every entry is exactly a Fraction
+        rs = tuple(tuple([e if type(e) is Fraction else Fraction(e) for e in row]) for row in rows)
         for n, row in enumerate(rs):
             if len(row) != n + 1:
                 raise SizeMismatch(f"row {n} must have {n + 1} entries, got {len(row)}")

@@ -9,6 +9,7 @@ as ``num/den`` in lowest terms (``"1/24"``, ``"-3/2"``), which is exactly what
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rational = Fraction
@@ -16,10 +17,16 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# the form format_rational writes; read with int(), not the general Fraction(str) parser
+_WIRE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"3"``, ``"-3/2"`` or an exact decimal literal; ValueError on anything else."""
     try:
+        if isinstance(text, str) and _WIRE.fullmatch(text):
+            num, _, den = text.partition("/")
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
@@ -28,4 +35,4 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))

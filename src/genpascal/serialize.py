@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Iterable
 
 from .matrices import TriangularMatrix
 from .rationals import format_rational, parse_rational
@@ -41,15 +42,18 @@ def matrix_from_doc(doc: dict) -> TriangularMatrix:
     rows = doc.get("rows") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError('a matrix document is a JSON object whose "rows" is a list of lists')
-    rows = [[parse_rational(e) for e in row] for row in rows]
-    matrix = TriangularMatrix(rows)
+    matrix = TriangularMatrix(_parse_rows(rows))
     if matrix.size != doc.get("size", matrix.size):
         raise ValueError("size field disagrees with row count")
     return matrix
 
 
 def matrix_from_json(text: str) -> TriangularMatrix:
-    return matrix_from_doc(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("matrix document nests too deeply") from None
+    return matrix_from_doc(doc)
 
 
 def matrix_to_csv(matrix: TriangularMatrix) -> str:
@@ -57,12 +61,28 @@ def matrix_to_csv(matrix: TriangularMatrix) -> str:
 
 
 def matrix_from_csv(text: str) -> TriangularMatrix:
-    rows = [
-        [parse_rational(cell) for cell in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    return TriangularMatrix(rows)
+    rows = (line.split(",") for line in text.strip().splitlines() if line.strip())
+    return TriangularMatrix(_parse_rows(rows))
+
+
+def _parse_rows(rows: Iterable[Iterable]) -> list[list[Fraction]]:
+    """The entries of one document, each distinct string parsed once.
+
+    The matrices repeat their values heavily (symmetry, powers of phi), so most
+    entries are a dict hit. Only strings are looked up; any other entry goes
+    straight to parse_rational, which rejects it with ValueError.
+    """
+    parsed: dict[str, Fraction] = {}
+
+    def parse(entry) -> Fraction:
+        if type(entry) is not str:
+            return parse_rational(entry)
+        value = parsed.get(entry)
+        if value is None:
+            value = parsed[entry] = parse_rational(entry)
+        return value
+
+    return [[parse(entry) for entry in row] for row in rows]
 
 
 def matrix_to_pbm(matrix: TriangularMatrix) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .fractal import fractal_entry, fractal_matrix
@@ -90,7 +91,7 @@ def _hadamard_entry(spec: GPSpec, n: int, m: int) -> Fraction:
 
 # kind -> (materialize(spec, size), entry(spec, n, m) for m <= n, or None)
 FAMILIES = {
-    "pascal": (lambda s, size: build_from_c(CSequence.exponential(), size), None),
+    "pascal": (lambda s, size: TriangularMatrix.from_fn(size, s.entry), lambda s, n, m: Fraction(comb(n, m))),
     "ones": (lambda s, size: all_ones(size), None),
     "from-c": (lambda s, size: build_from_c(s.c, size), lambda s, n, m: s.c[m] * s.c[n - m] / s.c[n]),
     "phiq": (

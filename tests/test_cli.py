@@ -140,6 +140,9 @@ def test_decompose_from_file(capsys, tmp_path):
         ("[1, 2]", "list of lists"),
         ('{"rows": [1, 2]}', "list of lists"),
         ('{"rows": [[1]]}', "rational string"),
+        ('{"rows": [[["1"]]]}', "rational string"),
+        ('{"rows": [[{"a": 1}]]}', "rational string"),
+        pytest.param("[" * 200_000 + "]" * 200_000, "nests too deeply", id="deep-nesting"),
     ],
 )
 def test_decompose_rejects_malformed_documents(capsys, tmp_path, document, message):

@@ -35,6 +35,14 @@ def test_pascal_display():
     assert list(m.row(4)) == [1, 4, 6, 4, 1]
 
 
+def test_entries_are_exactly_fractions():
+    kept = Fraction(-3, 7)
+    m = TriangularMatrix([[1], [True, False], [kept, 2, Fraction(5)]])
+    assert all(type(e) is Fraction for row in m.rows for e in row)
+    assert m.rows[1] == (1, 0)
+    assert m.entry(2, 0) is kept
+
+
 def test_geometric_gives_all_ones():
     assert build_from_c(CSequence.geometric(), 6) == all_ones(6)
 

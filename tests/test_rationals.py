@@ -34,3 +34,44 @@ def test_parse_rejects_with_value_error(bad):
 @given(st.fractions())
 def test_round_trip(x):
     assert parse_rational(format_rational(x)) == x
+
+
+def parse_or_error(parse, text):
+    """The parsed value, or ValueError for any rejection (a zero denominator included)."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        return ValueError
+
+
+def general_parse(text):
+    return Fraction(text.strip())
+
+
+# the fast path reads only -?[0-9]+(/[0-9]+)?; everything else must still parse as Fraction(str) does
+EDGE_CASES = ["2/4", "+3", " 3 ", "-0", "1_000", "3/-2", "1e3", "1.5", "3/0", "٣", ""]
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
+def test_parse_agrees_with_the_general_parser(text):
+    assert parse_or_error(parse_rational, text) == parse_or_error(general_parse, text)
+
+
+def test_parse_edge_values():
+    assert parse_rational("2/4") == Fraction(1, 2)
+    with pytest.raises(ValueError, match=r"^zero denominator in '3/0'$"):
+        parse_rational("3/0")
+
+
+@given(
+    st.one_of(
+        st.fractions().map(str),
+        st.builds(lambda n, d: f"{n}/{d}", st.integers(), st.integers(min_value=0)),
+        st.text(alphabet="0123456789-+/ ._e٣\t", max_size=12),
+        st.text(max_size=8),
+    )
+)
+def test_parse_matches_the_general_parser(text):
+    got = parse_or_error(parse_rational, text)
+    assert got == parse_or_error(general_parse, text)
+    assert got is ValueError or type(got) is Fraction

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -55,6 +56,15 @@ def test_csv_round_trip():
     text = matrix_to_csv(m)
     assert text.splitlines()[2] == "1,2,1"
     assert matrix_from_csv(text) == m
+
+
+def test_read_entries_are_exactly_fractions():
+    rows = [["1"], ["3/6", " 2 "], ["1.5", "1/2", "1/2"]]
+    doc = json.dumps({"size": 3, "rows": rows})
+    text = "\n".join(",".join(row) for row in rows)
+    for m in (matrix_from_json(doc), matrix_from_csv(text)):
+        assert all(type(e) is Fraction for row in m.rows for e in row)
+        assert m.rows == ((1,), (Fraction(1, 2), 2), (Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_pbm_small():

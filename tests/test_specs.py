@@ -4,7 +4,7 @@ import pytest
 
 from genpascal.matrices import hadamard_product
 from genpascal.sequences import CSequence
-from genpascal.specs import GPSpec
+from genpascal.specs import FAMILIES, GPSpec
 
 CASES = [
     GPSpec.from_c(CSequence.exponential()),
@@ -19,6 +19,22 @@ CASES = [
     GPSpec.tmatrix(3),
     GPSpec.masked([Fraction(1)] * 16, 2),
     GPSpec.masked([1, Fraction(-2, 3), 5, 0, Fraction(1, 7)] + [1] * 11, 3),
+    GPSpec("pascal"),
+]
+
+# one spec of every kind in FAMILIES
+EXAMPLES = [
+    GPSpec("pascal"),
+    GPSpec("ones"),
+    GPSpec.from_c(CSequence.explicit([1, 1] + [Fraction(-k, k + 3) for k in range(1, 11)])),
+    GPSpec.phiq(Fraction(-2, 3), 3),
+    GPSpec.fractal(Fraction(1, 3), 3),
+    GPSpec.qumbral(Fraction(2)),
+    GPSpec("qumbral-inverse", q=Fraction(2)),
+    GPSpec("zero-overlay", q=3),
+    GPSpec.tmatrix(3),
+    GPSpec.masked([1, Fraction(-2, 3), 5, 0, Fraction(1, 7)] + [1] * 11, 3),
+    GPSpec.hadamard([GPSpec.fractal(Fraction(2), 2), GPSpec.phiq(Fraction(1, 2), 3)]),
 ]
 
 
@@ -42,7 +58,17 @@ def test_hadamard_spec_streams():
     assert streamed == collected
 
 
-@pytest.mark.parametrize("kind", ["pascal", "ones", "qumbral-inverse", "zero-overlay"])
+@pytest.mark.parametrize("spec", EXAMPLES, ids=[spec.kind for spec in EXAMPLES])
+def test_materialized_entries_are_exactly_fractions(spec):
+    built = spec.materialize(12)
+    assert all(type(e) is Fraction for row in built.rows for e in row)
+
+
+def test_examples_cover_every_family():
+    assert sorted(spec.kind for spec in EXAMPLES) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("kind", ["ones", "qumbral-inverse", "zero-overlay"])
 def test_kinds_without_entry_form(kind):
     spec = GPSpec(kind, q=2)
     assert spec.materialize(4).size == 4
