@@ -6,6 +6,12 @@ number of moduli q**k with n mod q**k < m mod q**k; on an N x N truncation
 only moduli q**k <= N can contribute, because q**k > n forces
 n mod q**k = n >= m = m mod q**k. The finite product is therefore exact, not
 an approximation.
+
+The count obeys the digit recursion that the fast paths follow. Write
+n = q n' + i and m = q m' + j with 0 <= i, j < q. If i >= j, the counts of
+(n, m) and (n', m') are equal. If i < j, the count of (n, m) is
+1 + v_q(m' + 1) plus that of (n', m' + 1), where v_q is the q-adic valuation.
+So row n of the family follows from row n div q with O(1) work per entry.
 """
 
 from __future__ import annotations
@@ -45,9 +51,27 @@ def fractal_entry(phi: Fraction | int, q: int, n: int, m: int) -> Fraction:
 
 
 def fractal_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
+    """The truncation built from an int table of carry counts, row n from row
+    n div q by the digit recursion above, then one power of phi per distinct
+    count (0**0 = 1 covers the zero weight)."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    return TriangularMatrix.from_fn(size, lambda n, m: fractal_entry(phi, q, n, m))
+    bump = [0, 1]  # 1 + v_q(k) at index k >= 1
+    for k in range(2, size // q + 1):
+        bump.append(bump[k // q] + 1 if k % q == 0 else 1)
+    counts = [[0]]
+    for n in range(1, size):
+        n1, i = divmod(n, q)
+        prev = counts[n1]
+        row = []
+        for m1 in range(n1):
+            row += [prev[m1]] * (i + 1) + [bump[m1 + 1] + prev[m1 + 1]] * (q - 1 - i)
+        counts.append(row + [prev[n1]] * (i + 1))
+    phi = Fraction(phi)
+    powers = [ONE]
+    while q ** len(powers) < size:
+        powers.append(powers[-1] * phi)
+    return TriangularMatrix([[powers[k] for k in row] for row in counts[:size]])
 
 
 def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:

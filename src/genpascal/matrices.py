@@ -17,13 +17,22 @@ from .report import Report
 from .sequences import BSequence, CSequence
 
 
+class _Shared(dict):
+    """Maps each distinct value to one exact Fraction, built on first lookup."""
+
+    def __missing__(self, value):
+        self[value] = shared = Fraction(value)
+        return shared
+
+
 class TriangularMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
-        # re-wrapping an exact Fraction costs a full construction; anything else (an int, a
-        # bool, a Fraction subclass) is coerced, so every entry is exactly a Fraction
-        rs = tuple(tuple([e if type(e) is Fraction else Fraction(e) for e in row]) for row in rows)
+        # an exact Fraction passes through (re-wrapping costs a full construction); anything
+        # else (an int, a bool, a Fraction subclass) becomes one Fraction per distinct value
+        shared = _Shared()
+        rs = tuple(tuple([e if type(e) is Fraction else shared[e] for e in row]) for row in rows)
         for n, row in enumerate(rs):
             if len(row) != n + 1:
                 raise SizeMismatch(f"row {n} must have {n + 1} entries, got {len(row)}")
@@ -80,7 +89,7 @@ def identity_matrix(size: int) -> TriangularMatrix:
 
 
 def all_ones(size: int) -> TriangularMatrix:
-    return TriangularMatrix.from_fn(size, lambda n, m: ONE)
+    return TriangularMatrix([(ONE,) * (n + 1) for n in range(size)])
 
 
 def build_from_c(c: CSequence, size: int) -> TriangularMatrix:

@@ -128,3 +128,9 @@ def geometric(ratio: Fraction, degree: int) -> list[Fraction]:
     for _ in range(degree):
         out.append(out[-1] * ratio)
     return out
+
+
+def divide_linear(series: list[Fraction], ratio: Fraction) -> None:
+    """Divide the truncated series in place by 1 - ratio*x."""
+    for k in range(1, len(series)):
+        series[k] += ratio * series[k - 1]

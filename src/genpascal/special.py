@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .errors import ZeroEntry, ZeroPhi
-from .matrices import TriangularMatrix, build_from_c, first_column_b, hadamard
-from .polynomials import geometric, mul_trunc
+from .matrices import TriangularMatrix, first_column_b, hadamard
+from .polynomials import divide_linear
 from .rationals import ONE, ZERO
 from .report import Report
 from .sequences import CSequence
@@ -149,14 +149,16 @@ def q_umbral_matrix(q: Fraction | int, size: int) -> TriangularMatrix:
     q = -1 a zero generalized Pascal matrix.
     """
     q = Fraction(q)
-    degree = size - 1
-    entries = [[ZERO] * (n + 1) for n in range(size)]
-    series = [ONE] + [ZERO] * degree
+    rows = [[] for _ in range(size)]
+    series = [ONE] + [ZERO] * (size - 1)
+    ratio = ONE
     for col in range(size):
-        series = mul_trunc(series, geometric(q**col, degree), degree)
-        for row in range(col, size):
-            entries[row][col] = series[row - col]
-    return TriangularMatrix(entries)
+        divide_linear(series, ratio)
+        for row, value in enumerate(series, col):
+            rows[row].append(value)
+        series.pop()  # column col + 1 needs one term fewer
+        ratio *= q
+    return TriangularMatrix(rows)
 
 
 def q_umbral_inverse(q: Fraction | int, size: int) -> TriangularMatrix:
@@ -183,6 +185,8 @@ def zero_overlay_matrix(q: int, size: int) -> TriangularMatrix:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    coeffs = [Fraction(1, factorial(n // q)) for n in range(size)]
-    base = build_from_c(CSequence.explicit(coeffs), size)
-    return hadamard(phi_q_matrix(0, q, size), base)
+    pascal = [[comb(n, m) for m in range(n + 1)] for n in range((size + q - 1) // q)]
+    masks = [[1] * (i + 1) + [0] * (q - 1 - i) for i in range(q)]
+    return TriangularMatrix(
+        [[c * keep for c in pascal[r // q] for keep in masks[r % q]][: r + 1] for r in range(size)]
+    )

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .fractal import fractal_entry, fractal_matrix
 from .matrices import TriangularMatrix, all_ones, build_from_c
-from .polynomials import geometric, mul_trunc
+from .polynomials import divide_linear
 from .rationals import ONE, ZERO
 from .sequences import CSequence
 from .special import phi_q_matrix, q_umbral_inverse, q_umbral_matrix, zero_overlay_matrix
@@ -76,9 +76,11 @@ class GPSpec:
 
 
 def _qumbral_entry(spec: GPSpec, n: int, m: int) -> Fraction:
-    series = [ONE]
-    for t in range(m + 1):
-        series = mul_trunc(series, geometric(spec.q**t, n - m), n - m)
+    series = [ONE] + [ZERO] * (n - m)
+    ratio = ONE
+    for _ in range(m + 1):
+        divide_linear(series, ratio)
+        ratio *= spec.q
     return series[n - m]
 
 
@@ -91,8 +93,8 @@ def _hadamard_entry(spec: GPSpec, n: int, m: int) -> Fraction:
 
 # kind -> (materialize(spec, size), entry(spec, n, m) for m <= n, or None)
 FAMILIES = {
-    "pascal": (lambda s, size: TriangularMatrix.from_fn(size, s.entry), lambda s, n, m: Fraction(comb(n, m))),
-    "ones": (lambda s, size: all_ones(size), None),
+    "pascal": (lambda s, size: TriangularMatrix.from_fn(size, comb), lambda s, n, m: Fraction(comb(n, m))),
+    "ones": (lambda s, size: all_ones(size), lambda s, n, m: ONE),
     "from-c": (lambda s, size: build_from_c(s.c, size), lambda s, n, m: s.c[m] * s.c[n - m] / s.c[n]),
     "phiq": (
         lambda s, size: phi_q_matrix(s.phi, s.q, size),
@@ -104,7 +106,10 @@ FAMILIES = {
     ),
     "qumbral": (lambda s, size: q_umbral_matrix(s.q, size), _qumbral_entry),
     "qumbral-inverse": (lambda s, size: q_umbral_inverse(s.q, size), None),
-    "zero-overlay": (lambda s, size: zero_overlay_matrix(s.q, size), None),
+    "zero-overlay": (
+        lambda s, size: zero_overlay_matrix(s.q, size),
+        lambda s, n, m: Fraction(comb(n // s.q, m // s.q)) if n % s.q >= m % s.q else ZERO,
+    ),
     "tmatrix": (lambda s, size: t_matrix(s.q, size), lambda s, n, m: t_coefficient(s.q, n, m)),
     "masked": (
         lambda s, size: masked_matrix(s.a, s.q, size),

@@ -179,10 +179,16 @@ def t_coefficient(q: int, n: int, m: int) -> Fraction:
 
 
 def t_matrix(q: int, size: int) -> TriangularMatrix:
-    """Digit-product matrix seeded by the first q rows of the Pascal matrix."""
+    """Digit-product matrix seeded by the first q rows of the Pascal matrix:
+    T(q n' + i, q m' + j) = C(i, j) T(n', m'), built row by row on ints."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    return TriangularMatrix.from_fn(size, lambda n, m: t_coefficient(q, n, m))
+    blocks = [[comb(i, j) for j in range(q)] for i in range(q)]
+    rows = [[1]]
+    for n in range(1, size):
+        n1, i = divmod(n, q)
+        rows.append([c * t for t in rows[n1] for c in blocks[i]][: n + 1])
+    return TriangularMatrix(rows[:size])
 
 
 def t_matrix_via_kronecker(q: int, size: int) -> TriangularMatrix:

@@ -192,3 +192,13 @@ def test_entry_zero_weight_is_mask():
     for n in range(30):
         for m in range(n + 1):
             assert fractal_entry(0, 2, n, m) == digit_binom(2, n, m)
+
+
+@pytest.mark.parametrize("phi", [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-7, 3)])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_matrix_matches_entry_form(q, phi):
+    # the composite bases 4 and 6 exercise the valuation step of the digit recursion
+    sizes = [0, 1, q, q * q + 1, q**3 + 2]
+    oracle = TriangularMatrix.from_fn(sizes[-1], lambda n, m: fractal_entry(phi, q, n, m))
+    for size in sizes:
+        assert fractal_matrix(phi, q, size) == oracle.truncate(size)

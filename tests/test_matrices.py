@@ -43,6 +43,17 @@ def test_entries_are_exactly_fractions():
     assert m.entry(2, 0) is kept
 
 
+def test_equal_entries_share_one_fraction():
+    big = [int("9" * 30), int("9" * 30)]  # equal ints, two objects
+    m = TriangularMatrix([[big[0]], [big[1], True], [1, 7, 7]])
+    assert m.entry(1, 0) is m.entry(0, 0)
+    assert m.entry(2, 2) is m.entry(2, 1)
+    assert m.entry(1, 1) is m.entry(2, 0)  # True and 1 are one value
+    assert m.entry(1, 1) == Fraction(1) and type(m.entry(1, 1).numerator) is int
+    with pytest.raises(TypeError):
+        TriangularMatrix([[[1]]])
+
+
 def test_geometric_gives_all_ones():
     assert build_from_c(CSequence.geometric(), 6) == all_ones(6)
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -12,6 +13,7 @@ from genpascal.matrices import (
     identity_matrix,
     matmul,
 )
+from genpascal.polynomials import geometric, mul_trunc
 from genpascal.sequences import CSequence
 from genpascal.special import (
     PhiCoordinates,
@@ -23,6 +25,7 @@ from genpascal.special import (
     q_umbral_matrix,
     zero_overlay_matrix,
 )
+from genpascal.specs import GPSpec
 from genpascal.verify import random_c_sequence
 
 
@@ -163,6 +166,33 @@ def test_umbral_closed_form():
             mm, j = divmod(col, 2)
             expected = comb(n, mm) if i >= j else 0
             assert m.entry(row, col) == expected
+
+
+@pytest.mark.parametrize("qv", [-1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+def test_umbral_matches_series_products(qv):
+    # column n as the full truncated product of the geometric series 1/(1 - q**m x), m <= n
+    qv = Fraction(qv)
+    size = 20
+    rows = [[] for _ in range(size)]
+    series = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    for col in range(size):
+        series = mul_trunc(series, geometric(qv**col, size - 1), size - 1)
+        for row in range(col, size):
+            rows[row].append(series[row - col])
+    oracle = TriangularMatrix(rows)
+    for n in (0, 1, 2, size):
+        assert q_umbral_matrix(qv, n) == oracle.truncate(n)
+    spec = GPSpec.qumbral(qv)
+    assert all(spec.entry(n, m) == oracle.entry(n, m) for n in range(size) for m in range(n + 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_zero_overlay_matches_masked_series_matrix(q):
+    sizes = [0, 1, q, q * q + 1, q**3 + 2]
+    coeffs = [Fraction(1, factorial(n // q)) for n in range(sizes[-1])]
+    oracle = hadamard(phi_q_matrix(0, q, sizes[-1]), build_from_c(CSequence.explicit(coeffs), sizes[-1]))
+    for size in sizes:
+        assert zero_overlay_matrix(q, size) == oracle.truncate(size)
 
 
 def test_zero_overlay():

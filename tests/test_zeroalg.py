@@ -191,6 +191,14 @@ def test_t_threeway():
     assert t_matrix_via_overlay(3, 9) == t_matrix(3, 9)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_t_matrix_matches_coefficients(q):
+    sizes = [0, 1, q, q * q + 1, q**3 + 2]
+    oracle = TriangularMatrix.from_fn(sizes[-1], lambda n, m: t_coefficient(q, n, m))
+    for size in sizes:
+        assert t_matrix(q, size) == oracle.truncate(size)
+
+
 def test_t2_is_sierpinski():
     assert t_matrix(2, 32) == sierpinski_matrix(2, 32)
 
