@@ -56,16 +56,14 @@ def fractal_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
     count (0**0 = 1 covers the zero weight)."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    bump = [0, 1]  # 1 + v_q(k) at index k >= 1
-    for k in range(2, size // q + 1):
-        bump.append(bump[k // q] + 1 if k % q == 0 else 1)
+    step = [1 + valuation(m1 + 1, q) for m1 in range(size // q)]  # read once per q entries
     counts = [[0]]
     for n in range(1, size):
         n1, i = divmod(n, q)
         prev = counts[n1]
         row = []
         for m1 in range(n1):
-            row += [prev[m1]] * (i + 1) + [bump[m1 + 1] + prev[m1 + 1]] * (q - 1 - i)
+            row += [prev[m1]] * (i + 1) + [step[m1] + prev[m1 + 1]] * (q - 1 - i)
         counts.append(row + [prev[n1]] * (i + 1))
     phi = Fraction(phi)
     powers = [ONE]

@@ -182,11 +182,13 @@ def zero_overlay_matrix(q: int, size: int) -> TriangularMatrix:
 
     c_{qn+i} = 1/n!, so the surviving entries are ordinary binomials of the
     block indices: entry (qn+i, qm+j) = C(n,m) for i >= j and 0 for i < j.
+    Only residues i < min(q, size) occur, so a huge q costs no more than size.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
+    k = min(q, size)
     pascal = [[comb(n, m) for m in range(n + 1)] for n in range((size + q - 1) // q)]
-    masks = [[1] * (i + 1) + [0] * (q - 1 - i) for i in range(q)]
+    masks = [[1] * (i + 1) + [0] * (k - 1 - i) for i in range(k)]
     return TriangularMatrix(
         [[c * keep for c in pascal[r // q] for keep in masks[r % q]][: r + 1] for r in range(size)]
     )

@@ -180,10 +180,12 @@ def t_coefficient(q: int, n: int, m: int) -> Fraction:
 
 def t_matrix(q: int, size: int) -> TriangularMatrix:
     """Digit-product matrix seeded by the first q rows of the Pascal matrix:
-    T(q n' + i, q m' + j) = C(i, j) T(n', m'), built row by row on ints."""
+    T(q n' + i, q m' + j) = C(i, j) T(n', m'), built row by row on ints.
+    Only digits i < min(q, size) occur, so a huge q costs no more than size."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    blocks = [[comb(i, j) for j in range(q)] for i in range(q)]
+    k = min(q, size)
+    blocks = [[comb(i, j) for j in range(k)] for i in range(k)]
     rows = [[1]]
     for n in range(1, size):
         n1, i = divmod(n, q)

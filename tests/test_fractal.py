@@ -202,3 +202,9 @@ def test_matrix_matches_entry_form(q, phi):
     oracle = TriangularMatrix.from_fn(sizes[-1], lambda n, m: fractal_entry(phi, q, n, m))
     for size in sizes:
         assert fractal_matrix(phi, q, size) == oracle.truncate(size)
+
+
+def test_matrix_huge_q_costs_only_size():
+    q, size = 10**6, 5
+    oracle = TriangularMatrix.from_fn(size, lambda n, m: fractal_entry(Fraction(3, 2), q, n, m))
+    assert fractal_matrix(Fraction(3, 2), q, size) == oracle

@@ -195,6 +195,13 @@ def test_zero_overlay_matches_masked_series_matrix(q):
         assert zero_overlay_matrix(q, size) == oracle.truncate(size)
 
 
+def test_zero_overlay_huge_q_costs_only_size():
+    q, size = 10**6, 5
+    coeffs = [Fraction(1, factorial(n // q)) for n in range(size)]
+    oracle = hadamard(phi_q_matrix(0, q, size), build_from_c(CSequence.explicit(coeffs), size))
+    assert zero_overlay_matrix(q, size) == oracle
+
+
 def test_zero_overlay():
     assert zero_overlay_matrix(2, 7) == q_umbral_matrix(-1, 7)
     assert zero_overlay_matrix(3, 5).entry(0, 0) == 1

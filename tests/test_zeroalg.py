@@ -199,6 +199,13 @@ def test_t_matrix_matches_coefficients(q):
         assert t_matrix(q, size) == oracle.truncate(size)
 
 
+def test_t_matrix_huge_q_costs_only_size():
+    # size <= q: every row is its own last digit, so only size digits occur
+    q, size = 10**6, 5
+    oracle = TriangularMatrix.from_fn(size, lambda n, m: t_coefficient(q, n, m))
+    assert t_matrix(q, size) == oracle
+
+
 def test_t2_is_sierpinski():
     assert t_matrix(2, 32) == sierpinski_matrix(2, 32)
 
