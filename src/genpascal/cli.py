@@ -31,6 +31,14 @@ Q_MIN = {
 }
 KINDS = tuple(Q_MIN)
 
+# the gen usage as argparse wraps it at 80 columns on Python 3.10-3.12, written
+# out because 3.13 breaks the line before --kind instead and stderr is pinned
+GEN_USAGE = """\
+%(prog)s [-h] --kind
+                     {pascal,ones,phiq,fractal,qumbral,qumbral-inverse,zero-overlay,tmatrix}
+                     [--q Q] [--phi PHI] [--size SIZE] [--format {json,csv}]
+                     [--output OUTPUT]"""
+
 
 class ConfigError(Exception):
     pass
@@ -158,7 +166,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="genpascal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="write a matrix document")
+    p = sub.add_parser("gen", help="write a matrix document", usage=GEN_USAGE)
     _add_matrix_args(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)

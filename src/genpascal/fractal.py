@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 from .digits import valuation
 from .matrices import TriangularMatrix
@@ -50,12 +51,9 @@ def fractal_entry(phi: Fraction | int, q: int, n: int, m: int) -> Fraction:
     return phi ** carry_count(q, n, m)
 
 
-def fractal_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
-    """The truncation built from an int table of carry counts, row n from row
-    n div q by the digit recursion above, then one power of phi per distinct
-    count (0**0 = 1 covers the zero weight)."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
+def _carry_count_table(q: int, size: int) -> list[list[int]]:
+    """Carry counts of rows 0..size-1 as ints, row n from row n div q by the
+    digit recursion above."""
     step = [1 + valuation(m1 + 1, q) for m1 in range(size // q)]  # read once per q entries
     counts = [[0]]
     for n in range(1, size):
@@ -65,11 +63,25 @@ def fractal_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
         for m1 in range(n1):
             row += [prev[m1]] * (i + 1) + [step[m1] + prev[m1 + 1]] * (q - 1 - i)
         counts.append(row + [prev[n1]] * (i + 1))
-    phi = Fraction(phi)
-    powers = [ONE]
+    return counts[:size]
+
+
+def _count_powers(base, q: int, size: int) -> list:
+    """base**k for every carry count k that occurs below ``size``: one per
+    modulus q**k <= size - 1, and k = 0."""
+    powers = [1]
     while q ** len(powers) < size:
-        powers.append(powers[-1] * phi)
-    return TriangularMatrix([[powers[k] for k in row] for row in counts[:size]])
+        powers.append(powers[-1] * base)
+    return powers
+
+
+def fractal_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
+    """The truncation built from the int table of carry counts, then one power
+    of phi per distinct count (0**0 = 1 covers the zero weight)."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    powers = _count_powers(Fraction(phi), q, size)
+    return TriangularMatrix([[powers[k] for k in row] for row in _carry_count_table(q, size)])
 
 
 def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
@@ -146,24 +158,30 @@ def _primes_upto(n: int) -> list[int]:
 def pascal_prime_factorization(size: int) -> Report:
     """The entrywise product of the weight-p fractal matrices over primes
     p < size equals the Pascal matrix; primes beyond the block are all-ones
-    on it. Streams entry by entry via the fast digit path."""
+    on it. Entry (n,m) of the weight-p matrix is p**k with k the carry count,
+    so each row is a product of int powers read off the carry-count tables.
+    By Kummer's theorem k is the p-adic valuation of C(n,m), but the rows are
+    compared with ``comb``, which never sees the tables, so the check is real."""
     primes = _primes_upto(max(size - 1, 1))
+    tables = [(p, _carry_count_table(p, size), _count_powers(p, p, size)) for p in primes]
     checked = 0
     for n in range(size):
-        relevant = [p for p in primes if p <= n]
-        for m in range(n + 1):
-            checked += 1
-            product = 1
-            for p in relevant:
-                product *= fast_gbinom_fractal(p, n, m)
-            if product != comb(n, m):
-                factors = {str(p): str(fast_gbinom_fractal(p, n, m)) for p in relevant}
-                return Report(
-                    "primes",
-                    False,
-                    {"n": n, "m": m, "factors": factors, "expected": str(comb(n, m))},
-                    checked,
-                )
+        product = [1] * (n + 1)
+        for p, counts, powers in tables:
+            if p > n:
+                break
+            product = list(map(mul, product, map(powers.__getitem__, counts[n])))
+        expected = [comb(n, m) for m in range(n + 1)]
+        if product != expected:
+            m = next(m for m in range(n + 1) if product[m] != expected[m])
+            factors = {str(p): str(fast_gbinom_fractal(p, n, m)) for p in primes if p <= n}
+            return Report(
+                "primes",
+                False,
+                {"n": n, "m": m, "factors": factors, "expected": str(comb(n, m))},
+                checked + m + 1,
+            )
+        checked += n + 1
     return Report("primes", True, None, checked)
 
 

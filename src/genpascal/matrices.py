@@ -3,35 +3,34 @@
 Entries are exact rationals; a matrix of size N stores rows 0..N-1 with row n
 holding entries (n,0)..(n,n). Entries above the diagonal are implicitly zero.
 Matrices are immutable after construction.
+
+The algebra runs on an integer view of each matrix: ``int_view()`` is the pair
+(den, int_rows) with den the lcm of the entry denominators and int_rows the
+entries times den, computed on first use and cached. The lcm makes the view
+unique, so a product or difference of numerators over the product of the dens
+is the exact result, and ``TriangularMatrix.from_view`` turns it back into
+Fractions in one place. No raw int ever leaves the view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import SizeMismatch, ZeroEntry, ZeroFactor
 from .polynomials import Polynomial
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, SharedFractions, common_denominator, numerators
 from .report import Report
 from .sequences import BSequence, CSequence
 
 
-class _Shared(dict):
-    """Maps each distinct value to one exact Fraction, built on first lookup."""
-
-    def __missing__(self, value):
-        self[value] = shared = Fraction(value)
-        return shared
-
-
 class TriangularMatrix:
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_view")
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
-        # an exact Fraction passes through (re-wrapping costs a full construction); anything
-        # else (an int, a bool, a Fraction subclass) becomes one Fraction per distinct value
-        shared = _Shared()
+        shared = SharedFractions()  # one Fraction per distinct value across the rows
         rs = tuple(tuple([e if type(e) is Fraction else shared[e] for e in row]) for row in rows)
         for n, row in enumerate(rs):
             if len(row) != n + 1:
@@ -41,9 +40,29 @@ class TriangularMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("TriangularMatrix is immutable")
 
+    def int_view(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, int_rows): den is the lcm of the entry denominators and
+        int_rows[n][m] = den * (n,m), an int. Computed once, then cached."""
+        try:
+            return self._view
+        except AttributeError:
+            pass
+        den = common_denominator(chain.from_iterable(self.rows))
+        ints = tuple(tuple(numerators(row, den)) for row in self.rows)
+        view = (den, ints)
+        object.__setattr__(self, "_view", view)
+        return view
+
     @classmethod
     def from_fn(cls, size: int, fn: Callable[[int, int], Fraction | int]) -> "TriangularMatrix":
         return cls([[fn(n, m) for m in range(n + 1)] for n in range(size)])
+
+    @classmethod
+    def from_view(cls, den: int, rows: Iterable[Iterable[int]]) -> "TriangularMatrix":
+        """The matrix with entries rows[n][m] / den, each an exact Fraction."""
+        if den == 1:
+            return cls(rows)  # ints take the one-Fraction-per-value path
+        return cls([[Fraction(x, den) for x in row] for row in rows])
 
     @property
     def size(self) -> int:
@@ -82,6 +101,15 @@ class TriangularMatrix:
 
     def __repr__(self):
         return f"TriangularMatrix(size={self.size})"
+
+
+def _columns(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Stored part of each column: entries (m,m)..(N-1,m) of column m."""
+    return [[row[m] for row in rows[m:]] for m in range(len(rows))]
+
+
+def _first_difference(xs: Sequence, ys: Sequence) -> int:
+    return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
 
 
 def identity_matrix(size: int) -> TriangularMatrix:
@@ -135,7 +163,9 @@ def hadamard(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
     """Entrywise product; the group operation on generalized Pascal truncations."""
     if a.size != b.size:
         raise SizeMismatch(f"sizes {a.size} != {b.size}")
-    return TriangularMatrix([[x * y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+    da, ra = a.int_view()
+    db, rb = b.int_view()
+    return TriangularMatrix.from_view(da * db, [list(map(mul, xs, ys)) for xs, ys in zip(ra, rb)])
 
 
 def hadamard_product(matrices: Sequence[TriangularMatrix]) -> TriangularMatrix:
@@ -159,18 +189,22 @@ def hadamard_inverse(a: TriangularMatrix) -> TriangularMatrix:
 def subtract(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
     if a.size != b.size:
         raise SizeMismatch(f"sizes {a.size} != {b.size}")
-    return TriangularMatrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+    da, ra = a.int_view()
+    db, rb = b.int_view()
+    out = [[x * db - y * da for x, y in zip(xs, ys)] for xs, ys in zip(ra, rb)]
+    return TriangularMatrix.from_view(da * db, out)
 
 
 def matmul(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
     """Ordinary matrix product of equal-size lower-triangular truncations."""
     if a.size != b.size:
         raise SizeMismatch(f"sizes {a.size} != {b.size}")
-    out = []
-    for n in range(a.size):
-        arow = a.rows[n]
-        out.append([sum((arow[k] * b.rows[k][m] for k in range(m, n + 1)), ZERO) for m in range(n + 1)])
-    return TriangularMatrix(out)
+    da, ra = a.int_view()
+    db, rb = b.int_view()
+    cols = _columns(rb)
+    # entry (n,m) pairs a(n,k) with b(k,m) for k = m..n
+    out = [[sum(map(mul, arow[m:], cols[m])) for m in range(n + 1)] for n, arow in enumerate(ra)]
+    return TriangularMatrix.from_view(da * db, out)
 
 
 def identity_check(a: TriangularMatrix, suite: str = "identities") -> Report:
@@ -183,28 +217,32 @@ def identity_check(a: TriangularMatrix, suite: str = "identities") -> Report:
     make both sides identical and swapping p,q swaps the sides, so scanning
     p < q is exhaustive. Returns the first counterexample found.
     """
-    size = a.size
+    den, rows = a.int_view()
     checked = 0
-    for n in range(size):
-        checked += 1
-        if a.rows[n][0] != 1:
-            return Report(suite, False, {"identity": "column0", "n": n, "value": str(a.rows[n][0])}, checked)
-        for m in range(n + 1):
-            checked += 1
-            if a.rows[n][m] != a.rows[n][n - m]:
-                return Report(suite, False, {"identity": "symmetry", "n": n, "m": m}, checked)
-    for n in range(size):
-        for p in range(size - n):
-            for q in range(p + 1, size - n):
-                np_, nq = a.rows[n + p], a.rows[n + q]
-                for m in range(n + 1):
-                    checked += 1
-                    lhs = nq[q] * np_[m + p] * a.rows[m + p][p]
-                    rhs = np_[p] * nq[m + q] * a.rows[m + q][q]
-                    if lhs != rhs:
-                        return Report(
-                            suite, False, {"identity": "shift", "n": n, "m": m, "p": p, "q": q}, checked
-                        )
+    for n, row in enumerate(rows):
+        if row[0] != den:
+            ce = {"identity": "column0", "n": n, "value": str(a.rows[n][0])}
+            return Report(suite, False, ce, checked + 1)
+        if row != row[::-1]:
+            m = _first_difference(row, row[::-1])
+            return Report(suite, False, {"identity": "symmetry", "n": n, "m": m}, checked + m + 2)
+        checked += n + 2
+    # on the numerators each side is den**3 times its value, so the sides agree exactly when the entries do
+    cols = _columns(rows)
+    for n in range(a.size):
+        for p in range(a.size - n):
+            np_ = rows[n + p]
+            left = list(map(mul, np_[p:], cols[p]))  # (n+p,m+p)(m+p,p) for m = 0..n
+            for q in range(p + 1, a.size - n):
+                nq = rows[n + q]
+                lhs = list(map(mul, left, repeat(nq[q])))
+                rhs = list(map(mul, map(mul, nq[q:], cols[q]), repeat(np_[p])))
+                if lhs != rhs:
+                    m = _first_difference(lhs, rhs)
+                    return Report(
+                        suite, False, {"identity": "shift", "n": n, "m": m, "p": p, "q": q}, checked + m + 1
+                    )
+                checked += n + 1
     return Report(suite, True, None, checked)
 
 

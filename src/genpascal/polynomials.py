@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, SharedFractions, common_denominator, numerators
 
 
 class Polynomial:
@@ -18,7 +19,8 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        shared = SharedFractions()
+        cs = [c if type(c) is Fraction else shared[c] for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -63,12 +65,17 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Polynomial(c * other for c in self.coeffs)
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
+        if not self.coeffs or not other.coeffs:
+            return Polynomial()
+        da, db = common_denominator(self.coeffs), common_denominator(other.coeffs)
+        a, rb = numerators(self.coeffs, da), numerators(reversed(other.coeffs), db)
+        # coefficient k pairs a_i with b_{k-i}, that is with rb[last - k + i]
+        last = len(rb) - 1
+        out = [
+            sum(map(mul, a[max(0, k - last) : k + 1], rb[max(0, last - k) :])) for k in range(len(a) + last)
+        ]
+        den = da * db
+        return Polynomial(out if den == 1 else [Fraction(x, den) for x in out])
 
     __rmul__ = __mul__
 

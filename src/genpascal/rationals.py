@@ -11,11 +11,31 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
 
 Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class SharedFractions(dict):
+    """Maps each distinct value to one exact Fraction, built on first lookup.
+
+    The coercion rule of the matrix and polynomial constructors: an exact
+    Fraction passes through (re-wrapping costs a full construction), and
+    anything else (an int, a bool, a Fraction subclass) is looked up here.
+    0 and 1 map to ZERO and ONE, so equal objects built apart share those
+    entries and compare by identity first."""
+
+    def __init__(self):
+        super().__init__({0: ZERO, 1: ONE})
+
+    def __missing__(self, value):
+        self[value] = shared = Fraction(value)
+        return shared
+
 
 # the form format_rational writes; read with int(), not the general Fraction(str) parser
 _WIRE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -36,3 +56,15 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     return str(value if type(value) is Fraction else Fraction(value))
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The lcm of the denominators of exact Fractions, 1 for none."""
+    return lcm(*{v.denominator for v in values})
+
+
+def numerators(values: Iterable[Fraction], den: int) -> list[int]:
+    """Each value times ``den`` as an int; ``den`` must be a common denominator."""
+    if den == 1:
+        return [v.numerator for v in values]
+    return [v.numerator * (den // v.denominator) for v in values]

@@ -43,11 +43,16 @@ def sierpinski_matrix(q: int, size: int) -> TriangularMatrix:
 
 def kronecker(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
     """Kronecker product of lower-triangular truncations (size multiplies)."""
+    da, ra = a.int_view()
+    db, rb = b.int_view()
     nb = b.size
-    return TriangularMatrix.from_fn(
-        a.size * nb,
-        lambda n, m: a.entry(n // nb, m // nb) * b.entry(n % nb, m % nb),
-    )
+    # row (n1, n2) is row n1 of a times row n2 of b, padded with zeros to nb columns, cut after the diagonal
+    padded = [row + (0,) * (nb - len(row)) for row in rb]
+    rows = []
+    for n in range(a.size * nb):
+        n1, n2 = divmod(n, nb)
+        rows.append([x * y for x in ra[n1] for y in padded[n2]][: n + 1])
+    return TriangularMatrix.from_view(da * db, rows)
 
 
 def sierpinski_selfsim_check(q: int, k: int) -> Report:
@@ -64,7 +69,10 @@ def sierpinski_selfsim_check(q: int, k: int) -> Report:
 
 
 def _coeff(a: Series, n: int) -> Fraction:
-    return Fraction(a[n]) if 0 <= n < len(a) else ZERO
+    if not 0 <= n < len(a):
+        return ZERO
+    x = a[n]
+    return x if type(x) is Fraction else Fraction(x)  # the constructor's coercion rule
 
 
 def check_fractal(a: Series, q: int, degree: int) -> None:

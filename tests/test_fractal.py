@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_matrices as gold
+from genpascal import fractal
 from genpascal.fractal import (
     b_functional_equation_check,
     carry_count,
@@ -18,6 +20,7 @@ from genpascal.fractal import (
 )
 from genpascal.matrices import TriangularMatrix, build_from_c, gbinom, hadamard, subtract
 from genpascal.polynomials import Polynomial, w_poly
+from genpascal.report import Report
 from genpascal.sequences import BSequence, CSequence
 from genpascal.special import phi_q_matrix
 
@@ -123,6 +126,46 @@ def test_prime_factorization_entry():
     assert fast_gbinom_fractal(2, 6, 3) == 4
     assert fast_gbinom_fractal(3, 6, 3) == 1
     assert fast_gbinom_fractal(5, 6, 3) == 5
+
+
+def reference_prime_factorization(size):
+    """The entry-by-entry loop over fast_gbinom_fractal that the carry-count
+    tables replaced, kept as the oracle of the failure report."""
+    primes = [p for p in range(2, size) if all(p % d for d in range(2, p))]
+    checked = 0
+    for n in range(size):
+        relevant = [p for p in primes if p <= n]
+        for m in range(n + 1):
+            checked += 1
+            product = 1
+            for p in relevant:
+                product *= fast_gbinom_fractal(p, n, m)
+            if product != fractal.comb(n, m):
+                factors = {str(p): str(fast_gbinom_fractal(p, n, m)) for p in relevant}
+                ce = {"n": n, "m": m, "factors": factors, "expected": str(fractal.comb(n, m))}
+                return Report("primes", False, ce, checked)
+    return Report("primes", True, None, checked)
+
+
+@pytest.mark.parametrize(
+    "size,bad", [(12, (6, 3)), (12, (11, 0)), (12, (10, 10)), (64, (63, 17)), (2, (1, 1))]
+)
+def test_prime_factorization_failure_report(monkeypatch, size, bad):
+    # comb is the independent side of the check: break it at one entry
+    monkeypatch.setattr(fractal, "comb", lambda n, m: math.comb(n, m) + ((n, m) == bad))
+    report = pascal_prime_factorization(size)
+    assert not report.passed
+    assert report == reference_prime_factorization(size)
+    assert (report.counterexample["n"], report.counterexample["m"]) == bad
+    if bad == (6, 3):
+        factors = {"2": "4", "3": "1", "5": "5"}
+        assert report.counterexample == {"n": 6, "m": 3, "factors": factors, "expected": "21"}
+        assert report.checked == 25
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 17, 30])
+def test_prime_factorization_matches_reference(size):
+    assert pascal_prime_factorization(size) == reference_prime_factorization(size)
 
 
 def test_c_series_golden():

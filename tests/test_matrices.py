@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,11 @@ from genpascal.matrices import (
     subtract,
 )
 from genpascal.polynomials import Polynomial
+from genpascal.report import Report
 from genpascal.sequences import BSequence, CSequence
+from genpascal.special import phi_q_matrix
+from genpascal.verify import golden_family, random_c_sequence
+from genpascal.zeroalg import kronecker
 
 
 def as_matrix(table):
@@ -41,6 +47,97 @@ def test_entries_are_exactly_fractions():
     assert all(type(e) is Fraction for row in m.rows for e in row)
     assert m.rows[1] == (1, 0)
     assert m.entry(2, 0) is kept
+
+
+def algebra_inputs(size):
+    """Integer, mixed-denominator and random c-sequence matrices of one size."""
+    return [
+        build_from_c(CSequence.exponential(), size),
+        phi_q_matrix(Fraction(1, 2), 3, size),
+        phi_q_matrix(Fraction(-2, 3), 2, size),
+        build_from_c(random_c_sequence(random.Random(size), size), size),
+    ]
+
+
+# the Fraction loops the integer view replaced, kept as oracles
+def reference_matmul(a, b):
+    return TriangularMatrix.from_fn(
+        a.size, lambda n, m: sum((a.rows[n][k] * b.rows[k][m] for k in range(m, n + 1)), Fraction(0))
+    )
+
+
+def reference_kronecker(a, b):
+    nb = b.size
+    return TriangularMatrix.from_fn(
+        a.size * nb, lambda n, m: a.entry(n // nb, m // nb) * b.entry(n % nb, m % nb)
+    )
+
+
+def entrywise(op):
+    return lambda a, b: TriangularMatrix.from_fn(a.size, lambda n, m: op(a.rows[n][m], b.rows[n][m]))
+
+
+ALGEBRA = {
+    "matmul": (matmul, reference_matmul),
+    "hadamard": (hadamard, entrywise(lambda x, y: x * y)),
+    "subtract": (subtract, entrywise(lambda x, y: x - y)),
+    "kronecker": (kronecker, reference_kronecker),
+}
+
+
+@pytest.mark.parametrize("size", [0, 1, 5])
+@pytest.mark.parametrize("name", sorted(ALGEBRA))
+def test_algebra_results_are_exactly_fractions(name, size):
+    # int / int is a float in Python: no raw int may leave the integer view
+    op, reference = ALGEBRA[name]
+    for a in algebra_inputs(size):
+        for b in algebra_inputs(size):
+            got = op(a, b)
+            assert all(type(e) is Fraction for row in got.rows for e in row)
+            assert got == reference(a, b)
+
+
+def test_kronecker_of_unequal_sizes():
+    a, b = phi_q_matrix(Fraction(1, 2), 2, 3), build_from_c(CSequence.exponential(), 4)
+    for x, y in ((a, b), (b, a), (a, TriangularMatrix([])), (TriangularMatrix([]), b)):
+        got = kronecker(x, y)
+        assert got.size == x.size * y.size
+        assert all(type(e) is Fraction for row in got.rows for e in row)
+        assert got == reference_kronecker(x, y)
+
+
+def test_int_view_is_the_lcm_of_the_denominators():
+    m = TriangularMatrix([[1], [Fraction(1, 2), 1], [Fraction(-1, 3), Fraction(5, 4), 1]])
+    den, rows = m.int_view()
+    assert den == 12 == lcm(2, 3, 4)
+    assert rows == ((12,), (6, 12), (-4, 15, 12))
+    assert all(type(x) is int for row in rows for x in row)
+    assert build_from_c(CSequence.exponential(), 4).int_view() == (1, ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1)))
+
+
+def test_int_view_is_cached_on_an_immutable_matrix():
+    m = phi_q_matrix(Fraction(3, 5), 2, 6)
+    view = m.int_view()
+    assert m.int_view() is view
+    with pytest.raises(AttributeError):
+        m.rows = ()
+    with pytest.raises(AttributeError):
+        m._view = (1, ())
+    assert m.int_view() is view
+
+
+def test_int_view_of_size_zero():
+    empty = TriangularMatrix([])
+    assert empty.int_view() == (1, ())
+    assert TriangularMatrix.from_view(1, []) == empty
+    assert identity_check(empty) == Report("identities", True, None, 0)
+
+
+def test_from_view_gives_exact_fractions():
+    m = TriangularMatrix.from_view(6, [[6], [3, 12], [2, 4, 6]])
+    assert m == TriangularMatrix([[1], [Fraction(1, 2), 2], [Fraction(1, 3), Fraction(2, 3), 1]])
+    assert all(type(e) is Fraction for row in m.rows for e in row)
+    assert all(type(e) is Fraction for row in TriangularMatrix.from_view(1, [[1], [2, 1]]).rows for e in row)
 
 
 def test_equal_entries_share_one_fraction():
@@ -253,3 +350,72 @@ def test_row_column_polys():
     m = build_from_c(CSequence.exponential(), 5)
     assert m.row_poly(2) == Polynomial([1, 2, 1])
     assert m.column_poly(1) == Polynomial([0, 1, 2, 3, 4])
+
+
+def reference_identity_check(a, suite="identities"):
+    """The Fraction loop identity_check ran before the integer view."""
+    size = a.size
+    checked = 0
+    for n in range(size):
+        checked += 1
+        if a.rows[n][0] != 1:
+            return Report(suite, False, {"identity": "column0", "n": n, "value": str(a.rows[n][0])}, checked)
+        for m in range(n + 1):
+            checked += 1
+            if a.rows[n][m] != a.rows[n][n - m]:
+                return Report(suite, False, {"identity": "symmetry", "n": n, "m": m}, checked)
+    for n in range(size):
+        for p in range(size - n):
+            for q in range(p + 1, size - n):
+                np_, nq = a.rows[n + p], a.rows[n + q]
+                for m in range(n + 1):
+                    checked += 1
+                    lhs = nq[q] * np_[m + p] * a.rows[m + p][p]
+                    rhs = np_[p] * nq[m + q] * a.rows[m + q][q]
+                    if lhs != rhs:
+                        return Report(
+                            suite, False, {"identity": "shift", "n": n, "m": m, "p": p, "q": q}, checked
+                        )
+    return Report(suite, True, None, checked)
+
+
+small_fractions = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)
+)
+
+
+@st.composite
+def checked_matrices(draw):
+    """A golden-family or random c-sequence matrix, possibly with one entry
+    (or one symmetric pair of entries) replaced."""
+    size = draw(st.integers(min_value=0, max_value=9))
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(golden_family(size)))[1]
+    else:
+        base = build_from_c(random_c_sequence(random.Random(draw(st.integers(0, 2**16))), size), size)
+    rows = [list(row) for row in base.rows]
+    if size and draw(st.booleans()):
+        n = draw(st.integers(min_value=0, max_value=size - 1))
+        m = draw(st.integers(min_value=0, max_value=n))
+        rows[n][m] = draw(small_fractions)
+        if draw(st.booleans()):
+            rows[n][n - m] = rows[n][m]  # keeps symmetry, so only the shift identity can see it
+    return TriangularMatrix(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(checked_matrices())
+def test_identity_check_matches_the_fraction_loop(matrix):
+    assert identity_check(matrix, "s") == reference_identity_check(matrix, "s")
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(0), Fraction(-1), Fraction(7)])
+def test_column0_counterexample_keeps_the_fraction_text(value):
+    for name, matrix in golden_family(6) + [("mixed", phi_q_matrix(Fraction(1, 2), 2, 6))]:
+        rows = [list(row) for row in matrix.rows]
+        rows[4][0] = value
+        corrupted = TriangularMatrix(rows)
+        report = identity_check(corrupted)
+        assert report == reference_identity_check(corrupted), name
+        assert report.counterexample == {"identity": "column0", "n": 4, "value": str(value)}
+        assert report.checked == 2 + 3 + 4 + 5 + 1  # rows 0..3 pass column 0 and symmetry

@@ -71,6 +71,13 @@ def test_masked_matrix_cases():
         masked_matrix([Fraction(1)] * 3, 2, 16)
 
 
+def test_masked_matrix_keeps_the_series_fractions():
+    a = [Fraction(1), Fraction(-2, 3), Fraction(5, 4), 7]
+    m = masked_matrix(a, 2, 4)
+    assert m.entry(3, 1) is a[2] and m.entry(2, 1) == 0 and m.entry(3, 0) == 7
+    assert all(type(e) is Fraction for row in m.rows for e in row)
+
+
 def test_squared_pattern_display():
     squared = matmul(sierpinski_matrix(2, 16), sierpinski_matrix(2, 16))
     assert squared == TriangularMatrix(gold.ZERO_2_SQUARED_16)
