@@ -8,7 +8,7 @@ patterns with their carryless convolution algebra, and a CLI for generation,
 verification and export.
 """
 
-from .digits import DigitVector, digits, valuation
+from .digits import digits, valuation
 from .errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor, ZeroPhi
 from .fractal import (
     b_functional_equation_check,

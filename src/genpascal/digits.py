@@ -1,8 +1,11 @@
-"""Base-q digit expansions and q-adic valuations."""
+"""Base-q digit expansions, q-adic valuations, and the two recursions that
+build row n of a digit family from row n div q: the multiplicative one of
+the digit products (Lucas) and the additive one of the carry counts (Kummer).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable, Sequence
 
 
 def digits(n: int, base: int) -> list[int]:
@@ -18,13 +21,6 @@ def digits(n: int, base: int) -> list[int]:
     return out
 
 
-def from_digits(ds: list[int], base: int) -> int:
-    value = 0
-    for d in reversed(ds):
-        value = value * base + d
-    return value
-
-
 def valuation(n: int, base: int) -> int:
     """Largest k with base**k dividing n; requires n >= 1."""
     if n < 1:
@@ -36,27 +32,41 @@ def valuation(n: int, base: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class DigitVector:
-    """Little-endian base-q expansion of an index, without trailing zeros."""
+def digit_product_rows(
+    q: int, size: int, block: Callable[[int, int], int], top: Sequence[Sequence[int]] | None = None
+) -> list[list[int]]:
+    """Rows 0..size-1 of the multiplicative digit recursion on ints,
 
-    base: int
-    digits: tuple[int, ...]
+        row n = [t * c for t in top[n div q] for c in block(n mod q, 0..k-1)][: n + 1],
 
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError("base must be >= 2")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("trailing zero digit")
-        if any(not 0 <= d < self.base for d in self.digits):
-            raise ValueError("digit out of range")
+    so entry (q n' + i, q m' + j) is block(i, j) * top[n'][m']. Without ``top``
+    the family is self-similar: top is the rows being built, from row 0 = [1].
+    Only digits below k = min(q, size) occur, so a huge q costs no more than size.
+    """
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    k = min(q, size)
+    table = [[block(i, j) for j in range(k)] for i in range(k)]
+    if top is None:
+        rows = top = [[1]]
+    else:
+        rows = []
+    for n in range(len(rows), size):
+        n1, i = divmod(n, q)
+        rows.append([t * c for t in top[n1] for c in table[i]][: n + 1])
+    return rows[:size]
 
-    @classmethod
-    def of(cls, n: int, base: int) -> "DigitVector":
-        return cls(base, tuple(digits(n, base)))
 
-    def value(self) -> int:
-        return from_digits(list(self.digits), self.base)
-
-    def digit(self, i: int) -> int:
-        return self.digits[i] if i < len(self.digits) else 0
+def carry_count_rows(q: int, size: int) -> list[list[int]]:
+    """Carry counts of rows 0..size-1 as ints, row n from row n div q by the
+    additive digit recursion (see ``genpascal.fractal``)."""
+    step = [1 + valuation(m1 + 1, q) for m1 in range(size // q)]  # read once per q entries
+    counts = [[0]]
+    for n in range(1, size):
+        n1, i = divmod(n, q)
+        prev = counts[n1]
+        row = []
+        for m1 in range(n1):
+            row += [prev[m1]] * (i + 1) + [step[m1] + prev[m1 + 1]] * (q - 1 - i)
+        counts.append(row + [prev[n1]] * (i + 1))
+    return counts[:size]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
-from .digits import valuation
+from .digits import carry_count_rows, valuation
 from .matrices import TriangularMatrix
 from .polynomials import Polynomial, mul_trunc, w_poly
 from .rationals import ONE, ZERO
@@ -51,21 +51,6 @@ def fractal_entry(phi: Fraction | int, q: int, n: int, m: int) -> Fraction:
     return phi ** carry_count(q, n, m)
 
 
-def _carry_count_table(q: int, size: int) -> list[list[int]]:
-    """Carry counts of rows 0..size-1 as ints, row n from row n div q by the
-    digit recursion above."""
-    step = [1 + valuation(m1 + 1, q) for m1 in range(size // q)]  # read once per q entries
-    counts = [[0]]
-    for n in range(1, size):
-        n1, i = divmod(n, q)
-        prev = counts[n1]
-        row = []
-        for m1 in range(n1):
-            row += [prev[m1]] * (i + 1) + [step[m1] + prev[m1 + 1]] * (q - 1 - i)
-        counts.append(row + [prev[n1]] * (i + 1))
-    return counts[:size]
-
-
 def _count_powers(base, q: int, size: int) -> list:
     """base**k for every carry count k that occurs below ``size``: one per
     modulus q**k <= size - 1, and k = 0."""
@@ -81,7 +66,7 @@ def fractal_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
     if q < 2:
         raise ValueError("q must be >= 2")
     powers = _count_powers(Fraction(phi), q, size)
-    return TriangularMatrix([[powers[k] for k in row] for row in _carry_count_table(q, size)])
+    return TriangularMatrix([[powers[k] for k in row] for row in carry_count_rows(q, size)])
 
 
 def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
@@ -163,7 +148,7 @@ def pascal_prime_factorization(size: int) -> Report:
     By Kummer's theorem k is the p-adic valuation of C(n,m), but the rows are
     compared with ``comb``, which never sees the tables, so the check is real."""
     primes = _primes_upto(max(size - 1, 1))
-    tables = [(p, _carry_count_table(p, size), _count_powers(p, p, size)) for p in primes]
+    tables = [(p, carry_count_rows(p, size), _count_powers(p, p, size)) for p in primes]
     checked = 0
     for n in range(size):
         product = [1] * (n + 1)

@@ -39,19 +39,27 @@ class SharedFractions(dict):
 
 # the form format_rational writes; read with int(), not the general Fraction(str) parser
 _WIRE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# Fraction(str) builds 10**exponent in full, so a larger exponent (in its syntax) is
+# refused first; 10**4300 has more digits than int() reads from text by default anyway
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+MAX_EXPONENT = 4300
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"3"``, ``"-3/2"`` or an exact decimal literal; ValueError on anything else."""
+    """Parse ``"3"``, ``"-3/2"`` or an exact decimal literal whose exponent is
+    at most MAX_EXPONENT in absolute value; ValueError on anything else."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {text!r}")
     try:
-        if isinstance(text, str) and _WIRE.fullmatch(text):
+        if _WIRE.fullmatch(text):
             num, _, den = text.partition("/")
             return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"exponent in {text!r} exceeds {MAX_EXPONENT} in absolute value")
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-    except AttributeError:
-        raise ValueError(f"expected a rational string, got {text!r}") from None
 
 
 def format_rational(value: Fraction | int) -> str:

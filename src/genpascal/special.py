@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import ge
 
+from .digits import digit_product_rows
 from .errors import ZeroEntry, ZeroPhi
 from .matrices import TriangularMatrix, first_column_b, hadamard
 from .polynomials import divide_linear
@@ -182,13 +184,10 @@ def zero_overlay_matrix(q: int, size: int) -> TriangularMatrix:
 
     c_{qn+i} = 1/n!, so the surviving entries are ordinary binomials of the
     block indices: entry (qn+i, qm+j) = C(n,m) for i >= j and 0 for i < j.
-    Only residues i < min(q, size) occur, so a huge q costs no more than size.
+    So row r is the digit row recursion with top the Pascal row r div q and
+    the one-digit dominance block i >= j.
     """
     if q < 2:
-        raise ValueError("q must be >= 2")
-    k = min(q, size)
+        raise ValueError("q must be >= 2")  # before the division below
     pascal = [[comb(n, m) for m in range(n + 1)] for n in range((size + q - 1) // q)]
-    masks = [[1] * (i + 1) + [0] * (k - 1 - i) for i in range(k)]
-    return TriangularMatrix(
-        [[c * keep for c in pascal[r // q] for keep in masks[r % q]][: r + 1] for r in range(size)]
-    )
+    return TriangularMatrix(digit_product_rows(q, size, ge, top=pascal))

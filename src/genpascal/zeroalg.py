@@ -5,15 +5,19 @@ digit of the row index dominates the corresponding digit of the column index
 (the generalized Sierpinski matrix). On top of it sit the masked Toeplitz
 algebra (a(x)|q) with its carryless convolution, the block matrices, and the
 digit-product matrices built from the first q rows of the Pascal matrix.
+The patterns and digit products are built from row n div q by
+``digits.digit_product_rows``; ``digit_binom`` and ``t_coefficient`` are
+their per-entry oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import ge
 from typing import Sequence
 
-from .digits import digits
+from .digits import digit_product_rows, digits
 from .errors import NotFractal, SizeMismatch
 from .matrices import TriangularMatrix, build_from_c, hadamard, matmul
 from .polynomials import P_ONE, Polynomial
@@ -37,8 +41,9 @@ def digit_binom(q: int, n: int, m: int) -> int:
 
 
 def sierpinski_matrix(q: int, size: int) -> TriangularMatrix:
-    """Truncation of the base-q zero pattern matrix (Pascal mod 2 for q = 2)."""
-    return TriangularMatrix.from_fn(size, lambda n, m: digit_binom(q, n, m))
+    """Truncation of the base-q zero pattern matrix (Pascal mod 2 for q = 2):
+    the digit product of the one-digit dominance block i >= j."""
+    return TriangularMatrix(digit_product_rows(q, size, ge))
 
 
 def kronecker(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
@@ -56,12 +61,13 @@ def kronecker(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
 
 
 def sierpinski_selfsim_check(q: int, k: int) -> Report:
-    """The leading q**(k+1) block equals both Kronecker splits of itself."""
+    """The leading q**(k+1) block, evaluated per entry, equals both Kronecker
+    splits of itself (the row recursion of ``sierpinski_matrix`` is one of them)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     s1 = sierpinski_matrix(q, q)
     sk = sierpinski_matrix(q, q**k)
-    big = sierpinski_matrix(q, q ** (k + 1))
+    big = TriangularMatrix.from_fn(q ** (k + 1), lambda n, m: digit_binom(q, n, m))
     return merge_reports("kron", [
         check_equal("kron", kronecker(s1, sk), big, q=q, k=k, order="coarse-first"),
         check_equal("kron", kronecker(sk, s1), big, q=q, k=k, order="fine-first"),
@@ -95,11 +101,14 @@ def fractal_series(base: Series, q: int, degree: int) -> list[Fraction]:
 
 
 def masked_matrix(a: Series, q: int, size: int) -> TriangularMatrix:
-    """Entries a_{n-m} masked by digit dominance."""
+    """Entries a_{n-m} masked by digit dominance: the rows of the
+    Sierpinski pattern times the series."""
     if len(a) < size:
         raise SizeMismatch(f"need {size} series coefficients, got {len(a)}")
-    return TriangularMatrix.from_fn(
-        size, lambda n, m: _coeff(a, n - m) if digit_binom(q, n, m) else ZERO
+    coeffs = [_coeff(a, d) for d in range(size)]
+    mask = digit_product_rows(q, size, ge)
+    return TriangularMatrix(
+        [[coeffs[n - m] if mask[n][m] else ZERO for m in range(n + 1)] for n in range(size)]
     )
 
 
@@ -144,21 +153,16 @@ def masked_row(a: Series, q: int, n: int) -> Polynomial:
 
 def block_matrix(a: Series, b: Series, q: int, k: int, size: int) -> TriangularMatrix:
     """Block form: entry (Q*n+i, Q*m+j) = a_{n-m} dom(n,m) b_{i-j} dom(i,j)
-    with Q = q**k; the inner part b must live below Q and size must tile."""
+    with Q = q**k; the inner part b must live below Q and size must tile.
+    That is the Kronecker product of (a|q) of size size/Q with (b|q) of size Q."""
     block = q**k
     if len(b) > block:
         raise SizeMismatch(f"inner series must have degree < {block}")
     if size % block:
         raise SizeMismatch(f"size {size} is not a multiple of {block}")
-
-    def fn(row: int, col: int) -> Fraction:
-        n, i = divmod(row, block)
-        m, j = divmod(col, block)
-        if i < j or not digit_binom(q, n, m) or not digit_binom(q, i, j):
-            return ZERO
-        return _coeff(a, n - m) * _coeff(b, i - j)
-
-    return TriangularMatrix.from_fn(size, fn)
+    outer = size // block
+    a, b = list(a) + [ZERO] * (outer - len(a)), list(b) + [ZERO] * (block - len(b))
+    return kronecker(masked_matrix(a, q, outer), masked_matrix(b, q, block))
 
 
 def block_product_check(
@@ -188,17 +192,8 @@ def t_coefficient(q: int, n: int, m: int) -> Fraction:
 
 def t_matrix(q: int, size: int) -> TriangularMatrix:
     """Digit-product matrix seeded by the first q rows of the Pascal matrix:
-    T(q n' + i, q m' + j) = C(i, j) T(n', m'), built row by row on ints.
-    Only digits i < min(q, size) occur, so a huge q costs no more than size."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    k = min(q, size)
-    blocks = [[comb(i, j) for j in range(k)] for i in range(k)]
-    rows = [[1]]
-    for n in range(1, size):
-        n1, i = divmod(n, q)
-        rows.append([c * t for t in rows[n1] for c in blocks[i]][: n + 1])
-    return TriangularMatrix(rows[:size])
+    T(q n' + i, q m' + j) = C(i, j) T(n', m'), built row by row on ints."""
+    return TriangularMatrix(digit_product_rows(q, size, comb))
 
 
 def t_matrix_via_kronecker(q: int, size: int) -> TriangularMatrix:

@@ -84,6 +84,13 @@ def test_zero_denominator_is_a_config_error(capsys, argv):
     assert err == "error: zero denominator in '1/0'\n"
 
 
+def test_huge_exponent_is_a_config_error(capsys):
+    # refused before 10**exponent is built, so this returns at once
+    code, out, err = run(capsys, "gen", "--kind", "phiq", "--q", "2", "--phi=1e999999999")
+    assert code == 2 and out == ""
+    assert err == "error: exponent in '1e999999999' exceeds 4300 in absolute value\n"
+
+
 def test_gen_bad_size(capsys):
     code, _, _ = run(capsys, "gen", "--kind", "pascal", "--size", "0")
     assert code == 2

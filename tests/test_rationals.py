@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genpascal.rationals import format_rational, parse_rational
+from genpascal.rationals import MAX_EXPONENT, format_rational, parse_rational
 
 
 def test_integer_format():
@@ -45,11 +45,18 @@ def parse_or_error(parse, text):
 
 
 def general_parse(text):
+    """Fraction(str), except that an exponent beyond MAX_EXPONENT is refused first."""
+    _, e, exponent = text.strip().lower().rpartition("e")
+    if e and exponent.lstrip("+-").replace("_", "").isdecimal() and abs(int(exponent)) > MAX_EXPONENT:
+        raise ValueError(text)
     return Fraction(text.strip())
 
 
-# the fast path reads only -?[0-9]+(/[0-9]+)?; everything else must still parse as Fraction(str) does
+# the fast path reads only -?[0-9]+(/[0-9]+)?; everything else must still parse as Fraction(str) does,
+# up to the exponent bound
 EDGE_CASES = ["2/4", "+3", " 3 ", "-0", "1_000", "3/-2", "1e3", "1.5", "3/0", "٣", ""]
+EDGE_CASES += ["1e4300", "-2.5E-4300 ", "1e+4_300", "0e0004300"]
+EDGE_CASES += ["1e4301", "0e600000", "1.5e-4301", "1E999999999", "1e٤٣٠١", "x1e5000"]
 
 
 @pytest.mark.parametrize("text", EDGE_CASES)
@@ -59,6 +66,9 @@ def test_parse_agrees_with_the_general_parser(text):
 
 def test_parse_edge_values():
     assert parse_rational("2/4") == Fraction(1, 2)
+    assert parse_rational("-2.5E-4300 ") == Fraction(-25, 10**4301)
+    with pytest.raises(ValueError, match=r"^exponent in '0e600000' exceeds 4300 in absolute value$"):
+        parse_rational("0e600000")
     with pytest.raises(ValueError, match=r"^zero denominator in '3/0'$"):
         parse_rational("3/0")
 
@@ -68,6 +78,7 @@ def test_parse_edge_values():
         st.fractions().map(str),
         st.builds(lambda n, d: f"{n}/{d}", st.integers(), st.integers(min_value=0)),
         st.text(alphabet="0123456789-+/ ._e٣\t", max_size=12),
+        st.builds(lambda m, e: f"{m}e{e}", st.integers(), st.integers(-2 * MAX_EXPONENT, 2 * MAX_EXPONENT)),
         st.text(max_size=8),
     )
 )
