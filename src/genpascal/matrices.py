@@ -121,9 +121,21 @@ def all_ones(size: int) -> TriangularMatrix:
 
 
 def build_from_c(c: CSequence, size: int) -> TriangularMatrix:
-    """Matrix with entries c_m c_{n-m} / c_n."""
+    """Matrix with entries c_m c_{n-m} / c_n.
+
+    Each c_k is read once as num_k / den_k, and each entry is one Fraction
+    (num_m num_{n-m} den_n) / (den_m den_{n-m} num_n), reduced once; a zero
+    c_n raises ZeroDivisionError.
+    """
     cs = [c[n] for n in range(size)]
-    return TriangularMatrix([[cs[m] * cs[n - m] / cs[n] for m in range(n + 1)] for n in range(size)])
+    nums = [x.numerator for x in cs]
+    dens = [x.denominator for x in cs]
+    return TriangularMatrix(
+        [
+            [Fraction(nums[m] * nums[n - m] * dens[n], dens[m] * dens[n - m] * nums[n]) for m in range(n + 1)]
+            for n in range(size)
+        ]
+    )
 
 
 def gbinom(b: BSequence, n: int, m: int) -> Fraction:

@@ -10,6 +10,7 @@ as ``num/den`` in lowest terms (``"1/24"``, ``"-3/2"``), which is exactly what
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -63,7 +64,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    return str(value if type(value) is Fraction else Fraction(value))
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # CPython's cap on int-to-text conversion
+        limit = sys.get_int_max_str_digits()
+        message = f"an entry has more than {limit} digits, more than the JSON/CSV writers can print"
+        raise ValueError(message) from None
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:

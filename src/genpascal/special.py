@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from operator import ge
 
 from .digits import digit_product_rows
@@ -67,17 +67,32 @@ class PhiCoordinates:
         return max(self.betas) if self.betas else 1
 
     def recompose(self, size: int) -> TriangularMatrix:
-        """Hadamard product of the mask matrices over all stored moduli,
-        streamed per entry; with no moduli it is the all-ones triangle.
+        """Hadamard product of the mask matrices over all stored moduli; with
+        no moduli it is the all-ones triangle.
 
-        Moduli q > size leave the block untouched (n mod q = n >= m there), so
-        coordinates through q = size are enough to rebuild the size x size
+        Built on common-denominator ints: with beta_q = a_q / d_q and
+        D = prod_q d_q, entry (n, m) is
+            prod_q (a_q if n mod q < m mod q else d_q) / D.
+        A modulus q > n has n mod q = n >= m >= m mod q, so only q <= n can
+        take the a_q branch; the moduli above n give the factor prod_{q > n} d_q.
+        So coordinates through q = size are enough to rebuild the size x size
         truncation exactly.
         """
-        from .specs import GPSpec  # specs imports this module
-
-        masks = [GPSpec.phiq(beta, q) for q, beta in sorted(self.betas.items())]
-        return GPSpec.hadamard(masks).materialize(size)
+        weights = [(q, beta.numerator, beta.denominator) for q, beta in sorted(self.betas.items())]
+        den = prod(d for _, _, d in weights)
+        above = den  # prod of d_q over the moduli q > n
+        cut = 0  # weights[:cut] are the moduli q <= n
+        rows = []
+        for n in range(size):
+            while cut < len(weights) and weights[cut][0] <= n:
+                above //= weights[cut][2]
+                cut += 1
+            row = [above] * (n + 1)
+            for q, a, d in weights[:cut]:
+                r = n % q
+                row = [x * (a if r < m % q else d) for m, x in enumerate(row)]
+            rows.append(row)
+        return TriangularMatrix.from_view(den, rows)
 
     def is_involution(self) -> bool:
         return all(beta in (1, -1) for beta in self.betas.values())

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -89,6 +90,20 @@ def test_huge_exponent_is_a_config_error(capsys):
     code, out, err = run(capsys, "gen", "--kind", "phiq", "--q", "2", "--phi=1e999999999")
     assert code == 2 and out == ""
     assert err == "error: exponent in '1e999999999' exceeds 4300 in absolute value\n"
+
+
+INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(INT_TEXT_LIMIT != 4300, reason="needs CPython's default cap on int-to-text conversion")
+def test_entries_past_the_int_text_limit_are_a_config_error(capsys):
+    argv = ["gen", "--kind", "fractal", "--q", "2", "--phi=1e2000"]
+    code, out, _ = run(capsys, *argv, "--size", "8")  # largest entry: 4001 digits
+    assert code == 0 and out
+    code, out, err = run(capsys, *argv, "--size", "9")
+    assert code == 2 and out == ""
+    assert "set_int_max_str_digits" not in err
+    assert err == "error: an entry has more than 4300 digits, more than the JSON/CSV writers can print\n"
 
 
 def test_gen_bad_size(capsys):

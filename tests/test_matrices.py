@@ -41,6 +41,46 @@ def test_pascal_display():
     assert list(m.row(4)) == [1, 4, 6, 4, 1]
 
 
+def per_entry_from_c(c, size):
+    return tuple(tuple(c[m] * c[n - m] / c[n] for m in range(n + 1)) for n in range(size))
+
+
+def assert_matches_per_entry(c, size):
+    rows = build_from_c(c, size).rows
+    assert rows == per_entry_from_c(c, size)
+    assert all(type(e) is Fraction for row in rows for e in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            Fraction,
+            st.integers(min_value=-9, max_value=9).filter(bool),
+            st.integers(min_value=1, max_value=9),
+        ),
+        max_size=14,
+    )
+)
+def test_build_from_c_matches_the_per_entry_ratio(tail):
+    values = [1, 1] + tail
+    for size in range(len(values) + 1):
+        assert_matches_per_entry(CSequence.explicit(values), size)
+
+
+@pytest.mark.parametrize("make", [CSequence.exponential, lambda: CSequence.fractal(2)])
+@pytest.mark.parametrize("size", [0, 1, 2, 17])
+def test_build_from_c_named_series_match_the_per_entry_ratio(make, size):
+    assert_matches_per_entry(make(), size)
+
+
+def test_build_from_c_zero_coefficient_divides_by_zero():
+    c = CSequence("zero", lambda n: 1 if n < 2 else 0)
+    assert build_from_c(c, 2) == all_ones(2)
+    with pytest.raises(ZeroDivisionError):
+        build_from_c(c, 3)
+
+
 def test_entries_are_exactly_fractions():
     kept = Fraction(-3, 7)
     m = TriangularMatrix([[1], [True, False], [kept, 2, Fraction(5)]])

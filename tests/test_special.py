@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import golden_matrices as gold
 from genpascal.errors import ZeroEntry, ZeroPhi
@@ -67,6 +69,27 @@ def test_coordinates_of_pascal():
 
 def test_recompose_without_moduli_is_all_ones():
     assert PhiCoordinates({}).recompose(3) == all_ones(3)
+
+
+weights = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)),
+    st.builds(
+        Fraction, st.integers(min_value=-(10**40), max_value=10**40), st.integers(min_value=1, max_value=10**40)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(min_value=2, max_value=24), weights, max_size=6), st.integers(0, 16))
+@example({}, 0)
+@example({}, 5)
+@example({3: Fraction(-2, 7), 7: Fraction(0), 16: Fraction(10**30, 3), 40: Fraction(5)}, 16)
+def test_recompose_matches_the_streamed_mask_product(betas, size):
+    masks = [GPSpec.phiq(beta, q) for q, beta in sorted(betas.items())]
+    got = PhiCoordinates(betas).recompose(size)
+    assert got == GPSpec.hadamard(masks).materialize(size)
+    assert all(type(e) is Fraction for row in got.rows for e in row)
 
 
 def test_coordinates_displayed_factors():
