@@ -10,6 +10,7 @@ verification, 2 configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -162,6 +163,7 @@ def _add_matrix_args(parser: argparse.ArgumentParser, kind_required: bool = True
     parser.add_argument("--size", type=int, default=16)
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="genpascal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

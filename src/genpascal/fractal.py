@@ -61,12 +61,17 @@ def _count_powers(base, q: int, size: int) -> list:
 
 
 def fractal_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
-    """The truncation built from the int table of carry counts, then one power
-    of phi per distinct count (0**0 = 1 covers the zero weight)."""
+    """The truncation built from the int table of carry counts: with
+    phi = a/d and K the largest count, count k stands for the numerator
+    a**k d**(K-k) over d**K (0**0 = 1 covers the zero weight)."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    powers = _count_powers(Fraction(phi), q, size)
-    return TriangularMatrix([[powers[k] for k in row] for row in carry_count_rows(q, size)])
+    phi = Fraction(phi)
+    a_powers = _count_powers(phi.numerator, q, size)
+    d_powers = _count_powers(phi.denominator, q, size)
+    nums = list(map(mul, a_powers, reversed(d_powers)))
+    rows = [list(map(nums.__getitem__, row)) for row in carry_count_rows(q, size)]
+    return TriangularMatrix.from_view(d_powers[-1], rows)
 
 
 def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:

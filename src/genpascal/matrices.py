@@ -4,19 +4,23 @@ Entries are exact rationals; a matrix of size N stores rows 0..N-1 with row n
 holding entries (n,0)..(n,n). Entries above the diagonal are implicitly zero.
 Matrices are immutable after construction.
 
-The algebra runs on an integer view of each matrix: ``int_view()`` is the pair
+The stored form is the integer view: ``int_view()`` is the pair
 (den, int_rows) with den the lcm of the entry denominators and int_rows the
-entries times den, computed on first use and cached. The lcm makes the view
-unique, so a product or difference of numerators over the product of the dens
-is the exact result, and ``TriangularMatrix.from_view`` turns it back into
-Fractions in one place. No raw int ever leaves the view.
+entries times den. The lcm makes the view unique, so a product or difference
+of numerators over the product of the dens is the exact result. The builders
+and the algebra hand their int tables to ``TriangularMatrix.from_view``, which
+stores the view and builds no Fraction; ``rows`` makes the Fractions on first
+read, one per distinct numerator. A matrix built from values keeps the
+Fractions it was given and computes its view on first use. Either form is
+cached. No raw int ever leaves the view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import mul
+from math import gcd
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import SizeMismatch, ZeroEntry, ZeroFactor
@@ -27,18 +31,50 @@ from .sequences import BSequence, CSequence
 
 
 class TriangularMatrix:
-    __slots__ = ("rows", "_view")
+    __slots__ = ("size", "_rows", "_view")
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
         shared = SharedFractions()  # one Fraction per distinct value across the rows
         rs = tuple(tuple([e if type(e) is Fraction else shared[e] for e in row]) for row in rows)
-        for n, row in enumerate(rs):
-            if len(row) != n + 1:
-                raise SizeMismatch(f"row {n} must have {n + 1} entries, got {len(row)}")
-        object.__setattr__(self, "rows", rs)
+        _check_shape(rs)
+        object.__setattr__(self, "_rows", rs)
+        object.__setattr__(self, "size", len(rs))
 
     def __setattr__(self, name, value):
         raise AttributeError("TriangularMatrix is immutable")
+
+    @classmethod
+    def from_view(cls, den: int, rows: Iterable[Iterable[int]]) -> "TriangularMatrix":
+        """The matrix with entries rows[n][m] / den, stored as its view.
+
+        One gcd of den and every entry is divided out, so den becomes the lcm
+        of the entry denominators; no Fraction is built."""
+        if den < 1:
+            raise ValueError(f"den must be >= 1, got {den}")
+        ints = tuple(map(tuple, rows))
+        _check_shape(ints)
+        if den > 1:
+            g = gcd(den, *chain.from_iterable(ints))
+            if g > 1:
+                den //= g
+                ints = tuple(tuple([x // g for x in row]) for row in ints)
+        self = object.__new__(cls)
+        object.__setattr__(self, "_view", (den, ints))
+        object.__setattr__(self, "size", len(ints))
+        return self
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as exact Fractions, built from the view on first read."""
+        try:
+            return self._rows
+        except AttributeError:
+            pass
+        den, ints = self._view
+        shared = SharedFractions(den)
+        rs = tuple(tuple(map(shared.__getitem__, row)) for row in ints)
+        object.__setattr__(self, "_rows", rs)
+        return rs
 
     def int_view(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, int_rows): den is the lcm of the entry denominators and
@@ -47,8 +83,8 @@ class TriangularMatrix:
             return self._view
         except AttributeError:
             pass
-        den = common_denominator(chain.from_iterable(self.rows))
-        ints = tuple(tuple(numerators(row, den)) for row in self.rows)
+        den = common_denominator(chain.from_iterable(self._rows))
+        ints = tuple(tuple(numerators(row, den)) for row in self._rows)
         view = (den, ints)
         object.__setattr__(self, "_view", view)
         return view
@@ -56,17 +92,6 @@ class TriangularMatrix:
     @classmethod
     def from_fn(cls, size: int, fn: Callable[[int, int], Fraction | int]) -> "TriangularMatrix":
         return cls([[fn(n, m) for m in range(n + 1)] for n in range(size)])
-
-    @classmethod
-    def from_view(cls, den: int, rows: Iterable[Iterable[int]]) -> "TriangularMatrix":
-        """The matrix with entries rows[n][m] / den, each an exact Fraction."""
-        if den == 1:
-            return cls(rows)  # ints take the one-Fraction-per-value path
-        return cls([[Fraction(x, den) for x in row] for row in rows])
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
 
     def entry(self, n: int, m: int) -> Fraction:
         if m > n:
@@ -91,16 +116,28 @@ class TriangularMatrix:
     def truncate(self, size: int) -> "TriangularMatrix":
         if size > self.size:
             raise SizeMismatch(f"cannot grow {self.size} to {size}")
-        return TriangularMatrix(self.rows[:size])
+        den, ints = self.int_view()
+        return TriangularMatrix.from_view(den, ints[:size])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TriangularMatrix) and self.rows == other.rows
+        if not isinstance(other, TriangularMatrix):
+            return False
+        try:
+            return self._view == other._view
+        except AttributeError:  # a side built from values has not computed its view
+            return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.int_view())  # the view is unique, so equal matrices hash alike
 
     def __repr__(self):
         return f"TriangularMatrix(size={self.size})"
+
+
+def _check_shape(rows: Sequence[Sequence]) -> None:
+    for n, row in enumerate(rows):
+        if len(row) != n + 1:
+            raise SizeMismatch(f"row {n} must have {n + 1} entries, got {len(row)}")
 
 
 def _columns(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -113,11 +150,20 @@ def _first_difference(xs: Sequence, ys: Sequence) -> int:
 
 
 def identity_matrix(size: int) -> TriangularMatrix:
-    return TriangularMatrix.from_fn(size, lambda n, m: ONE if n == m else ZERO)
+    return TriangularMatrix.from_view(1, [(0,) * n + (1,) for n in range(size)])
 
 
 def all_ones(size: int) -> TriangularMatrix:
-    return TriangularMatrix([(ONE,) * (n + 1) for n in range(size)])
+    return TriangularMatrix.from_view(1, [(1,) * (n + 1) for n in range(size)])
+
+
+def pascal_rows(size: int) -> list[list[int]]:
+    """Rows 0..size-1 of the Pascal matrix by the addition rule."""
+    rows = [[1]] if size else []
+    for _ in range(1, size):
+        prev = rows[-1]
+        rows.append([1, *map(add, prev, prev[1:]), 1])
+    return rows
 
 
 def build_from_c(c: CSequence, size: int) -> TriangularMatrix:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import gcd, lcm
 from typing import Iterable
 
 Rational = Fraction
@@ -22,19 +23,21 @@ ONE = Fraction(1)
 
 
 class SharedFractions(dict):
-    """Maps each distinct value to one exact Fraction, built on first lookup.
+    """Maps each distinct numerator x to one exact Fraction x / den, built on
+    first lookup (den = 1 by default).
 
     The coercion rule of the matrix and polynomial constructors: an exact
     Fraction passes through (re-wrapping costs a full construction), and
     anything else (an int, a bool, a Fraction subclass) is looked up here.
-    0 and 1 map to ZERO and ONE, so equal objects built apart share those
+    0 and den map to ZERO and ONE, so equal objects built apart share those
     entries and compare by identity first."""
 
-    def __init__(self):
-        super().__init__({0: ZERO, 1: ONE})
+    def __init__(self, den: int = 1):
+        super().__init__({0: ZERO, den: ONE})
+        self.den = den
 
     def __missing__(self, value):
-        self[value] = shared = Fraction(value)
+        self[value] = shared = Fraction(value) if self.den == 1 else Fraction(value, self.den)
         return shared
 
 
@@ -61,6 +64,12 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:  # CPython's cap on text-to-int conversion, or a malformed literal
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap, as before 3.10.7
+        if limit and sum(map(str.isdigit, text)) > limit:
+            message = f"a rational has more than {limit} digits, more than the readers can parse"
+            raise ValueError(message) from None
+        raise
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -69,9 +78,27 @@ def format_rational(value: Fraction | int) -> str:
     try:
         return str(value)
     except ValueError:  # CPython's cap on int-to-text conversion
-        limit = sys.get_int_max_str_digits()
-        message = f"an entry has more than {limit} digits, more than the JSON/CSV writers can print"
-        raise ValueError(message) from None
+        raise ValueError(_too_long_to_print()) from None
+
+
+def format_rows(den: int, rows: Iterable[Iterable[int]]) -> list[list[str]]:
+    """The wire text of each entry x / den of an integer view, equal to
+    ``format_rational`` of the exact value and built without a Fraction."""
+
+    @cache  # each distinct numerator is reduced once
+    def text(x: int) -> str:
+        g = gcd(x, den)
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+    try:
+        return [list(map(str if den == 1 else text, row)) for row in rows]
+    except ValueError:  # CPython's cap on int-to-text conversion
+        raise ValueError(_too_long_to_print()) from None
+
+
+def _too_long_to_print() -> str:
+    limit = sys.get_int_max_str_digits()
+    return f"an entry has more than {limit} digits, more than the JSON/CSV writers can print"
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:

@@ -39,16 +39,16 @@ def merge_reports(suite: str, reports: list[Report]) -> Report:
 
 
 def check_equal(suite: str, got, want, **context: Any) -> Report:
-    """Exact equality of two sequences, or of two matrices (anything with
-    ``rows``) row by row. One check per entry of ``want``: ``len(want)`` for a
-    sequence, n(n+1)/2 for a matrix of size n.
+    """Exact equality of two sequences, or of two matrices (anything with an
+    ``int_view``) row by row. One check per entry of ``want``: ``len(want)``
+    for a sequence, n(n+1)/2 for a matrix of size n.
 
     The whole objects are compared first; only on failure is the first
     differing entry located. Its counterexample is ``context`` plus ``n`` (and
     ``m`` inside a row) and both values as strings, ``None`` for an entry
     past the end of the shorter one."""
-    matrix = hasattr(want, "rows")
-    checked = len(want.rows) * (len(want.rows) + 1) // 2 if matrix else len(want)
+    matrix = hasattr(want, "int_view")
+    checked = want.size * (want.size + 1) // 2 if matrix else len(want)
     if got == want:
         return Report(suite, True, None, checked)
     if matrix:

@@ -5,7 +5,8 @@ JSON document layout:
      "size": N, "rows": [[rational-string, ...], ...]}
 with row n holding n+1 entries. CSV writes one matrix row per line, entries
 as rational strings, lower triangle only. PBM marks nonzero entries with '1',
-zero-padded above the diagonal, one image row per matrix row.
+zero-padded above the diagonal, one image row per matrix row. The writers
+read the integer view of the matrix, so they build no Fraction per entry.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .matrices import TriangularMatrix
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, format_rows, parse_rational
 
 
 def matrix_to_doc(
@@ -29,7 +30,7 @@ def matrix_to_doc(
         "q": q,
         "phi": None if phi is None else format_rational(phi),
         "size": matrix.size,
-        "rows": [[format_rational(e) for e in row] for row in matrix.rows],
+        "rows": format_rows(*matrix.int_view()),
     }
 
 
@@ -57,7 +58,7 @@ def matrix_from_json(text: str) -> TriangularMatrix:
 
 
 def matrix_to_csv(matrix: TriangularMatrix) -> str:
-    return "\n".join(",".join(format_rational(e) for e in row) for row in matrix.rows) + "\n"
+    return "\n".join(map(",".join, format_rows(*matrix.int_view()))) + "\n"
 
 
 def matrix_from_csv(text: str) -> TriangularMatrix:
@@ -85,13 +86,15 @@ def _parse_rows(rows: Iterable[Iterable]) -> list[list[Fraction]]:
     return [[parse(entry) for entry in row] for row in rows]
 
 
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def matrix_to_pbm(matrix: TriangularMatrix) -> str:
     """P1 bitmap of the nonzero pattern, row n padded with zeros beyond the
     diagonal to the full width."""
     size = matrix.size
-    lines = ["P1", f"{size} {size}"]
-    for n in range(size):
-        bits = ["1" if e != 0 else "0" for e in matrix.rows[n]]
-        bits.extend("0" * (size - n - 1))
-        lines.append("".join(bits))
-    return "\n".join(lines) + "\n"
+    _, rows = matrix.int_view()
+    zeros = bytes(size)
+    lines = [b"P1", b"%d %d" % (size, size)]
+    lines += [(bytes(map(bool, row)) + zeros[n + 1 :]).translate(_BITS) for n, row in enumerate(rows)]
+    return (b"\n".join(lines) + b"\n").decode("ascii")

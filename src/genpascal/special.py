@@ -11,24 +11,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 from operator import ge
 
 from .digits import digit_product_rows
 from .errors import ZeroEntry, ZeroPhi
-from .matrices import TriangularMatrix, first_column_b, hadamard
-from .polynomials import divide_linear
-from .rationals import ONE, ZERO
+from .matrices import TriangularMatrix, first_column_b, hadamard, pascal_rows
+from .rationals import ONE
 from .report import Report
 from .sequences import CSequence
 
 
 def phi_q_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
-    """Mask matrix: entry 1 if n mod q >= m mod q, else phi (phi may be 0)."""
+    """Mask matrix: entry 1 if n mod q >= m mod q, else phi (phi may be 0).
+
+    With phi = a/d, row n is the residue block of i = n mod q, d at the
+    columns j <= i and a above, repeated and cut to n + 1 entries, over d.
+    Only residues below k = min(q, size) occur, so a huge q costs no more
+    than size."""
     if q < 2:
         raise ValueError("q must be >= 2")
     phi = Fraction(phi)
-    return TriangularMatrix.from_fn(size, lambda n, m: ONE if n % q >= m % q else phi)
+    a, d = phi.numerator, phi.denominator
+    k = min(q, size)
+    blocks = [[d] * (i + 1) + [a] * (k - 1 - i) for i in range(k)]
+    return TriangularMatrix.from_view(d, [(blocks[n % q] * (n // q + 1))[: n + 1] for n in range(size)])
 
 
 def phi_q_series(phi: Fraction | int, q: int) -> CSequence:
@@ -164,34 +171,50 @@ def q_umbral_matrix(q: Fraction | int, size: int) -> TriangularMatrix:
 
     q = 1 gives the ordinary Pascal matrix, q = 0 the all-ones triangle and
     q = -1 a zero generalized Pascal matrix.
+
+    Built on ints: with q = a/d, entry (n, c) times d**((n-c)c) is the int
+    T_c[n-c], where T_c[0] = 1 and T_c[k] = d**k T_{c-1}[k] + a**c T_c[k-1],
+    the scaled division of column c-1's series by 1 - q**c x. The entries are
+    put over d**E, with E the largest (n-c)c below size.
     """
     q = Fraction(q)
+    a, d = q.numerator, q.denominator
+    top = (size - 1) // 2 * (size // 2)  # E
+    dk = [d**k for k in range(size)]
     rows = [[] for _ in range(size)]
-    series = [ONE] + [ZERO] * (size - 1)
-    ratio = ONE
-    for col in range(size):
-        divide_linear(series, ratio)
-        for row, value in enumerate(series, col):
-            rows[row].append(value)
-        series.pop()  # column col + 1 needs one term fewer
-        ratio *= q
-    return TriangularMatrix(rows)
+    series = [1] + [0] * (size - 1)
+    ac = 1  # a**c
+    for c in range(size):
+        for k in range(1, len(series)):
+            series[k] = dk[k] * series[k] + ac * series[k - 1]
+        for k, value in enumerate(series):
+            rows[c + k].append(value * d ** (top - k * c))
+        series.pop()  # column c + 1 needs one term fewer
+        ac *= a
+    return TriangularMatrix.from_view(d**top, rows)
 
 
 def q_umbral_inverse(q: Fraction | int, size: int) -> TriangularMatrix:
-    """Matrix whose row n is the polynomial prod_{m=0}^{n-1} (x - q**m)."""
+    """Matrix whose row n is the polynomial prod_{m=0}^{n-1} (x - q**m).
+
+    Built on ints: with q = a/d, row n times d**(n(n-1)/2) is the integer
+    polynomial prod_{m<n} (d**m x - a**m). The rows are put over
+    d**((size-1)(size-2)/2), the largest of those scales.
+    """
     q = Fraction(q)
+    a, d = q.numerator, q.denominator
+    top = (size - 1) * (size - 2) // 2
     rows = []
-    current = [ONE]
+    current = [1]
+    an = dn = 1  # a**n, d**n
     for n in range(size):
-        rows.append(current[:])
-        nxt = [ZERO] * (len(current) + 1)
-        ratio = q**n
-        for i, c in enumerate(current):
-            nxt[i + 1] += c
-            nxt[i] -= c * ratio
-        current = nxt
-    return TriangularMatrix(rows)
+        scale = d ** (top - n * (n - 1) // 2)
+        rows.append([c * scale for c in current])
+        # coefficient i of current * (d**n x - a**n)
+        current = [x * dn - y * an for x, y in zip([0, *current], [*current, 0])]
+        an *= a
+        dn *= d
+    return TriangularMatrix.from_view(d**top, rows)
 
 
 def zero_overlay_matrix(q: int, size: int) -> TriangularMatrix:
@@ -204,5 +227,5 @@ def zero_overlay_matrix(q: int, size: int) -> TriangularMatrix:
     """
     if q < 2:
         raise ValueError("q must be >= 2")  # before the division below
-    pascal = [[comb(n, m) for m in range(n + 1)] for n in range((size + q - 1) // q)]
-    return TriangularMatrix(digit_product_rows(q, size, ge, top=pascal))
+    pascal = pascal_rows((size + q - 1) // q)
+    return TriangularMatrix.from_view(1, digit_product_rows(q, size, ge, top=pascal))

@@ -17,7 +17,7 @@ from math import comb
 from typing import Sequence
 
 from .fractal import fractal_entry, fractal_matrix
-from .matrices import TriangularMatrix, all_ones, build_from_c
+from .matrices import TriangularMatrix, all_ones, build_from_c, pascal_rows
 from .polynomials import divide_linear
 from .rationals import ONE, ZERO
 from .sequences import CSequence
@@ -93,7 +93,10 @@ def _hadamard_entry(spec: GPSpec, n: int, m: int) -> Fraction:
 
 # kind -> (materialize(spec, size), entry(spec, n, m) for m <= n, or None)
 FAMILIES = {
-    "pascal": (lambda s, size: TriangularMatrix.from_fn(size, comb), lambda s, n, m: Fraction(comb(n, m))),
+    "pascal": (
+        lambda s, size: TriangularMatrix.from_view(1, pascal_rows(size)),
+        lambda s, n, m: Fraction(comb(n, m)),
+    ),
     "ones": (lambda s, size: all_ones(size), lambda s, n, m: ONE),
     "from-c": (lambda s, size: build_from_c(s.c, size), lambda s, n, m: s.c[m] * s.c[n - m] / s.c[n]),
     "phiq": (

@@ -43,7 +43,7 @@ def digit_binom(q: int, n: int, m: int) -> int:
 def sierpinski_matrix(q: int, size: int) -> TriangularMatrix:
     """Truncation of the base-q zero pattern matrix (Pascal mod 2 for q = 2):
     the digit product of the one-digit dominance block i >= j."""
-    return TriangularMatrix(digit_product_rows(q, size, ge))
+    return TriangularMatrix.from_view(1, digit_product_rows(q, size, ge))
 
 
 def kronecker(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
@@ -193,7 +193,7 @@ def t_coefficient(q: int, n: int, m: int) -> Fraction:
 def t_matrix(q: int, size: int) -> TriangularMatrix:
     """Digit-product matrix seeded by the first q rows of the Pascal matrix:
     T(q n' + i, q m' + j) = C(i, j) T(n', m'), built row by row on ints."""
-    return TriangularMatrix(digit_product_rows(q, size, comb))
+    return TriangularMatrix.from_view(1, digit_product_rows(q, size, comb))
 
 
 def t_matrix_via_kronecker(q: int, size: int) -> TriangularMatrix:

@@ -106,6 +106,30 @@ def test_entries_past_the_int_text_limit_are_a_config_error(capsys):
     assert err == "error: an entry has more than 4300 digits, more than the JSON/CSV writers can print\n"
 
 
+@pytest.mark.skipif(INT_TEXT_LIMIT != 4300, reason="needs CPython's default cap on text-to-int conversion")
+@pytest.mark.parametrize("digits", ["9" * 4400, "9" * 4400 + ".5", "1e" + "0" * 4400 + "1"])
+def test_rationals_past_the_int_text_limit_are_a_config_error(capsys, tmp_path, digits):
+    # the wire form is read with int(), the decimal forms with Fraction(str); both hit the cap
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": [["1"], ["1", "1"], ["1", digits, "1"]]}))
+    gen = ["gen", "--kind", "phiq", "--q", "3", f"--phi={digits}", "--size", "3"]
+    for argv in (["decompose", "--input", str(path)], gen):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "set_int_max_str_digits" not in err and "Exceeds the limit" not in err
+        assert err == "error: a rational has more than 4300 digits, more than the readers can parse\n"
+
+
+def test_parser_is_reused_across_requests(capsys):
+    # the parser is built once per process; a usage error must not leave state behind
+    from test_cli_output import DIGESTS, digest
+
+    usage_error = ["gen", "--kind", "fractal", "--q", "x"]
+    pinned = json.loads(DIGESTS.read_text())
+    for argv in (usage_error, ["gen", "--kind", "pascal", "--size", "9", "--format", "json"], usage_error):
+        assert digest(argv) == pinned[" ".join(argv)]
+
+
 def test_gen_bad_size(capsys):
     code, _, _ = run(capsys, "gen", "--kind", "pascal", "--size", "0")
     assert code == 2

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden_matrices as gold
@@ -21,9 +21,11 @@ from genpascal.matrices import (
     identity_matrix,
     matmul,
     pascal_convolve,
+    pascal_rows,
     subtract,
 )
 from genpascal.polynomials import Polynomial
+from genpascal.rationals import ONE
 from genpascal.report import Report
 from genpascal.sequences import BSequence, CSequence
 from genpascal.special import phi_q_matrix
@@ -459,3 +461,62 @@ def test_column0_counterexample_keeps_the_fraction_text(value):
         assert report == reference_identity_check(corrupted), name
         assert report.counterexample == {"identity": "column0", "n": 4, "value": str(value)}
         assert report.checked == 2 + 3 + 4 + 5 + 1  # rows 0..3 pass column 0 and symmetry
+
+
+def rows_of(size):
+    return st.tuples(*(st.lists(st.integers(-30, 30), min_size=n + 1, max_size=n + 1) for n in range(size)))
+
+
+view_rows = st.integers(0, 7).flatmap(rows_of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(den=st.integers(1, 12), rows=view_rows, k=st.integers(1, 6))
+@example(den=6, rows=([0], [0, 0], [0, 0, 0]), k=3)
+@example(den=4, rows=(), k=2)
+@example(den=10, rows=([-5], [0, 15]), k=4)
+def test_from_view_scaled_unscaled_and_from_values_agree(den, rows, k):
+    values = TriangularMatrix([[Fraction(x, den) for x in row] for row in rows])
+    plain = TriangularMatrix.from_view(den, rows)
+    scaled = TriangularMatrix.from_view(k * den, [[k * x for x in row] for row in rows])
+    view = values.int_view()
+    for m in (plain, scaled):
+        assert m == values and values == m
+        assert m.int_view() == view
+        assert hash(m) == hash(values)
+        assert m.size == len(rows)
+        assert m.rows == values.rows
+        assert all(type(e) is Fraction for row in m.rows for e in row)
+    assert plain == scaled
+    if any(map(any, rows)):  # same numerators over another den: another matrix
+        assert TriangularMatrix.from_view(den + 1, rows) != plain
+
+
+def test_from_view_edge_cases():
+    zero = TriangularMatrix.from_view(6, [[0], [0, 0]])
+    assert zero.int_view() == (1, ((0,), (0, 0)))
+    assert zero == TriangularMatrix([[0], [0, 0]])
+    assert TriangularMatrix.from_view(5, []).int_view() == (1, ())
+    neg = TriangularMatrix.from_view(4, [[-4], [2, -6]])
+    assert neg.int_view() == (2, ((-2,), (1, -3)))
+    assert neg.rows == ((-1,), (Fraction(1, 2), Fraction(-3, 2)))
+    with pytest.raises(ValueError):
+        TriangularMatrix.from_view(0, [[1]])
+    with pytest.raises(ValueError):
+        TriangularMatrix.from_view(-2, [[1]])
+    with pytest.raises(SizeMismatch):
+        TriangularMatrix.from_view(2, [[1], [1]])
+
+
+def test_rows_share_one_fraction_per_numerator():
+    m = TriangularMatrix.from_view(3, [[3], [1, 3], [3, 1, 3]])
+    assert m.entry(1, 0) is m.entry(2, 1)
+    assert m.entry(0, 0) is m.entry(2, 2) is ONE
+    assert m.rows is m.rows
+    assert m.truncate(2) == TriangularMatrix([[1], [Fraction(1, 3), 1]])
+    assert m.truncate(1).int_view() == (1, ((1,),))
+
+
+def test_pascal_rows_are_the_binomials():
+    assert pascal_rows(0) == []
+    assert TriangularMatrix.from_view(1, pascal_rows(30)) == TriangularMatrix.from_fn(30, comb)

@@ -7,6 +7,7 @@ import pytest
 
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import build_from_c
+from genpascal.rationals import format_rational
 from genpascal.sequences import CSequence
 from genpascal.serialize import (
     matrix_from_csv,
@@ -17,6 +18,8 @@ from genpascal.serialize import (
     matrix_to_json,
     matrix_to_pbm,
 )
+from genpascal.special import phi_q_series
+from genpascal.specs import FAMILIES, GPSpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -81,3 +84,51 @@ def test_pbm_golden_file():
     for n, line in enumerate(lines[2:]):
         for m, bit in enumerate(line):
             assert int(bit) == (comb(n, m) % 2 if m <= n else 0)
+
+
+def writer_cases():
+    """(kind, spec, q) for every family kind that has a per-entry form."""
+    phis = (Fraction(0), Fraction(3, 2), Fraction(-3, 2))
+    yield "pascal", GPSpec("pascal"), None
+    yield "ones", GPSpec("ones"), None
+    for qv in (*phis, 2, 3, 5):
+        yield "qumbral", GPSpec.qumbral(qv), None
+    for q in (2, 3, 5):
+        for phi in phis:
+            yield "phiq", GPSpec.phiq(phi, q), q
+            yield "fractal", GPSpec.fractal(phi, q), q
+            yield "masked", GPSpec.masked([phi**k for k in range(40)], q), q
+            if phi:
+                yield "from-c", GPSpec.from_c(phi_q_series(phi, q)), q
+        yield "zero-overlay", GPSpec("zero-overlay", q=q), q
+        yield "tmatrix", GPSpec.tmatrix(q), q
+        factors = [GPSpec.phiq(Fraction(3, 2), q), GPSpec.fractal(Fraction(-3, 2), q)]
+        yield "hadamard", GPSpec.hadamard(factors), q
+
+
+def case_id(kind, spec, q):
+    if kind == "from-c":
+        return f"from-c-{spec.c.kind}"
+    if kind == "masked":
+        return f"masked-q={q}-a1={spec.a[1]}"
+    return f"{kind}-q={spec.q if q is None else q}-phi={spec.phi}"
+
+
+def test_writer_cases_cover_every_kind_with_an_entry_form():
+    assert {kind for kind, (_, entry) in FAMILIES.items() if entry} == {kind for kind, _, _ in writer_cases()}
+
+
+@pytest.mark.parametrize(
+    "kind, spec, q", [pytest.param(*case, id=case_id(*case)) for case in writer_cases()]
+)
+def test_writers_match_the_per_entry_text(kind, spec, q):
+    # the writers read the integer view; the oracle formats each exact entry
+    sizes = {0, 1, 40} | ({q, q * q + 1} if q else {2, 3, 5, 10, 26})
+    for size in sorted(sizes):
+        matrix = spec.materialize(size)
+        texts = [[format_rational(spec.entry(n, m)) for m in range(n + 1)] for n in range(size)]
+        doc = {"kind": kind, "q": q, "phi": None, "size": size, "rows": texts}
+        assert matrix_to_json(matrix, kind, q) == json.dumps(doc, indent=1)
+        assert matrix_to_csv(matrix) == "\n".join(map(",".join, texts)) + "\n"
+        bits = ["".join("1" if spec.entry(n, m) != 0 else "0" for m in range(size)) for n in range(size)]
+        assert matrix_to_pbm(matrix) == "\n".join(["P1", f"{size} {size}", *bits]) + "\n"

@@ -15,7 +15,7 @@ from genpascal.matrices import (
     identity_matrix,
     matmul,
 )
-from genpascal.polynomials import geometric, mul_trunc
+from genpascal.polynomials import divide_linear, geometric, mul_trunc
 from genpascal.sequences import CSequence
 from genpascal.special import (
     PhiCoordinates,
@@ -246,3 +246,45 @@ def test_overlay_unmasked_branch():
                 assert base.entry(row, col) == comb(n, mm)
             else:
                 assert base.entry(row, col) == n * comb(n - 1, mm)
+
+
+def fraction_q_umbral_matrix(q, size):
+    """The Fraction form of q_umbral_matrix: column c divides the series by 1 - q**c x."""
+    q = Fraction(q)
+    rows = [[] for _ in range(size)]
+    series = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    ratio = Fraction(1)
+    for col in range(size):
+        divide_linear(series, ratio)
+        for row, value in enumerate(series, col):
+            rows[row].append(value)
+        series.pop()
+        ratio *= q
+    return TriangularMatrix(rows)
+
+
+def fraction_q_umbral_inverse(q, size):
+    """The Fraction form of q_umbral_inverse: row n + 1 is row n times x - q**n."""
+    q = Fraction(q)
+    rows = []
+    current = [Fraction(1)]
+    for n in range(size):
+        rows.append(current[:])
+        nxt = [Fraction(0)] * (len(current) + 1)
+        ratio = q**n
+        for i, c in enumerate(current):
+            nxt[i + 1] += c
+            nxt[i] -= c * ratio
+        current = nxt
+    return TriangularMatrix(rows)
+
+
+@pytest.mark.parametrize("qv", [-1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
+def test_integer_umbral_builders_match_the_fraction_loops(qv):
+    pairs = ((q_umbral_matrix, fraction_q_umbral_matrix), (q_umbral_inverse, fraction_q_umbral_inverse))
+    for size in range(25):
+        for build, oracle in pairs:
+            got, want = build(qv, size), oracle(qv, size)
+            assert got.rows == want.rows
+            assert got.int_view() == want.int_view()
+            assert all(type(e) is Fraction for row in got.rows for e in row)
