@@ -25,7 +25,6 @@ from .matrices import (
     TriangularMatrix,
     all_ones,
     build_from_c,
-    first_column_b,
     gbinom,
     gbinom_via_recurrence,
     hadamard,

@@ -314,11 +314,3 @@ def pascal_convolve(a: TriangularMatrix, f: Polynomial, g: Polynomial) -> Polyno
         out.append(sum((a.rows[n][m] * f.coefficient(m) * g.coefficient(n - m) for m in range(n + 1)), ZERO))
     return Polynomial(out)
 
-
-def first_column_b(a: TriangularMatrix) -> BSequence:
-    """Column 1 read off as an explicit weight sequence (callers should have
-    identity_check pass so the matrix is a generalized Pascal truncation)."""
-    values = [ZERO] + [a.entry(n, 1) for n in range(1, a.size)]
-    if a.size > 1:
-        values[1] = ONE
-    return BSequence.explicit(values)

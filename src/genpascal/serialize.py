@@ -6,14 +6,16 @@ JSON document layout:
 with row n holding n+1 entries. CSV writes one matrix row per line, entries
 as rational strings, lower triangle only. PBM marks nonzero entries with '1',
 zero-padded above the diagonal, one image row per matrix row. The writers
-read the integer view of the matrix, so they build no Fraction per entry.
+read the integer view of the matrix and the JSON/CSV readers build it, so
+neither makes a Fraction per entry.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain
+from math import lcm
 
 from .matrices import TriangularMatrix
 from .rationals import format_rational, format_rows, parse_rational
@@ -43,7 +45,7 @@ def matrix_from_doc(doc: dict) -> TriangularMatrix:
     rows = doc.get("rows") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError('a matrix document is a JSON object whose "rows" is a list of lists')
-    matrix = TriangularMatrix(_parse_rows(rows))
+    matrix = _matrix_from_rows(rows)
     if matrix.size != doc.get("size", matrix.size):
         raise ValueError("size field disagrees with row count")
     return matrix
@@ -62,28 +64,40 @@ def matrix_to_csv(matrix: TriangularMatrix) -> str:
 
 
 def matrix_from_csv(text: str) -> TriangularMatrix:
-    rows = (line.split(",") for line in text.strip().splitlines() if line.strip())
-    return TriangularMatrix(_parse_rows(rows))
+    return _matrix_from_rows([line.split(",") for line in text.strip().splitlines() if line.strip()])
 
 
-def _parse_rows(rows: Iterable[Iterable]) -> list[list[Fraction]]:
-    """The entries of one document, each distinct string parsed once.
+def _matrix_from_rows(rows: list[list]) -> TriangularMatrix:
+    """The matrix of one document's entries, built as its integer view.
 
-    The matrices repeat their values heavily (symmetry, powers of phi), so most
-    entries are a dict hit. Only strings are looked up; any other entry goes
-    straight to parse_rational, which rejects it with ValueError.
+    The matrices repeat their values heavily (symmetry, powers of phi), so each
+    distinct entry is parsed once, in first-appearance order: the first bad
+    entry in row order is the one parse_rational names. A plain ASCII
+    integer is read with int(); every other form, and any entry that is not a
+    string, goes to parse_rational. The view is put over the lcm of the
+    parsed denominators, so no Fraction is built per entry.
     """
-    parsed: dict[str, Fraction] = {}
-
-    def parse(entry) -> Fraction:
-        if type(entry) is not str:
-            return parse_rational(entry)
-        value = parsed.get(entry)
-        if value is None:
-            value = parsed[entry] = parse_rational(entry)
-        return value
-
-    return [[parse(entry) for entry in row] for row in rows]
+    try:
+        entries = dict.fromkeys(chain.from_iterable(rows))
+    except TypeError:  # an unhashable entry: parse in row order, which stops at the first bad one
+        entries = chain.from_iterable(rows)
+    nums: dict[str, int] = {}
+    dens: dict[str, int] = {}  # the entries that are not integers
+    for entry in entries:
+        if type(entry) is str and entry.isascii() and entry.isdigit():
+            try:
+                nums[entry] = int(entry)
+                continue
+            except ValueError:  # past CPython's cap on text-to-int conversion: parse_rational says so
+                pass
+        value = parse_rational(entry)
+        nums[entry] = value.numerator
+        if value.denominator > 1:
+            dens[entry] = value.denominator
+    den = lcm(*dens.values())
+    if den > 1:
+        nums = {entry: n * (den // dens.get(entry, 1)) for entry, n in nums.items()}
+    return TriangularMatrix.from_view(den, (map(nums.__getitem__, row) for row in rows))
 
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")

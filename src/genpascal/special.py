@@ -4,7 +4,8 @@ deformed-factorial (umbral) matrices.
 The mask matrix of modulus q and weight phi has entry 1 where
 n mod q >= m mod q and phi elsewhere. Every nonzero generalized Pascal
 truncation factors as a Hadamard product of mask matrices; the weights are
-recovered by Moebius inversion over the divisor lattice of each modulus.
+recovered from the first column by dividing out, for each modulus, the
+weights of its proper divisors (Moebius inversion, done as a sieve).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import ge
 
 from .digits import digit_product_rows
 from .errors import ZeroEntry, ZeroPhi
-from .matrices import TriangularMatrix, first_column_b, hadamard, pascal_rows
+from .matrices import TriangularMatrix, hadamard, pascal_rows
 from .rationals import ONE
 from .report import Report
 from .sequences import CSequence
@@ -46,21 +47,6 @@ def phi_q_series(phi: Fraction | int, q: int) -> CSequence:
     if phi == 0:
         raise ZeroPhi("the coefficient series is not defined for phi = 0")
     return CSequence(f"phi_q({phi},{q})", lambda n: ONE / phi ** (n // q))
-
-
-def _mobius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
 
 
 @dataclass(frozen=True)
@@ -108,28 +94,29 @@ class PhiCoordinates:
 def phi_coordinates(a: TriangularMatrix, max_q: int) -> PhiCoordinates:
     """Extract the mask weights of a nonzero generalized Pascal truncation.
 
-    beta_q = prod_{d | q} b_d ** mu(q/d) with b the first column; Moebius
-    inversion of b_n = prod_{d | n} beta_d. Needs max_q < size so b_{max_q}
-    is available, and a matrix with no zero first-column entries.
+    The first column b_n = (n, 1) satisfies b_n = prod_{d | n} beta_d with
+    b_1 forced to 1, so beta_q = b_q / prod_{d | q, d < q} beta_d. A sieve
+    over q = 2..max_q finds each beta_q from ints: b_q is read off the
+    integer view, the divisor products are kept as numerator/denominator
+    pairs, and each beta_q is one reduced Fraction whose parts are multiplied
+    into the products of its multiples. That is O(max_q log max_q) products.
+    Needs max_q < size so b_{max_q} is available, and a matrix with no zero
+    first-column entries.
     """
     if max_q >= a.size:
         raise ValueError(f"max modulus {max_q} needs matrix size > {max_q}")
-    b = first_column_b(a)
-    for n in range(1, max_q + 1):
-        if b[n] == 0:
-            raise ZeroEntry(f"b_{n} = 0: zero generalized Pascal matrix has no coordinates")
+    den, rows = a.int_view()
+    nums = [1] * (max_q + 1)  # nums[q] / dens[q]: the product of beta_d over the d | q found so far
+    dens = [1] * (max_q + 1)
     betas: dict[int, Fraction] = {}
     for q in range(2, max_q + 1):
-        beta = ONE
-        for d in range(1, q + 1):
-            if q % d:
-                continue
-            mu = _mobius(q // d)
-            if mu == 1:
-                beta *= b[d]
-            elif mu == -1:
-                beta /= b[d]
-        betas[q] = beta
+        b = rows[q][1]
+        if b == 0:
+            raise ZeroEntry(f"b_{q} = 0: zero generalized Pascal matrix has no coordinates")
+        beta = betas[q] = Fraction(b * dens[q], den * nums[q])
+        for k in range(2 * q, max_q + 1, q):
+            nums[k] *= beta.numerator
+            dens[k] *= beta.denominator
     return PhiCoordinates(betas)
 
 

@@ -12,6 +12,12 @@ Every ``verify`` suite, both ``convolve`` input forms and one successful
 hand-written equality checks in the suites, before ``report.check_equal``
 replaced them, and they pin each suite's ``checked`` count.
 
+``decompose --input`` reads the three documents under ``data/``: wire
+fractions, other accepted entry forms, and a malformed document whose first
+bad entry (in a misshapen row, under a wrong size field) is named. Their
+digests were recorded from the Fraction-per-entry readers, before the readers
+built the integer view directly. Commands run from the repository root.
+
 To re-record after an intended output change:
 ``PYTHONPATH=src python tests/test_cli_output.py > tests/data/cli_output_digests.json``
 """
@@ -32,7 +38,8 @@ import pytest
 from genpascal.cli import main
 from genpascal.verify import SUITES
 
-DIGESTS = Path(__file__).parent / "data" / "cli_output_digests.json"
+ROOT = Path(__file__).parent.parent
+DIGESTS = ROOT / "tests" / "data" / "cli_output_digests.json"
 
 KIND_ARGS = [
     ["--kind", "pascal"],
@@ -80,22 +87,31 @@ SUCCESS_ARGS = [
     ["decompose", "--kind", "pascal", "--size", "8", "--max-q", "6"],
 ]
 
+INPUT_ARGS = [
+    ["decompose", "--input", f"tests/data/decompose-{name}.json"] for name in ("wire", "forms", "malformed")
+]
+
 COMMANDS = [
     [command, *kind, "--size", "9", *fmt]
     for kind in KIND_ARGS
     for command, fmt in (("gen", ["--format", "json"]), ("gen", ["--format", "csv"]), ("export", []))
-] + ERROR_ARGS + SUCCESS_ARGS
+] + ERROR_ARGS + SUCCESS_ARGS + INPUT_ARGS
 
 
 def digest(argv: list[str]) -> list:
     """[exit code, sha256 of stdout, sha256 of stderr] of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)  # the --input paths are relative to the repository root
     # argparse wraps its usage line to the terminal width
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    try:
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
     return [code, *(hashlib.sha256(stream.getvalue().encode()).hexdigest() for stream in (out, err))]
 
 

@@ -12,7 +12,6 @@ from genpascal.matrices import (
     TriangularMatrix,
     all_ones,
     build_from_c,
-    first_column_b,
     gbinom,
     gbinom_via_recurrence,
     hadamard,
@@ -360,20 +359,6 @@ def test_pascal_convolve_bilinear():
     left = pascal_convolve(m, a, b + c)
     right = pascal_convolve(m, a, b) + pascal_convolve(m, a, c)
     assert left == right
-
-
-def test_first_column():
-    assert [first_column_b(build_from_c(CSequence.exponential(), 8))[n] for n in range(1, 8)] == [
-        1, 2, 3, 4, 5, 6, 7,
-    ]
-    from genpascal.fractal import fractal_matrix
-
-    b = first_column_b(fractal_matrix(2, 2, 9))
-    assert [b[n] for n in range(1, 9)] == [1, 2, 1, 4, 1, 2, 1, 8]
-    from genpascal.special import phi_q_matrix
-
-    b = first_column_b(phi_q_matrix(7, 3, 10))
-    assert [b[n] for n in range(1, 10)] == [1, 1, 7, 1, 1, 7, 1, 1, 7]
 
 
 def test_matmul_against_identity():

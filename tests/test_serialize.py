@@ -4,10 +4,12 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from genpascal.fractal import fractal_matrix
-from genpascal.matrices import build_from_c
-from genpascal.rationals import format_rational
+from genpascal.matrices import TriangularMatrix, build_from_c
+from genpascal.rationals import format_rational, parse_rational
 from genpascal.sequences import CSequence
 from genpascal.serialize import (
     matrix_from_csv,
@@ -68,6 +70,174 @@ def test_read_entries_are_exactly_fractions():
     for m in (matrix_from_json(doc), matrix_from_csv(text)):
         assert all(type(e) is Fraction for row in m.rows for e in row)
         assert m.rows == ((1,), (Fraction(1, 2), 2), (Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)))
+
+
+def oracle_from_rows(rows) -> TriangularMatrix:
+    """The Fraction reader the integer-view readers replaced: each distinct
+    string entry parsed once to a Fraction, then the value constructor."""
+    parsed: dict[str, Fraction] = {}
+
+    def parse(entry) -> Fraction:
+        if type(entry) is not str:
+            return parse_rational(entry)
+        value = parsed.get(entry)
+        if value is None:
+            value = parsed[entry] = parse_rational(entry)
+        return value
+
+    return TriangularMatrix([[parse(entry) for entry in row] for row in rows])
+
+
+def oracle_from_json(text: str) -> TriangularMatrix:
+    doc = json.loads(text)
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError('a matrix document is a JSON object whose "rows" is a list of lists')
+    matrix = oracle_from_rows(rows)
+    if matrix.size != doc.get("size", matrix.size):
+        raise ValueError("size field disagrees with row count")
+    return matrix
+
+
+def oracle_from_csv(text: str) -> TriangularMatrix:
+    return oracle_from_rows(line.split(",") for line in text.strip().splitlines() if line.strip())
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_reads_like_the_oracle(read, oracle, text) -> None:
+    got, want = outcome(read, text), outcome(oracle, text)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got == want
+    assert got.int_view() == want.int_view()
+    assert hash(got) == hash(want)
+    assert got.rows == want.rows
+    assert all(type(e) is Fraction for row in got.rows for e in row)
+
+
+def entry_texts(value: Fraction) -> list[str]:
+    """Accepted spellings of one value: the wire form and the other forms the readers take."""
+    wire = format_rational(value)
+    n, d = value.numerator, value.denominator
+    texts = [wire, f" {wire} ", f"{3 * n}/{3 * d}", f"{wire}\t"]
+    if n >= 0:
+        texts.append(f"+{wire}")
+    if d == 1:
+        texts += [f"{n}e0", f"{n}.0", wire.translate(ARABIC_INDIC), f"{10 * n}E-1"]
+        if n == 0:
+            texts.append("-0")
+    if 10**6 % d == 0:  # a terminating decimal
+        scaled = abs(n) * (10**6 // d)
+        sign = "-" if n < 0 else ""
+        texts += [f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}", f"{n * (10**6 // d)}e-6"]
+    return texts
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+values = st.one_of(
+    st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 1, 1, 2, 3, 4, 5, 8, 10, 12, 25])),
+    st.integers(-(10**30), 10**30).map(Fraction),
+)
+
+
+@st.composite
+def documents(draw):
+    """The rows of a lower-triangular matrix, each entry spelled in one of its accepted forms."""
+    size = draw(st.integers(0, 7))
+    rows = []
+    for n in range(size):
+        row = []
+        for _ in range(n + 1):
+            value = draw(values)
+            row.append(draw(st.sampled_from(entry_texts(value))))
+        rows.append(row)
+    return rows
+
+
+def json_text(rows, size=None):
+    return json.dumps({"kind": "from-c", "size": len(rows) if size is None else size, "rows": rows})
+
+
+def csv_text(rows):
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents())
+@example([["1"], ["3/6", " 2 "], ["1.5", "1e-3", "-0"], ["+7", "\u0661\u0662", "-3/2", "1"]])
+@example([])
+def test_readers_match_the_fraction_oracle(rows):
+    assert_reads_like_the_oracle(matrix_from_json, oracle_from_json, json_text(rows))
+    assert_reads_like_the_oracle(matrix_from_csv, oracle_from_csv, csv_text(rows))
+
+
+BAD_ENTRIES = ["x", "1/0", "1/2/3", "", "nan", "1e5000", "١/٠", "1" * 4400, "2²"]
+BAD_JSON_ENTRIES = [7, 1.5, float("nan"), None, True, [1], {"a": "1"}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    documents(),
+    st.lists(st.tuples(st.integers(0, 50), st.sampled_from(BAD_ENTRIES + BAD_JSON_ENTRIES)), max_size=3),
+    st.sampled_from(["none", "drop", "extra"]),
+    st.integers(-1, 1),
+)
+def test_malformed_documents_raise_the_oracle_error(rows, bad, misshape, size_shift):
+    # bad entries at drawn positions, one row maybe one entry short or long, the size field maybe off
+    entries = [(n, m) for n, row in enumerate(rows) for m in range(len(row))]
+    for position, value in bad:
+        if entries:
+            n, m = entries[position % len(entries)]
+            rows[n][m] = value
+    if rows and misshape != "none":
+        row = rows[len(rows) // 2]
+        if misshape == "drop":
+            row.pop()
+        else:
+            row.append("1")
+    assert_reads_like_the_oracle(matrix_from_json, oracle_from_json, json_text(rows, len(rows) + size_shift))
+    if all(type(e) is str and "," not in e and "\n" not in e for row in rows for e in row):
+        assert_reads_like_the_oracle(matrix_from_csv, oracle_from_csv, csv_text(rows))
+
+
+MALFORMED = {
+    # the first bad entry in row order is named, not the first distinct one parsed
+    "two-bad-entries": [["1"], ["1", "x"], ["1/0", "1", "x"]],
+    "two-bad-entries-reversed": [["1"], ["1", "1/0"], ["x", "1", "1/0"]],
+    "unhashable-entry": [["1"], ["1", [1]], ["x", "1", "1"]],
+    "unhashable-after-a-bad-entry": [["1"], ["y", [1]], ["1", "1", "1"]],
+    "json-number": [["1"], ["1", 2], ["1", "2", "1"]],
+    "json-nan": [["1"], ["1", "1"], ["1", float("nan"), "1"]],
+    "4400-digit-integer": [["1"], ["1", "1" * 4400], ["1", "2", "1"]],
+    "4400-digit-fraction": [["1"], ["1", "1/" + "3" * 4400], ["1", "2", "1"]],
+    "bad-entry-in-a-misshapen-row": [["1"], ["1", "1", "1", "x"], ["1", "2", "1"]],
+    "misshapen-row": [["1"], ["1", "1", "1"], ["1", "2", "1"]],
+}
+
+
+@pytest.mark.parametrize("rows", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_cases(rows):
+    got = outcome(matrix_from_json, json_text(rows))
+    assert isinstance(got, tuple) and got == outcome(oracle_from_json, json_text(rows))
+    if all(type(e) is str for row in rows for e in row):
+        assert outcome(matrix_from_csv, csv_text(rows)) == outcome(oracle_from_csv, csv_text(rows))
+
+
+def test_size_field_mismatch_comes_after_the_entries():
+    rows = [["1"], ["1", "1"], ["1", "2", "1"]]
+    for size, rows_ in ((4, rows), (4, [["1"], ["1", "x"]]), (2, [["1"], ["1", "1", "1"]])):
+        text = json_text(rows_, size)
+        got = outcome(matrix_from_json, text)
+        assert isinstance(got, tuple) and got == outcome(oracle_from_json, text)
+    assert outcome(matrix_from_json, json_text(rows, 4)) == (ValueError, "size field disagrees with row count")
 
 
 def test_pbm_small():

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import golden_matrices as gold
 from genpascal.errors import ZeroEntry, ZeroPhi
+from genpascal.fractal import fractal_matrix
 from genpascal.matrices import (
     TriangularMatrix,
     all_ones,
@@ -16,7 +19,8 @@ from genpascal.matrices import (
     matmul,
 )
 from genpascal.polynomials import divide_linear, geometric, mul_trunc
-from genpascal.sequences import CSequence
+from genpascal.rationals import ONE, ZERO
+from genpascal.sequences import BSequence, CSequence
 from genpascal.special import (
     PhiCoordinates,
     homomorphism_check,
@@ -113,23 +117,121 @@ def test_coordinates_of_mask_matrix():
 
 
 def test_coordinates_of_fractal():
-    from genpascal.fractal import fractal_matrix
-
     coords = phi_coordinates(fractal_matrix(2, 2, 10), 8)
     assert coords.betas[2] == coords.betas[4] == coords.betas[8] == 2
     assert all(coords.betas[q] == 1 for q in (3, 5, 6, 7))
 
 
 def test_coordinates_reject_zero():
-    from genpascal.fractal import fractal_matrix
-
     with pytest.raises(ZeroEntry):
         phi_coordinates(fractal_matrix(0, 2, 8), 6)
 
 
-def test_random_roundtrip():
-    import random
+def first_column_b(a: TriangularMatrix) -> BSequence:
+    """Column 1 read off as an explicit weight sequence, b_1 forced to 1 (the
+    oracle's reading of the first column, entry by entry from ``rows``)."""
+    values = [ZERO] + [a.entry(n, 1) for n in range(1, a.size)]
+    if a.size > 1:
+        values[1] = ONE
+    return BSequence.explicit(values)
 
+
+def _mobius(n: int) -> int:
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if n > 1:
+        result = -result
+    return result
+
+
+def mobius_coordinates(a: TriangularMatrix, max_q: int) -> dict[int, Fraction]:
+    """The oracle for phi_coordinates: beta_q = prod_{d | q} b_d ** mu(q/d),
+    in Fraction arithmetic over every divisor of every modulus."""
+    b = first_column_b(a)
+    for n in range(1, max_q + 1):
+        if b[n] == 0:
+            raise ZeroEntry(f"b_{n} = 0: zero generalized Pascal matrix has no coordinates")
+    betas: dict[int, Fraction] = {}
+    for q in range(2, max_q + 1):
+        beta = ONE
+        for d in range(1, q + 1):
+            if q % d:
+                continue
+            mu = _mobius(q // d)
+            if mu == 1:
+                beta *= b[d]
+            elif mu == -1:
+                beta /= b[d]
+        betas[q] = beta
+    return betas
+
+
+def test_first_column():
+    assert [first_column_b(build_from_c(CSequence.exponential(), 8))[n] for n in range(1, 8)] == [
+        1, 2, 3, 4, 5, 6, 7,
+    ]
+    b = first_column_b(fractal_matrix(2, 2, 9))
+    assert [b[n] for n in range(1, 9)] == [1, 2, 1, 4, 1, 2, 1, 8]
+    b = first_column_b(phi_q_matrix(7, 3, 10))
+    assert [b[n] for n in range(1, 10)] == [1, 1, 7, 1, 1, 7, 1, 1, 7]
+
+
+def assert_coordinates_match_the_oracle(matrix: TriangularMatrix) -> None:
+    """Equal betas, or the same ZeroEntry, for every max_q below the size,
+    on the matrix stored as its view and as its Fractions."""
+    for stored in (TriangularMatrix.from_view(*matrix.int_view()), TriangularMatrix(matrix.rows)):
+        for max_q in range(stored.size):
+            try:
+                want = mobius_coordinates(stored, max_q)
+            except ZeroEntry as exc:
+                with pytest.raises(ZeroEntry, match=f"^{re.escape(str(exc))}$"):
+                    phi_coordinates(stored, max_q)
+                continue
+            got = phi_coordinates(stored, max_q).betas
+            assert got == want and list(got) == list(want)
+            assert all(type(beta) is Fraction for beta in got.values())
+
+
+def coordinate_cases():
+    rng = random.Random(4)
+    for size in (0, 1, 2, 3, 13, 30):
+        yield f"random-c-{size}", build_from_c(random_c_sequence(rng, size), size)
+    yield "pascal", GPSpec("pascal").materialize(40)
+    for q, phi in ((2, Fraction(3, 2)), (3, Fraction(-7, 3)), (5, Fraction(2)), (2, Fraction(0))):
+        yield f"fractal-{q}-{phi}", fractal_matrix(phi, q, 33)
+        yield f"phiq-{q}-{phi}", phi_q_matrix(phi, q, 33)
+    rows = [list(row) for row in build_from_c(random_c_sequence(rng, 12), 12).rows]
+    rows[1][1] = Fraction(-5, 3)  # b_1 is forced to 1, whatever the (1,1) entry holds
+    yield "entry-1-1-not-one", TriangularMatrix(rows)
+    rows[1][1] = Fraction(0)
+    yield "entry-1-1-zero", TriangularMatrix(rows)
+
+
+@pytest.mark.parametrize("name, matrix", [pytest.param(*case, id=case[0]) for case in coordinate_cases()])
+def test_sieve_matches_the_moebius_oracle(name, matrix):
+    assert_coordinates_match_the_oracle(matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 20), st.sets(st.integers(2, 19), max_size=3))
+def test_zero_first_column_entries_name_the_smallest(seed, size, zeros):
+    # a zero b_n at the chosen rows; for every max_q the sieve and the oracle
+    # agree on the betas, or both name the smallest zero b_n with n <= max_q
+    rows = [list(row) for row in build_from_c(random_c_sequence(random.Random(seed), size), size).rows]
+    for n in zeros:
+        if n < size:
+            rows[n][1] = Fraction(0)
+    assert_coordinates_match_the_oracle(TriangularMatrix(rows))
+
+
+def test_random_roundtrip():
     rng = random.Random(99)
     for _ in range(20):
         m = build_from_c(random_c_sequence(rng, 12), 12)
