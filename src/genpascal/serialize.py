@@ -74,8 +74,9 @@ def _matrix_from_rows(rows: list[list]) -> TriangularMatrix:
     distinct entry is parsed once, in first-appearance order: the first bad
     entry in row order is the one parse_rational names. A plain ASCII
     integer is read with int(); every other form, and any entry that is not a
-    string, goes to parse_rational. The view is put over the lcm of the
-    parsed denominators, so no Fraction is built per entry.
+    string, goes to parse_rational. The rows go to from_view over the lcm
+    of the parsed denominators: a Fraction is made only by parse_rational,
+    once per distinct entry that is not a plain integer.
     """
     try:
         entries = dict.fromkeys(chain.from_iterable(rows))
@@ -97,7 +98,8 @@ def _matrix_from_rows(rows: list[list]) -> TriangularMatrix:
     den = lcm(*dens.values())
     if den > 1:
         nums = {entry: n * (den // dens.get(entry, 1)) for entry, n in nums.items()}
-    return TriangularMatrix.from_view(den, (map(nums.__getitem__, row) for row in rows))
+    # lists, not lazy maps: from_view's tuple() of a list is sized once, which keeps the peak RSS down
+    return TriangularMatrix.from_view(den, [list(map(nums.__getitem__, row)) for row in rows])
 
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
