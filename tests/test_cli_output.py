@@ -103,8 +103,8 @@ def digest(argv: list[str]) -> list:
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)  # the --input paths are relative to the repository root
-    # argparse wraps its usage line to the terminal width
     try:
+        # argparse wraps its usage line to the terminal width
         with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out), redirect_stderr(err):
             try:
                 code = main(argv)
