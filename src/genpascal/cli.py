@@ -112,7 +112,7 @@ def cmd_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     if args.input is not None:
-        with open(args.input, encoding="ascii") as handle:
+        with open(args.input, encoding="utf-8") as handle:
             matrix = matrix_from_json(handle.read())
     elif args.kind is not None:
         matrix, _ = build_matrix(args)

@@ -22,7 +22,7 @@ from operator import mul
 
 from .digits import carry_count_rows, valuation
 from .matrices import TriangularMatrix
-from .polynomials import Polynomial, mul_trunc, w_poly
+from .polynomials import P_ONE, P_ZERO, Polynomial, mul_trunc, w_poly
 from .rationals import ONE, ZERO
 from .report import Report, check_equal, merge_reports
 from .sequences import BSequence, fractal_b
@@ -100,14 +100,14 @@ def fractal_row(q: int, n: int) -> Polynomial:
     """Row n of the weight-q fractal matrix, built only from the recurrence
     u_{qn+m} = w_m(x) u_n(x^q) + q b_n x^{m+1} w_{q-2-m}(x) u_{n-1}(x^q)."""
     if n == 0:
-        return Polynomial([ONE])
+        return P_ONE
     n1, m = divmod(n, q)
     if n1 == 0:
         return w_poly(m)  # b_0 = 0 kills the second term
     term = w_poly(m) * fractal_row(q, n1).substitute_power(q)
     tail = w_poly(q - 2 - m)
     if not tail.is_zero():
-        bn = fractal_b(q, q, n1)
+        bn = q ** valuation(n1, q)  # b_{n1} of the weight-q family
         term = term + (q * bn) * tail.shift(m + 1) * fractal_row(q, n1 - 1).substitute_power(q)
     return term
 
@@ -121,15 +121,15 @@ def fractal_column(q: int, n: int, size: int) -> Polynomial:
 
 def _column(q: int, n: int, degree: int) -> Polynomial:
     if degree < 0:
-        return Polynomial()
+        return P_ZERO
     if n < q:
-        return Polynomial([fast_gbinom_fractal(q, k, n) for k in range(degree + 1)])
+        return Polynomial.from_view(1, [fast_gbinom_fractal(q, k, n).numerator for k in range(degree + 1)])
     n1, m = divmod(n, q)
     inner = _column(q, n1, degree // q).substitute_power(q)
     term = (w_poly(q - 1 - m) * inner).shift(m)
     lead = w_poly(m - 1)
     if not lead.is_zero():
-        bn = fractal_b(q, q, n1 + 1)
+        bn = q ** valuation(n1 + 1, q)
         term = term + (q * bn) * lead * _column(q, n1 + 1, degree // q).substitute_power(q)
     return term.truncate(degree)
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import SizeMismatch, ZeroEntry, ZeroFactor
 from .polynomials import Polynomial
-from .rationals import ONE, ZERO, SharedFractions, common_denominator, numerators
+from .rationals import ONE, ZERO, SharedFractions, common_denominator, lowest_view, numerators
 from .report import Report
 from .sequences import BSequence, CSequence
 
@@ -49,15 +48,8 @@ class TriangularMatrix:
 
         One gcd of den and every entry is divided out, so den becomes the lcm
         of the entry denominators; no Fraction is built."""
-        if den < 1:
-            raise ValueError(f"den must be >= 1, got {den}")
-        ints = tuple(map(tuple, rows))
+        den, ints = lowest_view(den, tuple(map(tuple, rows)))
         _check_shape(ints)
-        if den > 1:
-            g = gcd(den, *chain.from_iterable(ints))
-            if g > 1:
-                den //= g
-                ints = tuple(tuple([x // g for x in row]) for row in ints)
         self = object.__new__(cls)
         object.__setattr__(self, "_view", (den, ints))
         object.__setattr__(self, "size", len(ints))
@@ -107,11 +99,13 @@ class TriangularMatrix:
 
     def row_poly(self, n: int) -> Polynomial:
         """Row generating polynomial, x**m weighted by column index m."""
-        return Polynomial(self.rows[n])
+        den, ints = self.int_view()
+        return Polynomial.from_view(den, ints[n])
 
     def column_poly(self, m: int) -> Polynomial:
         """Column generating polynomial, x**n weighted by row index n."""
-        return Polynomial([self.entry(n, m) for n in range(self.size)])
+        den, ints = self.int_view()
+        return Polynomial.from_view(den, [0] * m + [row[m] for row in ints[m:]])
 
     def truncate(self, size: int) -> "TriangularMatrix":
         if size > self.size:
@@ -192,7 +186,10 @@ def gbinom(b: BSequence, n: int, m: int) -> Fraction:
     """
     if m < 0 or m > n:
         return ZERO
-    return b.factorial(n) / (b.factorial(m) * b.factorial(n - m))
+    num, den = b.factorial_pair(n)
+    num_m, den_m = b.factorial_pair(m)
+    num_k, den_k = b.factorial_pair(n - m)
+    return Fraction(num * den_m * den_k, den * num_m * num_k)
 
 
 def gbinom_via_recurrence(b: BSequence, n: int, m: int) -> Fraction:

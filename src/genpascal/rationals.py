@@ -13,8 +13,9 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -111,3 +112,16 @@ def numerators(values: Iterable[Fraction], den: int) -> list[int]:
     if den == 1:
         return [v.numerator for v in values]
     return [v.numerator * (den // v.denominator) for v in values]
+
+
+def lowest_view(den: int, rows: Sequence[Sequence[int]]) -> tuple[int, Sequence[Sequence[int]]]:
+    """The integer view of the values x / den over the lcm of their
+    denominators: the gcd of den and every x is divided out. The rows come
+    back unchanged when that gcd is 1, else as tuples."""
+    if den < 1:
+        raise ValueError(f"den must be >= 1, got {den}")
+    if den > 1:
+        g = gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            return den // g, tuple(tuple([x // g for x in row]) for row in rows)
+    return den, rows

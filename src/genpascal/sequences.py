@@ -11,7 +11,7 @@ concurrent fills are safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Callable, Sequence
 
 from .digits import valuation
@@ -36,7 +36,7 @@ class BSequence:
         self._fn = fn
         self.zero_kind = zero_kind
         self._values: dict[int, Fraction] = {0: ZERO}
-        self._factorials: dict[int, Fraction] = {0: ONE}
+        self._factorials: dict[int, tuple[int, int]] = {0: (1, 1)}
 
     @classmethod
     def naturals(cls) -> "BSequence":
@@ -79,20 +79,27 @@ class BSequence:
         Raises ZeroFactor on a zero term: the matrix is then a zero generalized
         Pascal matrix and callers must take the digit-mask path instead.
         """
+        return Fraction(*self.factorial_pair(n))
+
+    def factorial_pair(self, n: int) -> tuple[int, int]:
+        """b_n! as (num, den) in lowest terms with den > 0, cached per n; raises
+        ZeroFactor like ``factorial``."""
         got = self._factorials.get(n)
         if got is not None:
             return got
         start = n
         while start not in self._factorials:
             start -= 1
-        acc = self._factorials[start]
+        num, den = self._factorials[start]
         for m in range(start + 1, n + 1):
             term = self[m]
             if term == 0:
                 raise ZeroFactor(f"b_{m} = 0 in {self.kind}")
-            acc = acc * term
-            self._factorials[m] = acc
-        return acc
+            num, den = num * term.numerator, den * term.denominator
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            self._factorials[m] = (num, den)
+        return num, den
 
 
 def b_factorial(b: BSequence, n: int) -> Fraction:

@@ -13,15 +13,16 @@ their per-entry oracles.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import comb, factorial
-from operator import ge
+from operator import ge, mul
 from typing import Sequence
 
 from .digits import digit_product_rows, digits
 from .errors import NotFractal, SizeMismatch
 from .matrices import TriangularMatrix, build_from_c, hadamard, matmul
-from .polynomials import P_ONE, Polynomial
-from .rationals import ONE, ZERO
+from .polynomials import P_ONE, Polynomial, w_poly
+from .rationals import ZERO, common_denominator, numerators
 from .report import Report, check_equal, merge_reports
 from .sequences import CSequence
 
@@ -114,13 +115,19 @@ def masked_matrix(a: Series, q: int, size: int) -> TriangularMatrix:
 
 def masked_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fraction]:
     """Product in the masked algebra: coefficient n is
-    sum_m dominance(n,m) a_m b_{n-m}. Valid for arbitrary series."""
-    out = []
-    for n in range(degree + 1):
-        out.append(
-            sum((_coeff(a, m) * _coeff(b, n - m) for m in range(n + 1) if digit_binom(q, n, m)), ZERO)
-        )
-    return out
+    sum_m dominance(n,m) a_m b_{n-m}. Valid for arbitrary series.
+
+    Runs on the numerators over the common denominators of a and b, with the
+    dominance mask built by the digit recursion: one Fraction per coefficient."""
+    size = degree + 1
+    a, b = ([*s[:size], *repeat(0, size - len(s))] for s in (a, b))
+    da, db = common_denominator(a), common_denominator(b)
+    nums, rev = numerators(a, da), numerators(reversed(b), db)
+    # coefficient n pairs a_m with b_{n-m}, that is with rev[degree - n + m]
+    return [
+        Fraction(sum(compress(map(mul, nums, rev[degree - n :]), row)), da * db)
+        for n, row in enumerate(digit_product_rows(q, size, ge))
+    ]
 
 
 def carryless_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fraction]:
@@ -218,7 +225,7 @@ def t_row(q: int, n: int) -> Polynomial:
     out = P_ONE
     for i, d in enumerate(digits(n, q)):
         if d:
-            factor = Polynomial([ONE] + [ZERO] * (q**i - 1) + [ONE])
+            factor = w_poly(1).substitute_power(q**i)
             for _ in range(d):
                 out = out * factor
     return out

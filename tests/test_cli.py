@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,9 @@ from genpascal.cli import main
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import all_ones
 from genpascal.serialize import matrix_from_csv, matrix_from_json
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -197,6 +201,32 @@ def test_decompose_rejects_malformed_documents(capsys, tmp_path, document, messa
     code, out, err = run(capsys, "decompose", "--input", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_decompose_reads_a_raw_utf8_digit_like_the_escaped_one(capsys):
+    # the same document as decompose-forms.json, with the Arabic-Indic one written raw instead of as \u0661
+    raw = DATA / "decompose-forms-utf8.json"
+    assert "\u0661".encode() in raw.read_bytes() and b"\\u0661" not in raw.read_bytes()
+    escaped = run(capsys, "decompose", "--input", str(DATA / "decompose-forms.json"))
+    assert escaped[0] == 0 and escaped[2] == ""
+    assert run(capsys, "decompose", "--input", str(raw)) == escaped
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"rows": [["1"], ["1", "\xd9"]]}', "'utf-8' codec can't decode byte 0xd9"),
+        (b'{"rows": [["\xff1"]]}', "'utf-8' codec can't decode byte 0xff"),
+        (b'\xef\xbb\xbf{"rows": [["1"]]}', "Unexpected UTF-8 BOM"),
+    ],
+    ids=["truncated-sequence", "invalid-byte", "byte-order-mark"],
+)
+def test_decompose_rejects_bytes_that_are_not_utf8_json(capsys, tmp_path, data, message):
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "decompose", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_decompose_zero_matrix_fails(capsys):

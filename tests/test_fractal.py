@@ -23,6 +23,7 @@ from genpascal.polynomials import Polynomial, w_poly
 from genpascal.report import Report
 from genpascal.sequences import BSequence, CSequence
 from genpascal.special import phi_q_matrix
+from genpascal.verify import run_suite
 
 
 def test_displays():
@@ -115,6 +116,49 @@ def test_rows_and_columns_match_matrix(q):
     for n in range(size):
         assert fractal_row(q, n) == matrix.row_poly(n)
         assert fractal_column(q, n, size) == matrix.column_poly(n)
+
+
+# verify's report for a corrupted row or column, recorded from the Fraction-stored
+# Polynomial: the got/want texts are Polynomial.__repr__ and must not change
+CORRUPTED_REPORTS = [
+    (
+        "fractal_row", (3, 7), lambda p: p + Polynomial([0, 0, Fraction(1, 3)]), 12,
+        '{"suite": "recurrences", "pass": false, "counterexample": {"q": 3, "n": 7, "got": "Polynomial(['
+        'Fraction(1, 1), Fraction(1, 1), Fraction(10, 3), Fraction(1, 1), Fraction(1, 1), Fraction(3, 1), '
+        'Fraction(1, 1), Fraction(1, 1)])", "want": "Polynomial([Fraction(1, 1), Fraction(1, 1), '
+        'Fraction(3, 1), Fraction(1, 1), Fraction(1, 1), Fraction(3, 1), Fraction(1, 1), Fraction(1, 1)])", '
+        '"subsuite": "recurrence-rows"}, "checked": 72}',
+    ),
+    (
+        "fractal_row", (2, 6), lambda p: p.truncate(3), 9,
+        '{"suite": "recurrences", "pass": false, "counterexample": {"q": 2, "n": 6, "got": "Polynomial(['
+        'Fraction(1, 1), Fraction(2, 1), Fraction(1, 1), Fraction(4, 1)])", "want": "Polynomial(['
+        'Fraction(1, 1), Fraction(2, 1), Fraction(1, 1), Fraction(4, 1), Fraction(1, 1), Fraction(2, 1), '
+        'Fraction(1, 1)])", "subsuite": "recurrence-rows"}, "checked": 54}',
+    ),
+    (
+        "fractal_column", (5, 2), lambda p: p - Polynomial([0] * 9 + [Fraction(-5, 2)]), 12,
+        '{"suite": "recurrences", "pass": false, "counterexample": {"q": 5, "n": 2, "got": "Polynomial(['
+        'Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(5, 1), '
+        'Fraction(5, 1), Fraction(1, 1), Fraction(1, 1), Fraction(7, 2), Fraction(5, 1), Fraction(5, 1)])", '
+        '"want": "Polynomial([Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), '
+        'Fraction(5, 1), Fraction(5, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(5, 1), '
+        'Fraction(5, 1)])", "subsuite": "recurrence-columns"}, "checked": 72}',
+    ),
+]
+
+
+@pytest.mark.parametrize("name,at,change,size,text", CORRUPTED_REPORTS, ids=["row", "short-row", "column"])
+def test_recurrence_failure_report_is_pinned(monkeypatch, name, at, change, size, text):
+    original = getattr(fractal, name)
+
+    def corrupted(q, n, *size_arg):
+        out = original(q, n, *size_arg)
+        return change(out) if (q, n) == at else out
+
+    # the row recursion reads the module's binding, so the rows built from a corrupted one are corrupted too
+    monkeypatch.setattr(fractal, name, corrupted)
+    assert run_suite("recurrences", size).to_json() == text
 
 
 def test_prime_factorization_small():

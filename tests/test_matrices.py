@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_oracles as oracle
 import golden_matrices as gold
-from genpascal.errors import SizeMismatch, ZeroEntry
+from genpascal.errors import SizeMismatch, ZeroEntry, ZeroFactor
 from genpascal.matrices import (
     TriangularMatrix,
     all_ones,
@@ -225,6 +226,42 @@ def test_two_definitions_agree(b):
     for n in range(32):
         for k in range(n + 1):
             assert m.entry(n, k) == gbinom(b, n, k)
+
+
+nonzero_fraction = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9).filter(bool), st.integers(min_value=1, max_value=9)
+)
+weights = st.one_of(
+    st.just(BSequence.naturals()),
+    st.builds(BSequence.fractal, st.integers(2, 5), nonzero_fraction),
+    st.lists(nonzero_fraction, min_size=24, max_size=24).map(lambda vs: BSequence.explicit([0, *vs])),
+    st.lists(nonzero_fraction, min_size=24, max_size=24).map(
+        lambda vs: BSequence.from_c(CSequence.explicit([1, 1, *vs]))
+    ),
+)
+
+
+@settings(max_examples=60)
+@given(weights, st.data())
+def test_gbinom_matches_the_fraction_factorials(b, data):
+    for _ in range(8):
+        n = data.draw(st.integers(0, 24))
+        m = data.draw(st.integers(-1, n + 1))
+        got = gbinom(b, n, m)
+        assert got == oracle.gbinom(b, n, m) and type(got) is Fraction
+    for n in range(25):
+        assert b.factorial(n) == oracle.factorial(b, n) and type(b.factorial(n)) is Fraction
+
+
+def test_gbinom_names_the_first_zero_weight():
+    b = BSequence.explicit([0, 3, 0, Fraction(1, 2), 0])
+    assert gbinom(b, 1, 1) == 1
+    for n, m in ((2, 1), (4, 1), (4, 0)):
+        with pytest.raises(ZeroFactor, match=r"^b_2 = 0 in explicit$"):
+            gbinom(b, n, m)
+    assert gbinom(b, 1, 2) == 0  # above the diagonal no factorial is read
+    with pytest.raises(ZeroFactor, match=r"^b_2 = 0 in fractal\(2,0\)$"):
+        gbinom(BSequence.fractal(2, 0), 3, 1)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,14 @@
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_oracles import FractionPolynomial
+from genpascal.matrices import TriangularMatrix, build_from_c
 from genpascal.polynomials import Polynomial, geometric, mul_trunc, w_poly
+from genpascal.sequences import CSequence
+from genpascal.verify import golden_family
 
 coeff = st.integers(min_value=-5, max_value=5)
 polys = st.lists(coeff, max_size=6).map(Polynomial)
@@ -85,3 +90,76 @@ def test_coefficients_are_coerced_once():
     assert p.coeffs[0] is kept
     assert p.coeffs[2] is p.coeffs[3]  # one Fraction per distinct value
     assert all(type(c) is Fraction for c in p.coeffs)
+
+
+mixed_values = st.lists(st.one_of(coeff, fraction_coeff), max_size=8)
+scalars = st.one_of(coeff, fraction_coeff)
+
+
+def assert_same(got, want):
+    """got, a Polynomial, holds exactly the coefficients of the oracle's ``want``."""
+    assert got.coeffs == want.coeffs and got.degree == want.degree
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert repr(got) == repr(want)
+    assert got == Polynomial(want.coeffs) and hash(got) == hash(Polynomial(want.coeffs))
+
+
+@given(mixed_values, mixed_values, scalars, st.integers(0, 4), st.integers(1, 4), st.integers(-3, 9), scalars)
+def test_operations_match_the_fraction_polynomial(xs, ys, c, k, q, degree, x):
+    a, b = Polynomial(xs), Polynomial(ys)
+    fa, fb = FractionPolynomial(xs), FractionPolynomial(ys)
+    assert_same(a, fa)
+    assert_same(a + b, fa + fb)
+    assert_same(a - b, fa - fb)
+    assert_same(-a, -fa)
+    assert_same(a * b, fa * fb)
+    assert_same(a * c, fa * c)
+    assert_same(c * a, c * fa)
+    assert_same(a.shift(k), fa.shift(k))
+    assert_same(a.substitute_power(q), fa.substitute_power(q))
+    assert_same(a.truncate(degree), fa.truncate(degree))
+    # results built on the integer view feed the next operation
+    chained = (a * b + a).truncate(degree) - b.substitute_power(q)
+    assert_same(chained, (fa * fb + fa).truncate(degree) - fb.substitute_power(q))
+    assert_same((a - a) * c, (fa - fa) * c)
+    assert a.evaluate(x) == fa.evaluate(x) and type(a.evaluate(x)) is Fraction
+    assert (a == b) == (fa == fb)
+    assert [a.coefficient(n) for n in range(-1, 10)] == [fa.coefficient(n) for n in range(-1, 10)]
+
+
+def test_view_is_the_lcm_of_the_denominators():
+    # equality compares the stored views, so each of these holds only if the view is in lowest terms
+    p = Polynomial([Fraction(1, 2), Fraction(-1, 3), 1, 0])
+    assert Polynomial.from_view(6, (3, -2, 6)) == p == Polynomial.from_view(12, [6, -4, 12, 0, 0])
+    assert Polynomial.from_view(5, [0, 0]) == Polynomial() == p - p
+    assert p * Polynomial([6]) == Polynomial.from_view(1, [3, -2, 6])
+    assert p.truncate(1) == Polynomial.from_view(6, [3, -2])
+    assert p + Polynomial([Fraction(-1, 2)]) == Polynomial.from_view(3, [0, -1, 3])
+    assert Polynomial.from_view(4, [2, 2]).coeffs == (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValueError):
+        Polynomial.from_view(0, [1])
+
+
+nonzero_fraction = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9).filter(bool), st.integers(min_value=1, max_value=9)
+)
+
+
+@settings(max_examples=40)
+@given(st.lists(nonzero_fraction, max_size=12), st.booleans())
+def test_row_and_column_polys_match_the_fraction_polynomial(tail, from_values):
+    matrix = build_from_c(CSequence.explicit([1, 1, *tail]), len(tail) + 2)
+    if from_values:
+        matrix = TriangularMatrix(matrix.rows)
+    for n in range(matrix.size):
+        assert_same(matrix.row_poly(n), FractionPolynomial(matrix.rows[n]))
+        assert_same(matrix.column_poly(n), FractionPolynomial([matrix.entry(k, n) for k in range(matrix.size)]))
+
+
+def test_row_and_column_polys_of_the_golden_family():
+    # zero entries and zero trailing column entries included
+    for _, matrix in golden_family(9):
+        for n in range(matrix.size):
+            assert_same(matrix.row_poly(n), FractionPolynomial(matrix.rows[n]))
+            column = [matrix.entry(k, n) for k in range(matrix.size)]
+            assert_same(matrix.column_poly(n), FractionPolynomial(column))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracles as oracle
 import golden_matrices as gold
 from genpascal.errors import NotFractal, SizeMismatch
 from genpascal.matrices import TriangularMatrix, identity_matrix, matmul
@@ -148,6 +149,23 @@ def test_masked_convolve_general():
     b = [Fraction(1), Fraction(-1), Fraction(4), Fraction(7)] + [Fraction(0)] * 4
     product = matmul(masked_matrix(a, 2, 8), masked_matrix(b, 2, 8))
     assert masked_matrix(masked_convolve(a, b, 2, 7), 2, 8) == product
+
+
+mixed_series = st.lists(
+    st.one_of(
+        st.integers(min_value=-6, max_value=6),
+        st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=12)),
+    ),
+    max_size=14,
+)
+
+
+@given(st.sampled_from([2, 3, 4]), mixed_series, mixed_series, st.integers(min_value=-1, max_value=16))
+def test_masked_convolve_matches_the_fraction_loop(q, a, b, degree):
+    got = masked_convolve(a, b, q, degree)
+    assert got == oracle.masked_convolve(a, b, q, degree)
+    assert all(type(c) is Fraction for c in got)
+    assert masked_convolve(tuple(a), tuple(b), q, degree) == got
 
 
 def test_masked_row_all_ones():
