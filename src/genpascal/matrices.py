@@ -9,16 +9,18 @@ The stored form is the integer view: ``int_view()`` is the pair
 entries times den. The lcm makes the view unique, so a product or difference
 of numerators over the product of the dens is the exact result. The builders
 and the algebra hand their int tables to ``TriangularMatrix.from_view``, which
-stores the view and builds no Fraction; ``rows`` makes the Fractions on first
-read, one per distinct numerator. A matrix built from values keeps the
-Fractions it was given and computes its view on first use. Either form is
-cached. No raw int ever leaves the view.
+stores the view and builds no Fraction. The value constructor coerces its
+entries and stores their view too, so the view is the only stored form:
+``rows`` makes the Fractions on first read, one per distinct numerator, and
+caches them. No raw int ever leaves the view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, repeat
+from math import lcm
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
@@ -33,10 +35,11 @@ class TriangularMatrix:
     __slots__ = ("size", "_rows", "_view")
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
-        shared = SharedFractions()  # one Fraction per distinct value across the rows
-        rs = tuple(tuple([e if type(e) is Fraction else shared[e] for e in row]) for row in rows)
+        shared = SharedFractions()  # one coercion per distinct value across the rows
+        rs = [[e if type(e) is Fraction else shared[e] for e in row] for row in rows]
         _check_shape(rs)
-        object.__setattr__(self, "_rows", rs)
+        den = common_denominator(chain.from_iterable(rs))
+        object.__setattr__(self, "_view", (den, tuple(tuple(numerators(row, den)) for row in rs)))
         object.__setattr__(self, "size", len(rs))
 
     def __setattr__(self, name, value):
@@ -70,16 +73,8 @@ class TriangularMatrix:
 
     def int_view(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, int_rows): den is the lcm of the entry denominators and
-        int_rows[n][m] = den * (n,m), an int. Computed once, then cached."""
-        try:
-            return self._view
-        except AttributeError:
-            pass
-        den = common_denominator(chain.from_iterable(self._rows))
-        ints = tuple(tuple(numerators(row, den)) for row in self._rows)
-        view = (den, ints)
-        object.__setattr__(self, "_view", view)
-        return view
+        int_rows[n][m] = den * (n,m), an int. The stored form."""
+        return self._view
 
     @classmethod
     def from_fn(cls, size: int, fn: Callable[[int, int], Fraction | int]) -> "TriangularMatrix":
@@ -114,15 +109,10 @@ class TriangularMatrix:
         return TriangularMatrix.from_view(den, ints[:size])
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TriangularMatrix):
-            return False
-        try:
-            return self._view == other._view
-        except AttributeError:  # a side built from values has not computed its view
-            return self.rows == other.rows
+        return isinstance(other, TriangularMatrix) and self._view == other._view
 
     def __hash__(self):
-        return hash(self.int_view())  # the view is unique, so equal matrices hash alike
+        return hash(self._view)  # the view is unique, so equal matrices hash alike
 
     def __repr__(self):
         return f"TriangularMatrix(size={self.size})"
@@ -163,19 +153,21 @@ def pascal_rows(size: int) -> list[list[int]]:
 def build_from_c(c: CSequence, size: int) -> TriangularMatrix:
     """Matrix with entries c_m c_{n-m} / c_n.
 
-    Each c_k is read once as num_k / den_k, and each entry is one Fraction
-    (num_m num_{n-m} den_n) / (den_m den_{n-m} num_n), reduced once; a zero
-    c_n raises ZeroDivisionError.
+    Each c_k is read once as a_k / B, with B the lcm of the c denominators, so
+    over L, the lcm of the |B a_n|, entry (n,m) has the int numerator
+    a_m a_{n-m} (L / (B a_n)). A zero c_n raises ZeroDivisionError.
     """
     cs = [c[n] for n in range(size)]
-    nums = [x.numerator for x in cs]
-    dens = [x.denominator for x in cs]
-    return TriangularMatrix(
-        [
-            [Fraction(nums[m] * nums[n - m] * dens[n], dens[m] * dens[n - m] * nums[n]) for m in range(n + 1)]
-            for n in range(size)
-        ]
-    )
+    b = common_denominator(cs)
+    a = numerators(cs, b)
+    if 0 in a:
+        raise ZeroDivisionError(f"c_{a.index(0)} = 0")
+    den = lcm(*(b * x for x in a))
+    rev = a[::-1]  # rev[size - 1 - n + m] = a_{n-m}
+    rows = []
+    for n, x in enumerate(a):
+        rows.append(list(map(mul, map(mul, a[: n + 1], repeat(den // (b * x))), rev[size - 1 - n :])))
+    return TriangularMatrix.from_view(den, rows)
 
 
 def gbinom(b: BSequence, n: int, m: int) -> Fraction:
@@ -226,19 +218,18 @@ def hadamard(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
 def hadamard_product(matrices: Sequence[TriangularMatrix]) -> TriangularMatrix:
     if not matrices:
         raise ValueError("empty product")
-    acc = matrices[0]
-    for m in matrices[1:]:
-        acc = hadamard(acc, m)
-    return acc
+    return reduce(hadamard, matrices)
 
 
 def hadamard_inverse(a: TriangularMatrix) -> TriangularMatrix:
-    """Entrywise reciprocal on the lower triangle; the group inverse."""
-    for n, row in enumerate(a.rows):
-        for m, x in enumerate(row):
-            if x == 0:
-                raise ZeroEntry(f"zero entry at ({n},{m}): not invertible")
-    return TriangularMatrix([[ONE / x for x in row] for row in a.rows])
+    """Entrywise reciprocal on the lower triangle; the group inverse. Entry
+    x / den becomes den / x, put over the lcm of the numerators x."""
+    den, ints = a.int_view()
+    for n, row in enumerate(ints):
+        if 0 in row:
+            raise ZeroEntry(f"zero entry at ({n},{row.index(0)}): not invertible")
+    top = lcm(*chain.from_iterable(ints))
+    return TriangularMatrix.from_view(top, [[den * (top // x) for x in row] for row in ints])
 
 
 def subtract(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:

@@ -43,7 +43,7 @@ class SharedFractions(dict):
 
 
 # the form format_rational writes; read with int(), not the general Fraction(str) parser
-_WIRE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+WIRE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 # Fraction(str) builds 10**exponent in full, so a larger exponent (in its syntax) is
 # refused first; 10**4300 has more digits than int() reads from text by default anyway
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
@@ -56,7 +56,7 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
     try:
-        if _WIRE.fullmatch(text):
+        if WIRE.fullmatch(text):
             num, _, den = text.partition("/")
             return Fraction(int(num), int(den)) if den else Fraction(int(num))
         exponent = _EXPONENT.search(text)

@@ -18,7 +18,7 @@ from itertools import chain
 from math import lcm
 
 from .matrices import TriangularMatrix
-from .rationals import format_rational, format_rows, parse_rational
+from .rationals import WIRE, format_rational, format_rows, parse_rational
 
 
 def matrix_to_doc(
@@ -72,29 +72,32 @@ def _matrix_from_rows(rows: list[list]) -> TriangularMatrix:
 
     The matrices repeat their values heavily (symmetry, powers of phi), so each
     distinct entry is parsed once, in first-appearance order: the first bad
-    entry in row order is the one parse_rational names. A plain ASCII
-    integer is read with int(); every other form, and any entry that is not a
-    string, goes to parse_rational. The rows go to from_view over the lcm
-    of the parsed denominators: a Fraction is made only by parse_rational,
-    once per distinct entry that is not a plain integer.
+    entry in row order is the one parse_rational names. Each side of a wire
+    form ``-?digits(/digits)?`` with a nonzero denominator is read with int();
+    every other entry goes to parse_rational, the only maker of a Fraction
+    here. The rows go to from_view over the lcm of the denominators, whose
+    gcd also reduces an unreduced ``3/6``.
     """
     try:
         entries = dict.fromkeys(chain.from_iterable(rows))
     except TypeError:  # an unhashable entry: parse in row order, which stops at the first bad one
         entries = chain.from_iterable(rows)
     nums: dict[str, int] = {}
-    dens: dict[str, int] = {}  # the entries that are not integers
+    dens: dict[str, int] = {}  # the denominators of the entries that are not plain integers
     for entry in entries:
-        if type(entry) is str and entry.isascii() and entry.isdigit():
-            try:
+        try:  # int() refuses text past CPython's digit cap: parse_rational says so
+            if type(entry) is str and entry.isascii() and entry.isdigit():
                 nums[entry] = int(entry)
                 continue
-            except ValueError:  # past CPython's cap on text-to-int conversion: parse_rational says so
-                pass
+            if type(entry) is str and WIRE.fullmatch(entry):
+                num, _, den = entry.partition("/")
+                if d := int(den or 1):  # a zero denominator is parse_rational's to name
+                    nums[entry], dens[entry] = int(num), d
+                    continue
+        except ValueError:
+            pass
         value = parse_rational(entry)
-        nums[entry] = value.numerator
-        if value.denominator > 1:
-            dens[entry] = value.denominator
+        nums[entry], dens[entry] = value.numerator, value.denominator
     den = lcm(*dens.values())
     if den > 1:
         nums = {entry: n * (den // dens.get(entry, 1)) for entry, n in nums.items()}

@@ -4,20 +4,21 @@ A GPSpec names a matrix family plus parameters. ``FAMILIES`` maps each kind
 to its full-truncation constructor and, where the family has one, its
 per-entry form; the two agree bit-exactly. ``entry`` evaluates one
 coefficient straight from the description; ``materialize`` builds the full
-truncation. Hadamard specs stream per-entry products so a long factor list
-(such as the per-prime factorization of Pascal) never materializes its
-intermediates.
+truncation. A Hadamard spec materializes its factors one at a time and
+multiplies their integer views, so at most the running product and one factor
+are alive; its per-entry form multiplies the factors' entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from math import comb, prod
 from typing import Sequence
 
 from .fractal import fractal_entry, fractal_matrix
-from .matrices import TriangularMatrix, all_ones, build_from_c, pascal_rows
+from .matrices import TriangularMatrix, all_ones, build_from_c, hadamard, pascal_rows
 from .polynomials import divide_linear
 from .rationals import ONE, ZERO
 from .sequences import CSequence
@@ -84,13 +85,6 @@ def _qumbral_entry(spec: GPSpec, n: int, m: int) -> Fraction:
     return series[n - m]
 
 
-def _hadamard_entry(spec: GPSpec, n: int, m: int) -> Fraction:
-    value = ONE
-    for f in spec.factors:
-        value *= f.entry(n, m)
-    return value
-
-
 # kind -> (materialize(spec, size), entry(spec, n, m) for m <= n, or None)
 FAMILIES = {
     "pascal": (
@@ -118,8 +112,11 @@ FAMILIES = {
         lambda s, size: masked_matrix(s.a, s.q, size),
         lambda s, n, m: s.a[n - m] if n - m < len(s.a) and digit_binom(s.q, n, m) else ZERO,
     ),
-    # stream entries; factor matrices are never built
-    "hadamard": (lambda s, size: TriangularMatrix.from_fn(size, s.entry), _hadamard_entry),
+    # the product of the factors' views, built one factor at a time; no factors give all ones
+    "hadamard": (
+        lambda s, size: reduce(hadamard, (f.materialize(size) for f in s.factors), all_ones(size)),
+        lambda s, n, m: prod((f.entry(n, m) for f in s.factors), start=ONE),
+    ),
 }
 
 

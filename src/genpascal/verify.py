@@ -48,7 +48,7 @@ def suite_identities(size: int) -> Report:
 
 def lucas_check(limit: int) -> Report:
     """Digit dominance against the parity of ordinary binomials."""
-    parity = TriangularMatrix.from_fn(limit, lambda n, m: comb(n, m) % 2)
+    parity = TriangularMatrix.from_view(1, [[comb(n, m) % 2 for m in range(n + 1)] for n in range(limit)])
     return check_equal("lucas", zeroalg.sierpinski_matrix(2, limit), parity)
 
 

@@ -68,49 +68,59 @@ def sierpinski_selfsim_check(q: int, k: int) -> Report:
         raise ValueError("k must be >= 1")
     s1 = sierpinski_matrix(q, q)
     sk = sierpinski_matrix(q, q**k)
-    big = TriangularMatrix.from_fn(q ** (k + 1), lambda n, m: digit_binom(q, n, m))
+    size = q ** (k + 1)
+    big = TriangularMatrix.from_view(1, [[digit_binom(q, n, m) for m in range(n + 1)] for n in range(size)])
     return merge_reports("kron", [
         check_equal("kron", kronecker(s1, sk), big, q=q, k=k, order="coarse-first"),
         check_equal("kron", kronecker(sk, s1), big, q=q, k=k, order="fine-first"),
     ])
 
 
-def _coeff(a: Series, n: int) -> Fraction:
-    if not 0 <= n < len(a):
-        return ZERO
-    x = a[n]
-    return x if type(x) is Fraction else Fraction(x)  # the constructor's coercion rule
+def _numerators(a: Series, size: int) -> tuple[int, list[int]]:
+    """(D, x): D the lcm of the denominators of a_0..a_{size-1} and x_n = D a_n,
+    with a_n = 0 past the end of a."""
+    coeffs = [*a[:size], *repeat(0, size - len(a))]
+    den = common_denominator(coeffs)
+    return den, numerators(coeffs, den)
 
 
-def check_fractal(a: Series, q: int, degree: int) -> None:
+def check_fractal(a: Series, q: int, degree: int) -> tuple[int, list[int]]:
     """Raise NotFractal unless a_d = a_{d mod q} * a_{d div q} through ``degree``
-    (the coefficientwise form of a(x) = (sum_{n<q} a_n x^n) a(x^q)) with a_0 = 1."""
-    if _coeff(a, 0) != 1:
+    (the coefficientwise form of a(x) = (sum_{n<q} a_n x^n) a(x^q)) with a_0 = 1,
+    as x_d D = x_{d mod q} x_{d div q} on (D, x) = ``_numerators``, which it returns."""
+    den, x = _numerators(a, max(degree, 0) + 1)
+    if x[0] != den:
         raise NotFractal("a_0 must be 1")
     for d in range(q, degree + 1):
-        if _coeff(a, d) != _coeff(a, d % q) * _coeff(a, d // q):
+        if x[d] * den != x[d % q] * x[d // q]:
             raise NotFractal(f"digit-multiplicative condition fails at degree {d}")
+    return den, x
+
+
+def _extend(den: int, nums: list[int], q: int, degree: int) -> list[Fraction]:
+    """``fractal_series`` of the base block nums / den, extending nums in place."""
+    dens = [den] * len(nums)
+    for n in range(q, degree + 1):
+        nums.append(nums[n // q] * nums[n % q])
+        dens.append(dens[n // q] * den)
+    return list(map(Fraction, nums, dens))
 
 
 def fractal_series(base: Series, q: int, degree: int) -> list[Fraction]:
     """The digit-multiplicative series a_n = a_{n div q} * a_{n mod q} through
     ``degree``, extended from its base block a_0 = 1, a_1, ..., a_{q-1}."""
-    out = [Fraction(x) for x in base[: degree + 1]]
-    for n in range(q, degree + 1):
-        out.append(out[n // q] * out[n % q])
-    return out
+    return _extend(*_numerators(base, min(len(base), degree + 1)), q, degree)
 
 
 def masked_matrix(a: Series, q: int, size: int) -> TriangularMatrix:
     """Entries a_{n-m} masked by digit dominance: the rows of the
-    Sierpinski pattern times the series."""
+    Sierpinski pattern times the series, on its numerators."""
     if len(a) < size:
         raise SizeMismatch(f"need {size} series coefficients, got {len(a)}")
-    coeffs = [_coeff(a, d) for d in range(size)]
-    mask = digit_product_rows(q, size, ge)
-    return TriangularMatrix(
-        [[coeffs[n - m] if mask[n][m] else ZERO for m in range(n + 1)] for n in range(size)]
-    )
+    den, x = _numerators(a, size)
+    x.reverse()  # x[size - 1 - n + m] = D a_{n-m}
+    rows = [list(map(mul, row, x[size - 1 - n :])) for n, row in enumerate(digit_product_rows(q, size, ge))]
+    return TriangularMatrix.from_view(den, rows)
 
 
 def masked_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fraction]:
@@ -120,9 +130,8 @@ def masked_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fraction]
     Runs on the numerators over the common denominators of a and b, with the
     dominance mask built by the digit recursion: one Fraction per coefficient."""
     size = degree + 1
-    a, b = ([*s[:size], *repeat(0, size - len(s))] for s in (a, b))
-    da, db = common_denominator(a), common_denominator(b)
-    nums, rev = numerators(a, da), numerators(reversed(b), db)
+    (da, nums), (db, rev) = _numerators(a, size), _numerators(b, size)
+    rev.reverse()
     # coefficient n pairs a_m with b_{n-m}, that is with rev[degree - n + m]
     return [
         Fraction(sum(compress(map(mul, nums, rev[degree - n :]), row)), da * db)
@@ -138,19 +147,18 @@ def carryless_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fracti
     Raises NotFractal when either input fails the digit-multiplicative
     precondition through ``degree``.
     """
-    check_fractal(a, q, degree)
-    check_fractal(b, q, degree)
-    window = [
-        sum((_coeff(a, t) * _coeff(b, d - t) for t in range(d + 1)), ZERO) for d in range(min(q, degree + 1))
-    ]
-    return fractal_series(window, q, degree)
+    da, xa = check_fractal(a, q, degree)
+    db, xb = check_fractal(b, q, degree)
+    window = [sum(map(mul, xa[: d + 1], reversed(xb[: d + 1]))) for d in range(min(q, degree + 1))]
+    return _extend(da * db, window, q, degree)
 
 
 def masked_row(a: Series, q: int, n: int) -> Polynomial:
     """Row n of (a(x)|q) as the digit product of the base rows:
     u_n(x) = prod_i u_{n_i}(x**(q**i)) with u_t = sum_m a_{t-m} x**m, t < q."""
     check_fractal(a, q, n)
-    base = [Polynomial([_coeff(a, t - m) for m in range(t + 1)]) for t in range(q)]
+    den, x = _numerators(a, q)
+    base = [Polynomial.from_view(den, x[t::-1]) for t in range(q)]
     out = P_ONE
     for i, d in enumerate(digits(n, q)):
         if d:
@@ -205,7 +213,7 @@ def t_matrix(q: int, size: int) -> TriangularMatrix:
 
 def t_matrix_via_kronecker(q: int, size: int) -> TriangularMatrix:
     """Iterated Kronecker powers of the q-row Pascal block, truncated."""
-    seed = TriangularMatrix.from_fn(q, lambda n, m: Fraction(comb(n, m)))
+    seed = TriangularMatrix.from_view(1, [[comb(n, m) for m in range(n + 1)] for n in range(q)])
     acc = seed
     while acc.size < size:
         acc = kronecker(seed, acc)

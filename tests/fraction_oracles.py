@@ -5,15 +5,25 @@ it stored its coefficients as Fractions, renamed and otherwise unchanged; its
 ``__repr__`` still reads ``Polynomial([...])``. ``masked_convolve`` is the
 Fraction loop of ``genpascal.zeroalg.masked_convolve`` over ``digit_binom``,
 and ``gbinom`` the ratio of Fraction factorials.
+
+``build_from_c``, ``hadamard_inverse``, ``masked_matrix``, ``check_fractal``,
+``fractal_series`` and ``carryless_convolve`` are the library functions of
+those names as they were when they made one Fraction per entry or
+coefficient; ``materialize_hadamard`` is the Hadamard family's materialize,
+which streamed the per-entry products of the factors through ``from_fn``.
+Their matrices go through the value constructor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import ge, mul
 from typing import Iterable
 
-from genpascal.rationals import ZERO, SharedFractions, common_denominator, numerators
+from genpascal.digits import digit_product_rows
+from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry
+from genpascal.matrices import TriangularMatrix
+from genpascal.rationals import ONE, ZERO, SharedFractions, common_denominator, numerators
 from genpascal.zeroalg import digit_binom
 
 
@@ -147,3 +157,82 @@ def gbinom(b, n: int, m: int) -> Fraction:
     if m < 0 or m > n:
         return ZERO
     return factorial(b, n) / (factorial(b, m) * factorial(b, n - m))
+
+
+def build_from_c(c, size: int) -> TriangularMatrix:
+    """Matrix with entries c_m c_{n-m} / c_n.
+
+    Each c_k is read once as num_k / den_k, and each entry is one Fraction
+    (num_m num_{n-m} den_n) / (den_m den_{n-m} num_n), reduced once; a zero
+    c_n raises ZeroDivisionError.
+    """
+    cs = [c[n] for n in range(size)]
+    nums = [x.numerator for x in cs]
+    dens = [x.denominator for x in cs]
+    return TriangularMatrix(
+        [
+            [Fraction(nums[m] * nums[n - m] * dens[n], dens[m] * dens[n - m] * nums[n]) for m in range(n + 1)]
+            for n in range(size)
+        ]
+    )
+
+
+def hadamard_inverse(a: TriangularMatrix) -> TriangularMatrix:
+    """Entrywise reciprocal on the lower triangle; the group inverse."""
+    for n, row in enumerate(a.rows):
+        for m, x in enumerate(row):
+            if x == 0:
+                raise ZeroEntry(f"zero entry at ({n},{m}): not invertible")
+    return TriangularMatrix([[ONE / x for x in row] for row in a.rows])
+
+
+def materialize_hadamard(spec, size: int) -> TriangularMatrix:
+    """A Hadamard spec's truncation from its streamed per-entry products."""
+    return TriangularMatrix.from_fn(size, spec.entry)
+
+
+def check_fractal(a, q: int, degree: int) -> None:
+    """Raise NotFractal unless a_d = a_{d mod q} * a_{d div q} through ``degree``
+    (the coefficientwise form of a(x) = (sum_{n<q} a_n x^n) a(x^q)) with a_0 = 1."""
+    if _coeff(a, 0) != 1:
+        raise NotFractal("a_0 must be 1")
+    for d in range(q, degree + 1):
+        if _coeff(a, d) != _coeff(a, d % q) * _coeff(a, d // q):
+            raise NotFractal(f"digit-multiplicative condition fails at degree {d}")
+
+
+def fractal_series(base, q: int, degree: int) -> list[Fraction]:
+    """The digit-multiplicative series a_n = a_{n div q} * a_{n mod q} through
+    ``degree``, extended from its base block a_0 = 1, a_1, ..., a_{q-1}."""
+    out = [Fraction(x) for x in base[: degree + 1]]
+    for n in range(q, degree + 1):
+        out.append(out[n // q] * out[n % q])
+    return out
+
+
+def masked_matrix(a, q: int, size: int) -> TriangularMatrix:
+    """Entries a_{n-m} masked by digit dominance: the rows of the
+    Sierpinski pattern times the series."""
+    if len(a) < size:
+        raise SizeMismatch(f"need {size} series coefficients, got {len(a)}")
+    coeffs = [_coeff(a, d) for d in range(size)]
+    mask = digit_product_rows(q, size, ge)
+    return TriangularMatrix(
+        [[coeffs[n - m] if mask[n][m] else ZERO for m in range(n + 1)] for n in range(size)]
+    )
+
+
+def carryless_convolve(a, b, q: int, degree: int) -> list[Fraction]:
+    """Digit-product fast path of the masked product for fractal inputs.
+
+    Coefficient n is the product over base-q digits n_i of the ordinary
+    product coefficient [x**n_i](a*b); only the window below q is needed.
+    Raises NotFractal when either input fails the digit-multiplicative
+    precondition through ``degree``.
+    """
+    check_fractal(a, q, degree)
+    check_fractal(b, q, degree)
+    window = [
+        sum((_coeff(a, t) * _coeff(b, d - t) for t in range(d + 1)), ZERO) for d in range(min(q, degree + 1))
+    ]
+    return fractal_series(window, q, degree)

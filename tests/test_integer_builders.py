@@ -1,0 +1,203 @@
+"""The integer-view builders against the Fraction code they replaced.
+
+Each builder and series function is compared with its Fraction oracle in
+``fraction_oracles``: equal matrices, equal integer views and hashes, equal
+Fraction rows with every entry an exact Fraction, and the same error text.
+The readers' split of wire fractions is checked against parse_rational.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import fraction_oracles as oracle
+from genpascal.errors import NotFractal, ZeroEntry
+from genpascal.matrices import TriangularMatrix, build_from_c, hadamard_inverse
+from genpascal.rationals import parse_rational
+from genpascal.sequences import CSequence
+from genpascal.serialize import matrix_from_csv
+from genpascal.specs import GPSpec
+from genpascal.zeroalg import carryless_convolve, check_fractal, fractal_series, masked_matrix
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+nonzero = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9).filter(bool), st.integers(min_value=1, max_value=9)
+)
+rational = st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=12))
+# ints and Fractions mixed, as the series functions accept them
+coefficient = st.one_of(st.integers(min_value=-5, max_value=5), rational)
+
+
+def assert_same_matrix(got: TriangularMatrix, want: TriangularMatrix) -> None:
+    assert got == want
+    assert got.int_view() == want.int_view()
+    assert hash(got) == hash(want)
+    assert got.rows == want.rows
+    assert all(type(e) is Fraction for row in got.rows for e in row)
+
+
+def assert_same_series(got: list, want: list) -> None:
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (NotFractal, ZeroDivisionError, ZeroEntry) as exc:
+        return type(exc), str(exc)
+
+
+def raised(fn, *args):
+    """The type and text of the error fn(*args) raises, or None."""
+    got = outcome(fn, *args)
+    return got if isinstance(got, tuple) and isinstance(got[0], type) else None
+
+
+def c_sequence(values: list) -> CSequence:
+    return CSequence("listed", values.__getitem__)
+
+
+@SETTINGS
+@given(st.lists(nonzero, max_size=14))
+@example([])
+@example([Fraction(-3, 7)])
+def test_build_from_c_matches_the_oracle_on_signed_sequences(values):
+    c = c_sequence(values)
+    for size in range(len(values) + 1):
+        assert_same_matrix(build_from_c(c, size), oracle.build_from_c(c, size))
+
+
+@SETTINGS
+@given(st.lists(nonzero, min_size=1, max_size=8), st.data())
+def test_build_from_c_zero_coefficient_raises_like_the_oracle(values, data):
+    values.insert(data.draw(st.integers(min_value=0, max_value=len(values))), Fraction(0))
+    c = c_sequence(values)
+    for size in range(len(values) + 1):
+        try:
+            want = oracle.build_from_c(c, size)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                build_from_c(c, size)
+        else:
+            assert_same_matrix(build_from_c(c, size), want)
+
+
+@SETTINGS
+@given(st.lists(nonzero, max_size=12), st.data())
+def test_hadamard_inverse_matches_the_oracle(values, data):
+    matrix = build_from_c(c_sequence(values), len(values))
+    if values and data.draw(st.booleans()):  # a zero entry makes both refuse
+        n = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+        m = data.draw(st.integers(min_value=0, max_value=n))
+        den, ints = matrix.int_view()
+        rows = [list(row) for row in ints]
+        rows[n][m] = 0
+        matrix = TriangularMatrix.from_view(den, rows)
+    want = outcome(oracle.hadamard_inverse, matrix)
+    got = outcome(hadamard_inverse, matrix)
+    if isinstance(want, TriangularMatrix):
+        assert_same_matrix(got, want)
+    else:
+        assert got == want
+
+
+@SETTINGS
+@given(st.lists(coefficient, max_size=20), st.sampled_from([2, 3, 4]))
+@example([], 2)
+@example([Fraction(1, 2)], 3)
+def test_masked_matrix_matches_the_oracle(series, q):
+    for size in range(len(series) + 1):
+        assert_same_matrix(masked_matrix(series, q, size), oracle.masked_matrix(series, q, size))
+
+
+factor_specs = st.one_of(
+    st.builds(GPSpec.phiq, rational, st.integers(min_value=2, max_value=5)),
+    st.builds(GPSpec.fractal, rational, st.integers(min_value=2, max_value=4)),
+    st.builds(
+        lambda c: GPSpec.from_c(CSequence.explicit([1, 1, *c])), st.lists(nonzero, min_size=10, max_size=10)
+    ),
+    st.builds(GPSpec.masked, st.lists(coefficient, min_size=12, max_size=12), st.sampled_from([2, 3, 4])),
+    st.builds(GPSpec.tmatrix, st.integers(min_value=2, max_value=4)),
+)
+
+
+@SETTINGS
+@given(st.lists(factor_specs, max_size=4), st.integers(min_value=0, max_value=12))
+@example([], 0)
+@example([], 5)
+def test_hadamard_family_matches_the_streamed_oracle(factors, size):
+    spec = GPSpec.hadamard(factors)
+    assert_same_matrix(spec.materialize(size), oracle.materialize_hadamard(spec, size))
+
+
+@SETTINGS
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.lists(coefficient, min_size=3, max_size=3),
+    st.integers(min_value=0, max_value=40),
+)
+@example(2, [1, 1, 1], 0)
+@example(3, [1, Fraction(1, 2), 1], 1)
+def test_fractal_series_matches_the_oracle(q, tail, degree):
+    base = [1, *tail[: q - 1]]
+    assert_same_series(fractal_series(base, q, degree), oracle.fractal_series(base, q, degree))
+
+
+def fractal_inputs(q, tail, degree):
+    """A fractal series through ``degree`` from a mixed-denominator base block."""
+    return oracle.fractal_series([1, *tail[: q - 1]], q, degree)
+
+
+@SETTINGS
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.lists(coefficient, min_size=3, max_size=3),
+    st.lists(coefficient, min_size=3, max_size=3),
+    st.integers(min_value=0, max_value=30),
+    st.data(),
+)
+def test_carryless_convolve_and_check_fractal_match_the_oracles(q, ta, tb, degree, data):
+    a, b = fractal_inputs(q, ta, degree), fractal_inputs(q, tb, degree)
+    if data.draw(st.booleans()):  # a non-fractal series: both name the same degree
+        at = data.draw(st.integers(min_value=0, max_value=degree))
+        a[at] += data.draw(st.sampled_from([1, Fraction(-1, 3)]))
+    if data.draw(st.booleans()):  # a short series reads as zeros past its end
+        b = b[: data.draw(st.integers(min_value=0, max_value=degree + 1))]
+    for series in (a, b):
+        assert raised(check_fractal, series, q, degree) == raised(oracle.check_fractal, series, q, degree)
+    got = outcome(carryless_convolve, a, b, q, degree)
+    want = outcome(oracle.carryless_convolve, a, b, q, degree)
+    if isinstance(want, list):
+        assert_same_series(got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_series_functions_at_degrees_zero_and_one(degree):
+    a, b = [1, Fraction(-2, 3)], [Fraction(1), Fraction(5, 4)]
+    for q in (2, 3):
+        assert_same_series(carryless_convolve(a, b, q, degree), oracle.carryless_convolve(a, b, q, degree))
+        assert_same_series(fractal_series(a, q, degree), oracle.fractal_series(a, q, degree))
+    with pytest.raises(NotFractal, match="a_0 must be 1"):
+        check_fractal([Fraction(1, 2)], 2, degree)
+
+
+def test_reader_reduces_unreduced_wire_fractions():
+    m = matrix_from_csv("3/6\n-4/8,10/5\n0/7,6/4,-0/3\n")
+    assert m.int_view() == (2, ((1,), (-1, 4), (0, 3, 0)))
+    assert m.rows == ((Fraction(1, 2),), (Fraction(-1, 2), 2), (0, Fraction(3, 2), 0))
+
+
+@pytest.mark.parametrize("entry", ["1/0", "-7/00", "3/-2", "--3/2", "1/" + "3" * 4400, "3" * 4400 + "/7"])
+def test_reader_leaves_other_fraction_forms_to_parse_rational(entry):
+    with pytest.raises(ValueError) as want:
+        parse_rational(entry)
+    with pytest.raises(ValueError) as got:
+        matrix_from_csv(f"{entry}\n")
+    assert str(got.value) == str(want.value)

@@ -88,7 +88,7 @@ def test_entries_are_exactly_fractions():
     m = TriangularMatrix([[1], [True, False], [kept, 2, Fraction(5)]])
     assert all(type(e) is Fraction for row in m.rows for e in row)
     assert m.rows[1] == (1, 0)
-    assert m.entry(2, 0) is kept
+    assert m.entry(2, 0) == kept
 
 
 def algebra_inputs(size):

@@ -102,7 +102,7 @@ def test_masked_matrix_cases():
 def test_masked_matrix_keeps_the_series_fractions():
     a = [Fraction(1), Fraction(-2, 3), Fraction(5, 4), 7]
     m = masked_matrix(a, 2, 4)
-    assert m.entry(3, 1) is a[2] and m.entry(2, 1) == 0 and m.entry(3, 0) == 7
+    assert m.entry(3, 1) == a[2] and m.entry(2, 1) == 0 and m.entry(3, 0) == 7
     assert all(type(e) is Fraction for row in m.rows for e in row)
 
 
