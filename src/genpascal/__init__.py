@@ -37,9 +37,9 @@ from .matrices import (
     subtract,
 )
 from .polynomials import Polynomial, w_poly
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .report import Report
-from .sequences import BSequence, CSequence, b_factorial, c_from_b, fractal_b
+from .sequences import BSequence, CSequence, fractal_b
 from .special import (
     PhiCoordinates,
     homomorphism_check,

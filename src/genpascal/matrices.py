@@ -9,24 +9,24 @@ The stored form is the integer view: ``int_view()`` is the pair
 entries times den. The lcm makes the view unique, so a product or difference
 of numerators over the product of the dens is the exact result. The builders
 and the algebra hand their int tables to ``TriangularMatrix.from_view``, which
-stores the view and builds no Fraction. The value constructor coerces its
-entries and stores their view too, so the view is the only stored form:
-``rows`` makes the Fractions on first read, one per distinct numerator, and
-caches them. No raw int ever leaves the view.
+stores the view and builds no Fraction. The value constructor stores the
+view that ``rationals.to_view`` makes of its entries, so the view is the only
+stored form: ``rows`` makes the Fractions on first read, one per distinct
+numerator, and caches them. No raw int ever leaves the view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import lcm
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import SizeMismatch, ZeroEntry, ZeroFactor
 from .polynomials import Polynomial
-from .rationals import ONE, ZERO, SharedFractions, common_denominator, lowest_view, numerators
+from .rationals import ONE, ZERO, SharedFractions, lowest_view, to_view
 from .report import Report
 from .sequences import BSequence, CSequence
 
@@ -35,11 +35,11 @@ class TriangularMatrix:
     __slots__ = ("size", "_rows", "_view")
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
-        shared = SharedFractions()  # one coercion per distinct value across the rows
-        rs = [[e if type(e) is Fraction else shared[e] for e in row] for row in rows]
+        rs = list(map(list, rows))
+        den, ints = to_view(chain.from_iterable(rs))  # every entry is coerced before the shape check
         _check_shape(rs)
-        den = common_denominator(chain.from_iterable(rs))
-        object.__setattr__(self, "_view", (den, tuple(tuple(numerators(row, den)) for row in rs)))
+        it = iter(ints)
+        object.__setattr__(self, "_view", (den, tuple(tuple(islice(it, len(row))) for row in rs)))
         object.__setattr__(self, "size", len(rs))
 
     def __setattr__(self, name, value):
@@ -87,10 +87,6 @@ class TriangularMatrix:
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         return self.rows[n]
-
-    def column(self, m: int) -> tuple[Fraction, ...]:
-        """Entries (m,m)..(N-1,m), the stored part of column m."""
-        return tuple(self.rows[n][m] for n in range(m, self.size))
 
     def row_poly(self, n: int) -> Polynomial:
         """Row generating polynomial, x**m weighted by column index m."""
@@ -157,9 +153,7 @@ def build_from_c(c: CSequence, size: int) -> TriangularMatrix:
     over L, the lcm of the |B a_n|, entry (n,m) has the int numerator
     a_m a_{n-m} (L / (B a_n)). A zero c_n raises ZeroDivisionError.
     """
-    cs = [c[n] for n in range(size)]
-    b = common_denominator(cs)
-    a = numerators(cs, b)
+    b, a = to_view(c[n] for n in range(size))
     if 0 in a:
         raise ZeroDivisionError(f"c_{a.index(0)} = 0")
     den = lcm(*(b * x for x in a))

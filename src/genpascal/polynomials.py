@@ -6,7 +6,7 @@ times the coefficient of x**k, with trailing zeros stripped, so the view is
 unique and equal polynomials have equal views. Sums, products, shifts,
 substitutions and truncations run on the ints and divide out one gcd at the
 end; ``coeffs`` makes the exact Fractions on first read, one per distinct
-numerator. A polynomial built from values keeps the Fractions it was given.
+numerator. A polynomial built from values stores only their view, too.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .rationals import ONE, ZERO, SharedFractions, common_denominator, lowest_view, numerators
+from .rationals import ONE, ZERO, SharedFractions, lowest_view, to_view
 
 
 class Polynomial:
@@ -27,13 +27,10 @@ class Polynomial:
     __slots__ = ("_view", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        shared = SharedFractions()
-        cs = [c if type(c) is Fraction else shared[c] for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        den = common_denominator(cs)
-        object.__setattr__(self, "_view", (den, tuple(numerators(cs, den))))
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        den, ints = to_view(coeffs)
+        while ints and not ints[-1]:  # a zero has denominator 1, so den stays the lcm
+            ints.pop()
+        object.__setattr__(self, "_view", (den, tuple(ints)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")

@@ -17,33 +17,33 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def to_view(values: Iterable) -> tuple[int, list[int]]:
+    """The integer view (den, ints) that matrices and polynomials store: den is the lcm
+    of the denominators and ints[k] = den * values[k]. Ints and Fractions are read as they
+    are; anything else (a bool, a Fraction subclass, ``"3/2"``) goes through ``Fraction()``."""
+    vs = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
+    den = lcm(*{v.denominator for v in vs})
+    return den, [v.numerator * (den // v.denominator) for v in vs]
+
+
 class SharedFractions(dict):
-    """Maps each distinct numerator x to one exact Fraction x / den, built on
-    first lookup (den = 1 by default).
+    """Maps each distinct numerator x of a view over den to one exact Fraction
+    x / den, built on first lookup. 0 and den map to ZERO and ONE, so equal
+    objects built apart share those entries and compare by identity first."""
 
-    The coercion rule of the matrix and polynomial constructors: an exact
-    Fraction passes through (re-wrapping costs a full construction), and
-    anything else (an int, a bool, a Fraction subclass) is looked up here.
-    0 and den map to ZERO and ONE, so equal objects built apart share those
-    entries and compare by identity first."""
-
-    def __init__(self, den: int = 1):
+    def __init__(self, den: int):
         super().__init__({0: ZERO, den: ONE})
         self.den = den
 
-    def __missing__(self, value):
-        self[value] = shared = Fraction(value) if self.den == 1 else Fraction(value, self.den)
+    def __missing__(self, x: int) -> Fraction:
+        self[x] = shared = Fraction(x, self.den)
         return shared
 
 
-# the form format_rational writes; read with int(), not the general Fraction(str) parser
-WIRE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 # Fraction(str) builds 10**exponent in full, so a larger exponent (in its syntax) is
 # refused first; 10**4300 has more digits than int() reads from text by default anyway
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
@@ -56,9 +56,6 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
     try:
-        if WIRE.fullmatch(text):
-            num, _, den = text.partition("/")
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         exponent = _EXPONENT.search(text)
         if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
             raise ValueError(f"exponent in {text!r} exceeds {MAX_EXPONENT} in absolute value")
@@ -100,18 +97,6 @@ def format_rows(den: int, rows: Iterable[Iterable[int]]) -> list[list[str]]:
 def _too_long_to_print() -> str:
     limit = sys.get_int_max_str_digits()
     return f"an entry has more than {limit} digits, more than the JSON/CSV writers can print"
-
-
-def common_denominator(values: Iterable[Fraction]) -> int:
-    """The lcm of the denominators of exact Fractions, 1 for none."""
-    return lcm(*{v.denominator for v in values})
-
-
-def numerators(values: Iterable[Fraction], den: int) -> list[int]:
-    """Each value times ``den`` as an int; ``den`` must be a common denominator."""
-    if den == 1:
-        return [v.numerator for v in values]
-    return [v.numerator * (den // v.denominator) for v in values]
 
 
 def lowest_view(den: int, rows: Sequence[Sequence[int]]) -> tuple[int, Sequence[Sequence[int]]]:

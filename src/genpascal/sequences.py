@@ -102,16 +102,6 @@ class BSequence:
         return num, den
 
 
-def b_factorial(b: BSequence, n: int) -> Fraction:
-    """Generalized factorial of b at n."""
-    return b.factorial(n)
-
-
-def c_from_b(b: BSequence, n: int) -> Fraction:
-    """Series coefficient 1 / b_n! (normalization c_1 = 1)."""
-    return ONE / b.factorial(n)
-
-
 class CSequence:
     """Memoized series coefficients c_n with c_0 = c_1 = 1 and c_n != 0."""
 
@@ -130,7 +120,7 @@ class CSequence:
 
     @classmethod
     def from_b(cls, b: BSequence) -> "CSequence":
-        return cls(f"from_b({b.kind})", lambda n: c_from_b(b, n))
+        return cls(f"from_b({b.kind})", lambda n: ONE / b.factorial(n))
 
     @classmethod
     def phi_q(cls, phi: Fraction | int, q: int) -> "CSequence":

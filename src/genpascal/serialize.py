@@ -13,12 +13,15 @@ neither makes a Fraction per entry.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 
 from .matrices import TriangularMatrix
-from .rationals import WIRE, format_rational, format_rows, parse_rational
+from .rationals import format_rational, format_rows, parse_rational
+
+_WIRE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def matrix_to_doc(
@@ -89,7 +92,7 @@ def _matrix_from_rows(rows: list[list]) -> TriangularMatrix:
             if type(entry) is str and entry.isascii() and entry.isdigit():
                 nums[entry] = int(entry)
                 continue
-            if type(entry) is str and WIRE.fullmatch(entry):
+            if type(entry) is str and _WIRE.fullmatch(entry):
                 num, _, den = entry.partition("/")
                 if d := int(den or 1):  # a zero denominator is parse_rational's to name
                     nums[entry], dens[entry] = int(num), d

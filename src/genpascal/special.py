@@ -55,10 +55,6 @@ class PhiCoordinates:
 
     betas: dict[int, Fraction]
 
-    @property
-    def max_modulus(self) -> int:
-        return max(self.betas) if self.betas else 1
-
     def recompose(self, size: int) -> TriangularMatrix:
         """Hadamard product of the mask matrices over all stored moduli; with
         no moduli it is the all-ones triangle.

@@ -22,7 +22,7 @@ from .digits import digit_product_rows, digits
 from .errors import NotFractal, SizeMismatch
 from .matrices import TriangularMatrix, build_from_c, hadamard, matmul
 from .polynomials import P_ONE, Polynomial, w_poly
-from .rationals import ZERO, common_denominator, numerators
+from .rationals import ZERO, to_view
 from .report import Report, check_equal, merge_reports
 from .sequences import CSequence
 
@@ -77,11 +77,8 @@ def sierpinski_selfsim_check(q: int, k: int) -> Report:
 
 
 def _numerators(a: Series, size: int) -> tuple[int, list[int]]:
-    """(D, x): D the lcm of the denominators of a_0..a_{size-1} and x_n = D a_n,
-    with a_n = 0 past the end of a."""
-    coeffs = [*a[:size], *repeat(0, size - len(a))]
-    den = common_denominator(coeffs)
-    return den, numerators(coeffs, den)
+    """(D, x) = to_view of a_0..a_{size-1}, with a_n = 0 past the end of a."""
+    return to_view([*a[:size], *repeat(0, size - len(a))])
 
 
 def check_fractal(a: Series, q: int, degree: int) -> tuple[int, list[int]]:

@@ -12,19 +12,38 @@ those names as they were when they made one Fraction per entry or
 coefficient; ``materialize_hadamard`` is the Hadamard family's materialize,
 which streamed the per-entry products of the factors through ``from_fn``.
 Their matrices go through the value constructor.
+
+``value_form`` writes a value as one of the other inputs the value
+constructors coerce through ``Fraction()``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import ge, mul
 from typing import Iterable
 
 from genpascal.digits import digit_product_rows
 from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry
 from genpascal.matrices import TriangularMatrix
-from genpascal.rationals import ONE, ZERO, SharedFractions, common_denominator, numerators
+from genpascal.rationals import ONE, ZERO
 from genpascal.zeroalg import digit_binom
+
+
+class FractionSubclass(Fraction):
+    pass
+
+
+def value_form(value: Fraction, pick: int):
+    """``value`` as a Fraction subclass, its text, its unreduced text, or
+    an int or bool where it is one; ``pick`` chooses the form."""
+    forms = [FractionSubclass(value), str(value), f"{2 * value.numerator}/{2 * value.denominator}"]
+    if value.denominator == 1:
+        forms.append(int(value))
+        if value in (0, 1):
+            forms.append(bool(value))
+    return forms[pick % len(forms)]
 
 
 class FractionPolynomial:
@@ -37,8 +56,7 @@ class FractionPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        shared = SharedFractions()
-        cs = [c if type(c) is Fraction else shared[c] for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -85,8 +103,9 @@ class FractionPolynomial:
             return FractionPolynomial(c * other for c in self.coeffs)
         if not self.coeffs or not other.coeffs:
             return FractionPolynomial()
-        da, db = common_denominator(self.coeffs), common_denominator(other.coeffs)
-        a, rb = numerators(self.coeffs, da), numerators(reversed(other.coeffs), db)
+        da, db = lcm(*(c.denominator for c in self.coeffs)), lcm(*(c.denominator for c in other.coeffs))
+        a = [c.numerator * (da // c.denominator) for c in self.coeffs]
+        rb = [c.numerator * (db // c.denominator) for c in reversed(other.coeffs)]
         # coefficient k pairs a_i with b_{k-i}, that is with rb[last - k + i]
         last = len(rb) - 1
         out = [

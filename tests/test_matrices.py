@@ -501,8 +501,11 @@ def test_from_view_scaled_unscaled_and_from_values_agree(den, rows, k):
     values = TriangularMatrix([[Fraction(x, den) for x in row] for row in rows])
     plain = TriangularMatrix.from_view(den, rows)
     scaled = TriangularMatrix.from_view(k * den, [[k * x for x in row] for row in rows])
+    coerced = TriangularMatrix(
+        [[oracle.value_form(Fraction(x, den), k + n + m) for m, x in enumerate(row)] for n, row in enumerate(rows)]
+    )
     view = values.int_view()
-    for m in (plain, scaled):
+    for m in (plain, scaled, coerced):
         assert m == values and values == m
         assert m.int_view() == view
         assert hash(m) == hash(values)

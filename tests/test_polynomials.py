@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracles import FractionPolynomial
+from fraction_oracles import FractionPolynomial, FractionSubclass, value_form
 from genpascal.matrices import TriangularMatrix, build_from_c
 from genpascal.polynomials import Polynomial, geometric, mul_trunc, w_poly
 from genpascal.sequences import CSequence
@@ -87,7 +87,6 @@ def test_product_coefficients_are_exactly_fractions():
 def test_coefficients_are_coerced_once():
     kept = Fraction(-3, 7)
     p = Polynomial([kept, True, 2, 2])
-    assert p.coeffs[0] is kept
     assert p.coeffs[2] is p.coeffs[3]  # one Fraction per distinct value
     assert all(type(c) is Fraction for c in p.coeffs)
 
@@ -109,6 +108,7 @@ def test_operations_match_the_fraction_polynomial(xs, ys, c, k, q, degree, x):
     a, b = Polynomial(xs), Polynomial(ys)
     fa, fb = FractionPolynomial(xs), FractionPolynomial(ys)
     assert_same(a, fa)
+    assert_same(Polynomial(value_form(Fraction(v), k + i) for i, v in enumerate(xs)), fa)
     assert_same(a + b, fa + fb)
     assert_same(a - b, fa - fb)
     assert_same(-a, -fa)
@@ -131,6 +131,7 @@ def test_view_is_the_lcm_of_the_denominators():
     # equality compares the stored views, so each of these holds only if the view is in lowest terms
     p = Polynomial([Fraction(1, 2), Fraction(-1, 3), 1, 0])
     assert Polynomial.from_view(6, (3, -2, 6)) == p == Polynomial.from_view(12, [6, -4, 12, 0, 0])
+    assert Polynomial([FractionSubclass(1, 2), "-2/6", True, False]) == p
     assert Polynomial.from_view(5, [0, 0]) == Polynomial() == p - p
     assert p * Polynomial([6]) == Polynomial.from_view(1, [3, -2, 6])
     assert p.truncate(1) == Polynomial.from_view(6, [3, -2])

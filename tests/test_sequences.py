@@ -5,23 +5,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genpascal.errors import ZeroFactor
-from genpascal.sequences import BSequence, CSequence, b_factorial, c_from_b, fractal_b
+from genpascal.sequences import BSequence, CSequence, fractal_b
 
 
 def test_ordinary_factorial():
     b = BSequence.naturals()
-    assert b_factorial(b, 5) == 120
-    assert b_factorial(b, 0) == 1
+    assert b.factorial(5) == 120
+    assert b.factorial(0) == 1
 
 
 def test_fractal_factorial():
-    assert b_factorial(BSequence.fractal(2, 2), 8) == 128  # 2**7
+    assert BSequence.fractal(2, 2).factorial(8) == 128  # 2**7
 
 
 def test_c_from_b():
-    assert c_from_b(BSequence.fractal(2, 2), 20) == Fraction(1, 2**18)
-    assert c_from_b(BSequence.naturals(), 4) == Fraction(1, 24)
-    assert c_from_b(BSequence.fractal(3, 3), 0) == 1
+    assert CSequence.from_b(BSequence.fractal(2, 2))[20] == Fraction(1, 2**18)
+    assert CSequence.from_b(BSequence.naturals())[4] == Fraction(1, 24)
+    assert CSequence.from_b(BSequence.fractal(3, 3))[0] == 1
 
 
 def test_fractal_b_values():
@@ -42,7 +42,7 @@ def test_zero_kind_raises():
 
 def test_explicit_validation():
     b = BSequence.explicit([0, 1, 5, 3])
-    assert b_factorial(b, 3) == 15
+    assert b.factorial(3) == 15
     with pytest.raises(ValueError):
         BSequence.explicit([1, 2])
     with pytest.raises(IndexError):
