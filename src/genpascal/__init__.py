@@ -26,14 +26,12 @@ from .matrices import (
     all_ones,
     build_from_c,
     gbinom,
-    gbinom_via_recurrence,
     hadamard,
     hadamard_inverse,
     hadamard_product,
     identity_check,
     identity_matrix,
     matmul,
-    pascal_convolve,
     subtract,
 )
 from .polynomials import Polynomial, w_poly

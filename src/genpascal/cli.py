@@ -78,19 +78,12 @@ def _write(text: str, path: str | None) -> None:
 
 def cmd_gen(args) -> int:
     matrix, phi = build_matrix(args)
-    if args.format == "json":
-        text = matrix_to_json(matrix, args.kind, args.q, phi)
-    elif args.format == "csv":
-        text = matrix_to_csv(matrix)
-    else:
-        raise ConfigError("gen supports --format json or csv")
+    text = matrix_to_json(matrix, args.kind, args.q, phi) if args.format == "json" else matrix_to_csv(matrix)
     _write(text, args.output)
     return 0
 
 
 def cmd_eval(args) -> int:
-    if args.kind != "fractal":
-        raise ConfigError("eval supports --kind fractal only")
     q = _require_q(args)
     if args.m > args.n:
         print("0")
@@ -149,8 +142,6 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if args.format != "pbm":
-        raise ConfigError("export supports --format pbm")
     matrix, _ = build_matrix(args)
     _write(matrix_to_pbm(matrix), args.output)
     return 0

@@ -7,11 +7,13 @@ only moduli q**k <= N can contribute, because q**k > n forces
 n mod q**k = n >= m = m mod q**k. The finite product is therefore exact, not
 an approximation.
 
-The count obeys the digit recursion that the fast paths follow. Write
-n = q n' + i and m = q m' + j with 0 <= i, j < q. If i >= j, the counts of
-(n, m) and (n', m') are equal. If i < j, the count of (n, m) is
-1 + v_q(m' + 1) plus that of (n', m' + 1), where v_q is the q-adic valuation.
-So row n of the family follows from row n div q with O(1) work per entry.
+The count obeys a digit recursion. Write n = q n' + i and m = q m' + j with
+0 <= i, j < q. If i >= j, the counts of (n, m) and (n', m') are equal. If
+i < j, the count of (n, m) is 1 + v_q(m' + 1) plus that of (n', m' + 1),
+where v_q is the q-adic valuation. ``digits.carry_count_rows`` follows it, so
+row n of the family follows from row n div q with O(1) work per entry. A
+single entry needs no recursion: it is phi ** carry_count(q, n, m), and the
+weight-q entry is q ** carry_count(q, n, m).
 """
 
 from __future__ import annotations
@@ -75,25 +77,14 @@ def fractal_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
 
 
 def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
-    """Entry (n,m) of the weight-q fractal matrix in O(digit count) steps.
-
-    Peels the lowest base-q digit per step: with n = q n' + i, m = q m' + j,
-    the i >= j case contributes factor 1 and recurses on (n', m'); the i < j
-    case contributes b_{m'+1} * q (the b_{m+1} form, which never underflows)
-    and recurses on (n', m'+1). Agrees with the factorial ratio everywhere.
-    """
+    """Entry (n,m) of the weight-q fractal matrix: q ** carry_count(q, n, m),
+    in O(digit count) steps. By Kummer's theorem, for prime q this is the
+    q-part of C(n, m); it agrees with the factorial ratio for every q."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if m < 0 or m > n:
         return ZERO
-    value = 1
-    while m != 0 and m != n:
-        n, i = divmod(n, q)
-        m, j = divmod(m, q)
-        if i < j:
-            m += 1
-            value *= q * q ** valuation(m, q)
-    return Fraction(value)
+    return Fraction(q ** carry_count(q, n, m))
 
 
 def fractal_row(q: int, n: int) -> Polynomial:
@@ -115,23 +106,20 @@ def fractal_row(q: int, n: int) -> Polynomial:
 def fractal_column(q: int, n: int, size: int) -> Polynomial:
     """Column n of the weight-q fractal matrix truncated at degree size-1,
     built from g_{qn+m} = x^m w_{q-1-m}(x) g_n(x^q) + q b_{n+1} w_{m-1}(x) g_{n+1}(x^q),
-    seeded by direct evaluation for n < q."""
-    return _column(q, n, size - 1)
-
-
-def _column(q: int, n: int, degree: int) -> Polynomial:
-    if degree < 0:
+    seeded by direct evaluation for n < q. The inner columns are needed only
+    through degree (size-1) div q."""
+    if size < 1:
         return P_ZERO
     if n < q:
-        return Polynomial.from_view(1, [fast_gbinom_fractal(q, k, n).numerator for k in range(degree + 1)])
+        return Polynomial.from_view(1, [fast_gbinom_fractal(q, k, n).numerator for k in range(size)])
     n1, m = divmod(n, q)
-    inner = _column(q, n1, degree // q).substitute_power(q)
-    term = (w_poly(q - 1 - m) * inner).shift(m)
+    inner = (size - 1) // q + 1
+    term = (w_poly(q - 1 - m) * fractal_column(q, n1, inner).substitute_power(q)).shift(m)
     lead = w_poly(m - 1)
     if not lead.is_zero():
         bn = q ** valuation(n1 + 1, q)
-        term = term + (q * bn) * lead * _column(q, n1 + 1, degree // q).substitute_power(q)
-    return term.truncate(degree)
+        term = term + (q * bn) * lead * fractal_column(q, n1 + 1, inner).substitute_power(q)
+    return term.truncate(size - 1)
 
 
 def _primes_upto(n: int) -> list[int]:

@@ -22,11 +22,11 @@ from functools import reduce
 from itertools import chain, islice, repeat
 from math import lcm
 from operator import add, mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import SizeMismatch, ZeroEntry, ZeroFactor
+from .errors import SizeMismatch, ZeroEntry
 from .polynomials import Polynomial
-from .rationals import ONE, ZERO, SharedFractions, lowest_view, to_view
+from .rationals import ZERO, SharedFractions, lowest_view, to_view
 from .report import Report
 from .sequences import BSequence, CSequence
 
@@ -76,17 +76,10 @@ class TriangularMatrix:
         int_rows[n][m] = den * (n,m), an int. The stored form."""
         return self._view
 
-    @classmethod
-    def from_fn(cls, size: int, fn: Callable[[int, int], Fraction | int]) -> "TriangularMatrix":
-        return cls([[fn(n, m) for m in range(n + 1)] for n in range(size)])
-
     def entry(self, n: int, m: int) -> Fraction:
         if m > n:
             return ZERO
         return self.rows[n][m]
-
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        return self.rows[n]
 
     def row_poly(self, n: int) -> Polynomial:
         """Row generating polynomial, x**m weighted by column index m."""
@@ -101,6 +94,8 @@ class TriangularMatrix:
     def truncate(self, size: int) -> "TriangularMatrix":
         if size > self.size:
             raise SizeMismatch(f"cannot grow {self.size} to {size}")
+        if size < 0:
+            raise SizeMismatch(f"cannot truncate to a negative size {size}")
         den, ints = self.int_view()
         return TriangularMatrix.from_view(den, ints[:size])
 
@@ -176,28 +171,6 @@ def gbinom(b: BSequence, n: int, m: int) -> Fraction:
     num_m, den_m = b.factorial_pair(m)
     num_k, den_k = b.factorial_pair(n - m)
     return Fraction(num * den_m * den_k, den * num_m * num_k)
-
-
-def gbinom_via_recurrence(b: BSequence, n: int, m: int) -> Fraction:
-    """Same value as gbinom, built by dynamic programming on the addition rule
-    C(n,m) = C(n-1,m-1) + (b_n - b_m)/b_{n-m} * C(n-1,m)."""
-    if m < 0 or m > n:
-        return ZERO
-    prev = [ONE]
-    for k in range(1, n + 1):
-        row = [ONE]
-        top = min(k, m)
-        for j in range(1, top + 1):
-            left = prev[j - 1]
-            if j == k:
-                row.append(left)
-                continue
-            term = b[k - j]
-            if term == 0:
-                raise ZeroFactor(f"b_{k - j} = 0 in {b.kind}")
-            row.append(left + (b[k] - b[j]) / term * prev[j])
-        prev = row
-    return prev[m]
 
 
 def hadamard(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
@@ -284,15 +257,4 @@ def identity_check(a: TriangularMatrix, suite: str = "identities") -> Report:
                     )
                 checked += n + 1
     return Report(suite, True, None, checked)
-
-
-def pascal_convolve(a: TriangularMatrix, f: Polynomial, g: Polynomial) -> Polynomial:
-    """Product in the series algebra attached to the matrix:
-    coefficient n of the result is sum_m (n,m) f_m g_{n-m}, for n < size."""
-    if f.degree >= a.size or g.degree >= a.size:
-        raise SizeMismatch("inputs must have degree < matrix size")
-    out = []
-    for n in range(a.size):
-        out.append(sum((a.rows[n][m] * f.coefficient(m) * g.coefficient(n - m) for m in range(n + 1)), ZERO))
-    return Polynomial(out)
 

@@ -132,14 +132,7 @@ class Polynomial:
     def truncate(self, degree: int) -> "Polynomial":
         """Drop terms of degree > ``degree``."""
         den, ints = self._view
-        return Polynomial.from_view(den, ints[: degree + 1])
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        den, ints = self._view
-        acc = 0
-        for c in reversed(ints):
-            acc = acc * x + c
-        return Fraction(acc, den)
+        return Polynomial.from_view(den, ints[: max(degree + 1, 0)])
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -170,14 +163,6 @@ def mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], degree: int) -> list
         if x:
             for j, y in enumerate(b[: degree + 1 - i]):
                 out[i + j] += x * y
-    return out
-
-
-def geometric(ratio: Fraction, degree: int) -> list[Fraction]:
-    """Coefficients of 1/(1 - ratio*x) through ``degree``."""
-    out = [ONE]
-    for _ in range(degree):
-        out.append(out[-1] * ratio)
     return out
 
 

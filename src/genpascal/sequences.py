@@ -60,11 +60,6 @@ class BSequence:
 
         return cls("explicit", fn, zero_kind=any(v == 0 for v in vals[1:]))
 
-    @classmethod
-    def from_c(cls, c: "CSequence") -> "BSequence":
-        # First column of the matrix built from c: b_n = c_1 c_{n-1} / c_n, c_1 = 1.
-        return cls("from_c", lambda n: c[n - 1] / c[n])
-
     def __getitem__(self, n: int) -> Fraction:
         if n < 0:
             raise IndexError("negative index")
@@ -121,12 +116,6 @@ class CSequence:
     @classmethod
     def from_b(cls, b: BSequence) -> "CSequence":
         return cls(f"from_b({b.kind})", lambda n: ONE / b.factorial(n))
-
-    @classmethod
-    def phi_q(cls, phi: Fraction | int, q: int) -> "CSequence":
-        from .special import phi_q_series  # closed form lives with the mask family
-
-        return phi_q_series(phi, q)
 
     @classmethod
     def fractal(cls, q: int) -> "CSequence":

@@ -1,8 +1,9 @@
 """The Fraction code that integer kernels replaced, kept as test oracles.
 
 ``FractionPolynomial`` is ``genpascal.polynomials.Polynomial`` as it was when
-it stored its coefficients as Fractions, renamed and otherwise unchanged; its
-``__repr__`` still reads ``Polynomial([...])``. ``masked_convolve`` is the
+it stored its coefficients as Fractions, renamed and otherwise unchanged but
+for ``truncate``, which now gives the zero polynomial for a negative degree as
+the library does; its ``__repr__`` still reads ``Polynomial([...])``. ``masked_convolve`` is the
 Fraction loop of ``genpascal.zeroalg.masked_convolve`` over ``digit_binom``,
 and ``gbinom`` the ratio of Fraction factorials.
 
@@ -13,6 +14,13 @@ coefficient; ``materialize_hadamard`` is the Hadamard family's materialize,
 which streamed the per-entry products of the factors through ``from_fn``.
 Their matrices go through the value constructor.
 
+``pascal_convolve``, ``gbinom_via_recurrence``, ``geometric``, ``b_from_c``
+(``BSequence.from_c``) and ``from_fn`` (``TriangularMatrix.from_fn``) are
+library code that only tests reached, moved here unchanged: the series
+convolution of a matrix, the addition-rule form of ``gbinom``, the geometric
+series, the first column of a c-sequence matrix as weights, and a matrix from
+its per-entry function.
+
 ``value_form`` writes a value as one of the other inputs the value
 constructors coerce through ``Fraction()``.
 """
@@ -22,12 +30,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import ge, mul
-from typing import Iterable
+from typing import Callable, Iterable
 
 from genpascal.digits import digit_product_rows
-from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry
+from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
 from genpascal.matrices import TriangularMatrix
+from genpascal.polynomials import Polynomial
 from genpascal.rationals import ONE, ZERO
+from genpascal.sequences import BSequence
 from genpascal.zeroalg import digit_binom
 
 
@@ -132,8 +142,8 @@ class FractionPolynomial:
         return FractionPolynomial(out)
 
     def truncate(self, degree: int) -> "FractionPolynomial":
-        """Drop terms of degree > ``degree``."""
-        return FractionPolynomial(self.coeffs[: degree + 1])
+        """Drop terms of degree > ``degree``; a negative degree drops them all."""
+        return FractionPolynomial(self.coeffs[: max(degree + 1, 0)])
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         acc = ZERO
@@ -207,7 +217,7 @@ def hadamard_inverse(a: TriangularMatrix) -> TriangularMatrix:
 
 def materialize_hadamard(spec, size: int) -> TriangularMatrix:
     """A Hadamard spec's truncation from its streamed per-entry products."""
-    return TriangularMatrix.from_fn(size, spec.entry)
+    return from_fn(size, spec.entry)
 
 
 def check_fractal(a, q: int, degree: int) -> None:
@@ -255,3 +265,53 @@ def carryless_convolve(a, b, q: int, degree: int) -> list[Fraction]:
         sum((_coeff(a, t) * _coeff(b, d - t) for t in range(d + 1)), ZERO) for d in range(min(q, degree + 1))
     ]
     return fractal_series(window, q, degree)
+
+
+def from_fn(size: int, fn: Callable[[int, int], Fraction | int]) -> TriangularMatrix:
+    return TriangularMatrix([[fn(n, m) for m in range(n + 1)] for n in range(size)])
+
+
+def b_from_c(c) -> BSequence:
+    # First column of the matrix built from c: b_n = c_1 c_{n-1} / c_n, c_1 = 1.
+    return BSequence("from_c", lambda n: c[n - 1] / c[n])
+
+
+def geometric(ratio: Fraction, degree: int) -> list[Fraction]:
+    """Coefficients of 1/(1 - ratio*x) through ``degree``."""
+    out = [ONE]
+    for _ in range(degree):
+        out.append(out[-1] * ratio)
+    return out
+
+
+def gbinom_via_recurrence(b: BSequence, n: int, m: int) -> Fraction:
+    """Same value as gbinom, built by dynamic programming on the addition rule
+    C(n,m) = C(n-1,m-1) + (b_n - b_m)/b_{n-m} * C(n-1,m)."""
+    if m < 0 or m > n:
+        return ZERO
+    prev = [ONE]
+    for k in range(1, n + 1):
+        row = [ONE]
+        top = min(k, m)
+        for j in range(1, top + 1):
+            left = prev[j - 1]
+            if j == k:
+                row.append(left)
+                continue
+            term = b[k - j]
+            if term == 0:
+                raise ZeroFactor(f"b_{k - j} = 0 in {b.kind}")
+            row.append(left + (b[k] - b[j]) / term * prev[j])
+        prev = row
+    return prev[m]
+
+
+def pascal_convolve(a: TriangularMatrix, f: Polynomial, g: Polynomial) -> Polynomial:
+    """Product in the series algebra attached to the matrix:
+    coefficient n of the result is sum_m (n,m) f_m g_{n-m}, for n < size."""
+    if f.degree >= a.size or g.degree >= a.size:
+        raise SizeMismatch("inputs must have degree < matrix size")
+    out = []
+    for n in range(a.size):
+        out.append(sum((a.rows[n][m] * f.coefficient(m) * g.coefficient(n - m) for m in range(n + 1)), ZERO))
+    return Polynomial(out)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_matrices as gold
+from fraction_oracles import from_fn
 from genpascal import fractal
 from genpascal.fractal import (
     b_functional_equation_check,
@@ -30,7 +31,7 @@ def test_displays():
     assert fractal_matrix(2, 2, 16) == TriangularMatrix(gold.FRACTAL_2_16)
     assert fractal_matrix(3, 3, 18) == TriangularMatrix(gold.FRACTAL_3_18)
     assert fractal_matrix(0, 2, 16) == TriangularMatrix(gold.ZERO_2_16)
-    assert list(fractal_matrix(0, 2, 16).row(12)) == [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1]
+    assert list(fractal_matrix(0, 2, 16).rows[12]) == [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def test_matches_mask_product():
@@ -65,6 +66,27 @@ def test_fast_equals_factorial(q):
 def test_fast_equals_factorial_random(q, n, data):
     m = data.draw(st.integers(min_value=0, max_value=n))
     assert fast_gbinom_fractal(q, n, m) == gbinom(BSequence.fractal(q, q), n, m)
+
+
+def borrows(q, n, m):
+    """Borrows made while subtracting m from n (0 <= m <= n) digit by digit in base q."""
+    count = borrow = 0
+    while n or m:
+        n, i = divmod(n, q)
+        m, j = divmod(m, q)
+        borrow = int(i < j + borrow)
+        count += borrow
+    return count
+
+
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10**12 - 1), st.data())
+@settings(max_examples=300)
+def test_fast_path_is_q_to_the_borrows(q, n, data):
+    # the lookup workload's index range, far past what the factorial oracle reaches
+    m = data.draw(st.integers(min_value=0, max_value=n))
+    assert fast_gbinom_fractal(q, n, m) == q ** borrows(q, n, m)
+    assert fast_gbinom_fractal(q, n, n + data.draw(st.integers(min_value=1, max_value=10**12))) == 0
+    assert fast_gbinom_fractal(q, n, -data.draw(st.integers(min_value=1, max_value=10**12))) == 0
 
 
 @pytest.mark.parametrize("q,k_max", [(2, 4), (3, 3)])
@@ -156,7 +178,7 @@ def test_recurrence_failure_report_is_pinned(monkeypatch, name, at, change, size
         out = original(q, n, *size_arg)
         return change(out) if (q, n) == at else out
 
-    # the row recursion reads the module's binding, so the rows built from a corrupted one are corrupted too
+    # the recursions read the module's binding, so rows and columns built from a corrupted one are corrupted too
     monkeypatch.setattr(fractal, name, corrupted)
     assert run_suite("recurrences", size).to_json() == text
 
@@ -286,12 +308,12 @@ def test_entry_zero_weight_is_mask():
 def test_matrix_matches_entry_form(q, phi):
     # the composite bases 4 and 6 exercise the valuation step of the digit recursion
     sizes = [0, 1, q, q * q + 1, q**3 + 2]
-    oracle = TriangularMatrix.from_fn(sizes[-1], lambda n, m: fractal_entry(phi, q, n, m))
+    oracle = from_fn(sizes[-1], lambda n, m: fractal_entry(phi, q, n, m))
     for size in sizes:
         assert fractal_matrix(phi, q, size) == oracle.truncate(size)
 
 
 def test_matrix_huge_q_costs_only_size():
     q, size = 10**6, 5
-    oracle = TriangularMatrix.from_fn(size, lambda n, m: fractal_entry(Fraction(3, 2), q, n, m))
+    oracle = from_fn(size, lambda n, m: fractal_entry(Fraction(3, 2), q, n, m))
     assert fractal_matrix(Fraction(3, 2), q, size) == oracle

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracles import FractionPolynomial, FractionSubclass, value_form
+from fraction_oracles import FractionPolynomial, FractionSubclass, geometric, value_form
 from genpascal.matrices import TriangularMatrix, build_from_c
-from genpascal.polynomials import Polynomial, geometric, mul_trunc, w_poly
+from genpascal.polynomials import Polynomial, mul_trunc, w_poly
 from genpascal.sequences import CSequence
 from genpascal.verify import golden_family
 
@@ -46,7 +46,14 @@ def test_arithmetic():
     assert p.shift(2) == Polynomial([0, 0, 1, 1])
     assert p.substitute_power(3) == Polynomial([1, 0, 0, 1])
     assert (p * p).truncate(1) == Polynomial([1, 2])
-    assert p.evaluate(Fraction(1, 2)) == Fraction(3, 2)
+    assert FractionPolynomial(p.coeffs).evaluate(Fraction(1, 2)) == Fraction(3, 2)
+
+
+def test_truncate_below_degree_zero_is_the_zero_polynomial():
+    p = Polynomial([1, 2, 3, 4])
+    for degree in (-1, -3, -4, -10):
+        assert p.truncate(degree) == Polynomial()
+    assert p.truncate(0) == Polynomial([1])
 
 
 def test_coefficient_out_of_range():
@@ -122,7 +129,7 @@ def test_operations_match_the_fraction_polynomial(xs, ys, c, k, q, degree, x):
     chained = (a * b + a).truncate(degree) - b.substitute_power(q)
     assert_same(chained, (fa * fb + fa).truncate(degree) - fb.substitute_power(q))
     assert_same((a - a) * c, (fa - fa) * c)
-    assert a.evaluate(x) == fa.evaluate(x) and type(a.evaluate(x)) is Fraction
+    assert FractionPolynomial(a.coeffs).evaluate(x) == fa.evaluate(x)
     assert (a == b) == (fa == fb)
     assert [a.coefficient(n) for n in range(-1, 10)] == [fa.coefficient(n) for n in range(-1, 10)]
 

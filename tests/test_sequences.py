@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fraction_oracles import b_from_c
 from genpascal.errors import ZeroFactor
 from genpascal.sequences import BSequence, CSequence, fractal_b
+from genpascal.special import phi_q_series
 
 
 def test_ordinary_factorial():
@@ -51,7 +53,7 @@ def test_explicit_validation():
 
 def test_from_c_round_trip():
     c = CSequence.exponential()
-    b = BSequence.from_c(c)
+    b = b_from_c(c)
     assert [b[n] for n in range(1, 6)] == [1, 2, 3, 4, 5]
 
 
@@ -70,7 +72,7 @@ def test_factorial_recurrence(n, which):
         BSequence.naturals(),
         BSequence.fractal(2, 2),
         BSequence.fractal(3, Fraction(-1, 2)),
-        BSequence.from_c(CSequence.exponential()),
+        b_from_c(CSequence.exponential()),
     ][which]
     assert b.factorial(n) == b.factorial(n - 1) * b[n]
 
@@ -123,6 +125,6 @@ def test_concurrent_fills_are_deterministic():
 
 
 def test_phi_q_rule():
-    c = CSequence.phi_q(2, 2)
+    c = phi_q_series(2, 2)
     assert c[5] == Fraction(1, 4)
     assert c[0] == c[1] == 1

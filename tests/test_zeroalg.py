@@ -2,11 +2,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 import golden_matrices as gold
+from fraction_oracles import from_fn
 from genpascal.errors import NotFractal, SizeMismatch
 from genpascal.matrices import TriangularMatrix, identity_matrix, matmul
 from genpascal.polynomials import Polynomial
@@ -15,6 +16,7 @@ from genpascal.zeroalg import (
     block_matrix,
     block_product_check,
     carryless_convolve,
+    check_fractal,
     digit_binom,
     fractal_series,
     kronecker,
@@ -38,11 +40,11 @@ SERIES = [1, Fraction(-2, 3), 0, 5] + [Fraction(3 * t - 7, t + 1) for t in range
 
 
 def sierpinski_oracle(q, size):
-    return TriangularMatrix.from_fn(size, lambda n, m: digit_binom(q, n, m))
+    return from_fn(size, lambda n, m: digit_binom(q, n, m))
 
 
 def masked_oracle(a, q, size):
-    return TriangularMatrix.from_fn(size, GPSpec.masked(a, q).entry)
+    return from_fn(size, GPSpec.masked(a, q).entry)
 
 
 def block_oracle(a, b, q, k, size):
@@ -58,7 +60,7 @@ def block_oracle(a, b, q, k, size):
             return Fraction(0)
         return coeff(a, n - m) * coeff(b, i - j)
 
-    return TriangularMatrix.from_fn(size, fn)
+    return from_fn(size, fn)
 
 
 def test_digit_binom_values():
@@ -168,6 +170,31 @@ def test_masked_convolve_matches_the_fraction_loop(q, a, b, degree):
     assert masked_convolve(tuple(a), tuple(b), q, degree) == got
 
 
+signed_rational = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=12)),
+)
+
+
+def digit_multiplicative(a, q):
+    try:
+        check_fractal(a, q, len(a) - 1)
+    except NotFractal:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(min_value=1, max_value=16), st.data())
+def test_masked_convolve_is_the_series_convolution_of_the_sierpinski_matrix(q, size, data):
+    # the Fraction loop of the matrix's series algebra, on series the carryless fast path would refuse
+    a = data.draw(st.lists(signed_rational, min_size=size, max_size=size))
+    b = data.draw(st.lists(signed_rational, min_size=size, max_size=size))
+    assume(not digit_multiplicative(a, q) and not digit_multiplicative(b, q))
+    want = oracle.pascal_convolve(sierpinski_matrix(q, size), Polynomial(a), Polynomial(b))
+    assert Polynomial(masked_convolve(a, b, q, size - 1)) == want
+
+
 def test_masked_row_all_ones():
     u15 = masked_row(ONES16, 2, 15)
     expected = Polynomial([1])
@@ -246,7 +273,7 @@ def test_t_threeway():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
 def test_t_matrix_matches_coefficients(q):
     sizes = [0, 1, q, q * q + 1, q**3 + 2]
-    oracle = TriangularMatrix.from_fn(sizes[-1], lambda n, m: t_coefficient(q, n, m))
+    oracle = from_fn(sizes[-1], lambda n, m: t_coefficient(q, n, m))
     for size in sizes:
         assert t_matrix(q, size) == oracle.truncate(size)
 
@@ -254,7 +281,7 @@ def test_t_matrix_matches_coefficients(q):
 def test_t_matrix_huge_q_costs_only_size():
     # size <= q: every row is its own last digit, so only size digits occur
     q, size = 10**6, 5
-    oracle = TriangularMatrix.from_fn(size, lambda n, m: t_coefficient(q, n, m))
+    oracle = from_fn(size, lambda n, m: t_coefficient(q, n, m))
     assert t_matrix(q, size) == oracle
     assert sierpinski_matrix(q, size) == sierpinski_oracle(q, size)
     assert masked_matrix(SERIES, q, size) == masked_oracle(SERIES, q, size)
@@ -296,7 +323,7 @@ def test_t_row_sums():
     from genpascal.digits import digits
 
     for n in range(243):
-        assert t_row(3, n).evaluate(1) == 2 ** sum(digits(n, 3))
+        assert sum(t_row(3, n).coeffs) == 2 ** sum(digits(n, 3))
 
 
 def test_overlay_fractal_block_identity():
