@@ -23,6 +23,8 @@ def digits(n: int, base: int) -> list[int]:
 
 def valuation(n: int, base: int) -> int:
     """Largest k with base**k dividing n; requires n >= 1."""
+    if base < 2:
+        raise ValueError("base must be >= 2")
     if n < 1:
         raise ValueError("valuation needs n >= 1")
     k = 0
@@ -60,6 +62,8 @@ def digit_product_rows(
 def carry_count_rows(q: int, size: int) -> list[list[int]]:
     """Carry counts of rows 0..size-1 as ints, row n from row n div q by the
     additive digit recursion (see ``genpascal.fractal``)."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
     step = [1 + valuation(m1 + 1, q) for m1 in range(size // q)]  # read once per q entries
     counts = [[0]]
     for n in range(1, size):

@@ -12,27 +12,30 @@ The count obeys a digit recursion. Write n = q n' + i and m = q m' + j with
 i < j, the count of (n, m) is 1 + v_q(m' + 1) plus that of (n', m' + 1),
 where v_q is the q-adic valuation. ``digits.carry_count_rows`` follows it, so
 row n of the family follows from row n div q with O(1) work per entry. A
-single entry needs no recursion: it is phi ** carry_count(q, n, m), and the
+single entry needs no recursion: it is phi ** carry_count(q, n, m) for every
+weight (0 ** 0 = 1 makes the zero weight the digit dominance mask), and the
 weight-q entry is q ** carry_count(q, n, m).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from operator import mul
 
 from .digits import carry_count_rows, valuation
-from .matrices import TriangularMatrix
+from .matrices import TriangularMatrix, pascal_rows
 from .polynomials import P_ONE, P_ZERO, Polynomial, mul_trunc, w_poly
 from .rationals import ONE, ZERO
 from .report import Report, check_equal, merge_reports
 from .sequences import BSequence, fractal_b
-from .zeroalg import digit_binom
 
 
 def carry_count(q: int, n: int, m: int) -> int:
-    """Number of moduli q**k (k >= 1) with n mod q**k < m mod q**k."""
+    """Number of moduli q**k (k >= 1) with n mod q**k < m mod q**k; the base
+    check of the per-entry forms."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
     count = 0
     power = q
     while power <= n:
@@ -43,14 +46,10 @@ def carry_count(q: int, n: int, m: int) -> int:
 
 
 def fractal_entry(phi: Fraction | int, q: int, n: int, m: int) -> Fraction:
-    """Entry (n,m) of the fractal family; the zero-weight case is the digit
-    dominance mask (no factorials involved)."""
-    if m > n:
-        return ZERO
-    phi = Fraction(phi)
-    if phi == 0:
-        return ONE if digit_binom(q, n, m) else ZERO
-    return phi ** carry_count(q, n, m)
+    """Entry (n,m) of the fractal family, phi ** carry_count(q, n, m) inside
+    the triangle and 0 outside; at phi = 0 it is the digit dominance mask."""
+    k = carry_count(q, n, m)
+    return Fraction(phi) ** k if 0 <= m <= n else ZERO
 
 
 def _count_powers(base, q: int, size: int) -> list:
@@ -66,30 +65,28 @@ def fractal_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
     """The truncation built from the int table of carry counts: with
     phi = a/d and K the largest count, count k stands for the numerator
     a**k d**(K-k) over d**K (0**0 = 1 covers the zero weight)."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    counts = carry_count_rows(q, size)  # checks q before the power tables loop on it
     phi = Fraction(phi)
     a_powers = _count_powers(phi.numerator, q, size)
     d_powers = _count_powers(phi.denominator, q, size)
     nums = list(map(mul, a_powers, reversed(d_powers)))
-    rows = [list(map(nums.__getitem__, row)) for row in carry_count_rows(q, size)]
+    rows = [list(map(nums.__getitem__, row)) for row in counts]
     return TriangularMatrix.from_view(d_powers[-1], rows)
 
 
 def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
-    """Entry (n,m) of the weight-q fractal matrix: q ** carry_count(q, n, m),
-    in O(digit count) steps. By Kummer's theorem, for prime q this is the
-    q-part of C(n, m); it agrees with the factorial ratio for every q."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if m < 0 or m > n:
-        return ZERO
-    return Fraction(q ** carry_count(q, n, m))
+    """Entry (n,m) of the weight-q fractal matrix: q ** carry_count(q, n, m)
+    in O(digit count) steps, 0 outside the triangle. By Kummer's theorem, for
+    prime q this is the q-part of C(n, m); it equals the factorial ratio for every q."""
+    k = carry_count(q, n, m)
+    return Fraction(q**k) if 0 <= m <= n else ZERO
 
 
 def fractal_row(q: int, n: int) -> Polynomial:
     """Row n of the weight-q fractal matrix, built only from the recurrence
     u_{qn+m} = w_m(x) u_n(x^q) + q b_n x^{m+1} w_{q-2-m}(x) u_{n-1}(x^q)."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
     if n == 0:
         return P_ONE
     n1, m = divmod(n, q)
@@ -108,6 +105,8 @@ def fractal_column(q: int, n: int, size: int) -> Polynomial:
     built from g_{qn+m} = x^m w_{q-1-m}(x) g_n(x^q) + q b_{n+1} w_{m-1}(x) g_{n+1}(x^q),
     seeded by direct evaluation for n < q. The inner columns are needed only
     through degree (size-1) div q."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
     if size < 1:
         return P_ZERO
     if n < q:
@@ -138,29 +137,21 @@ def pascal_prime_factorization(size: int) -> Report:
     p < size equals the Pascal matrix; primes beyond the block are all-ones
     on it. Entry (n,m) of the weight-p matrix is p**k with k the carry count,
     so each row is a product of int powers read off the carry-count tables.
-    By Kummer's theorem k is the p-adic valuation of C(n,m), but the rows are
-    compared with ``comb``, which never sees the tables, so the check is real."""
+    By Kummer's theorem k is the p-adic valuation of C(n,m), but the product
+    is compared with the Pascal rows of the addition rule, which never see
+    the tables, so the check is real."""
     primes = _primes_upto(max(size - 1, 1))
     tables = [(p, carry_count_rows(p, size), _count_powers(p, p, size)) for p in primes]
-    checked = 0
+    rows = []
     for n in range(size):
         product = [1] * (n + 1)
         for p, counts, powers in tables:
             if p > n:
                 break
             product = list(map(mul, product, map(powers.__getitem__, counts[n])))
-        expected = [comb(n, m) for m in range(n + 1)]
-        if product != expected:
-            m = next(m for m in range(n + 1) if product[m] != expected[m])
-            factors = {str(p): str(fast_gbinom_fractal(p, n, m)) for p in primes if p <= n}
-            return Report(
-                "primes",
-                False,
-                {"n": n, "m": m, "factors": factors, "expected": str(comb(n, m))},
-                checked + m + 1,
-            )
-        checked += n + 1
-    return Report("primes", True, None, checked)
+        rows.append(product)
+    pascal = TriangularMatrix.from_view(1, pascal_rows(size))
+    return check_equal("primes", TriangularMatrix.from_view(1, rows), pascal)
 
 
 def _w_factor_coeffs(q: int, level: int, degree: int) -> list[Fraction]:

@@ -77,7 +77,7 @@ class TriangularMatrix:
         return self._view
 
     def entry(self, n: int, m: int) -> Fraction:
-        if m > n:
+        if not 0 <= m <= n:
             return ZERO
         return self.rows[n][m]
 

@@ -1,7 +1,7 @@
 """Generating sequences: weights b_n and series coefficients c_n.
 
 A BSequence is the weight sequence of a generalized binomial coefficient
-(b_0 = 0, b_n nonzero for n > 0 unless the sequence is zero-kind); a CSequence
+(b_0 = 0; a zero b_n with n > 0 makes b_m! raise ZeroFactor for m >= n); a CSequence
 is the coefficient sequence of the series defining a generalized Pascal matrix
 (c_0 = c_1 = 1, all c_n nonzero). Both are rule-described and memoized; caches
 are fill-once and observationally pure, so concurrent reads and idempotent
@@ -20,21 +20,17 @@ from .rationals import ONE, ZERO
 
 
 def fractal_b(q: int, phi: Fraction | int, n: int) -> Fraction:
-    """phi ** v_q(n): the weight at n of the base-q fractal family."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """phi ** v_q(n): the weight at n of the base-q fractal family; ``valuation``
+    checks q >= 2 and n >= 1."""
     return Fraction(phi) ** valuation(n, q)
 
 
 class BSequence:
     """Memoized weight sequence b_n with b_0 = 0."""
 
-    def __init__(self, kind: str, fn: Callable[[int], Fraction], zero_kind: bool = False):
+    def __init__(self, kind: str, fn: Callable[[int], Fraction]):
         self.kind = kind
         self._fn = fn
-        self.zero_kind = zero_kind
         self._values: dict[int, Fraction] = {0: ZERO}
         self._factorials: dict[int, tuple[int, int]] = {0: (1, 1)}
 
@@ -45,7 +41,7 @@ class BSequence:
     @classmethod
     def fractal(cls, q: int, phi: Fraction | int) -> "BSequence":
         phi = Fraction(phi)
-        return cls(f"fractal({q},{phi})", lambda n: fractal_b(q, phi, n), zero_kind=phi == 0)
+        return cls(f"fractal({q},{phi})", lambda n: fractal_b(q, phi, n))
 
     @classmethod
     def explicit(cls, values: Sequence[Fraction | int]) -> "BSequence":
@@ -58,7 +54,7 @@ class BSequence:
                 raise IndexError(f"explicit b-sequence has no index {n}")
             return vals[n]
 
-        return cls("explicit", fn, zero_kind=any(v == 0 for v in vals[1:]))
+        return cls("explicit", fn)
 
     def __getitem__(self, n: int) -> Fraction:
         if n < 0:

@@ -17,9 +17,9 @@ from operator import ge
 
 from .digits import digit_product_rows
 from .errors import ZeroEntry, ZeroPhi
-from .matrices import TriangularMatrix, hadamard, pascal_rows
+from .matrices import TriangularMatrix, all_ones, hadamard, pascal_rows
 from .rationals import ONE
-from .report import Report
+from .report import Report, check_equal, merge_reports
 from .sequences import CSequence
 
 
@@ -118,7 +118,9 @@ def phi_coordinates(a: TriangularMatrix, max_q: int) -> PhiCoordinates:
 
 def homomorphism_check(a: TriangularMatrix, b: TriangularMatrix, max_q: int) -> Report:
     """Coordinates of a Hadamard product are the products of coordinates, and
-    all-involution coordinates force every entry into {1,-1}."""
+    all-involution coordinates force every entry to square to 1. A failing
+    kernel is named in ``subsuite`` (``kernel-a``, ``kernel-b``, ``kernel-a*b``)
+    with the squared entry as ``got``."""
     ca = phi_coordinates(a, max_q)
     cb = phi_coordinates(b, max_q)
     prod = hadamard(a, b)
@@ -133,20 +135,12 @@ def homomorphism_check(a: TriangularMatrix, b: TriangularMatrix, max_q: int) -> 
                 {"q": q, "left": str(cp.betas[q]), "right": str(ca.betas[q] * cb.betas[q])},
                 checked,
             )
-    for name, matrix, coords in (("a", a, ca), ("b", b, cb), ("a*b", prod, cp)):
-        if not coords.is_involution():
-            continue
-        for n in range(matrix.size):
-            for m in range(n + 1):
-                checked += 1
-                if matrix.rows[n][m] not in (1, -1):
-                    return Report(
-                        "homomorphism",
-                        False,
-                        {"kernel": name, "n": n, "m": m, "value": str(matrix.rows[n][m])},
-                        checked,
-                    )
-    return Report("homomorphism", True, None, checked)
+    kernels = [
+        check_equal(f"kernel-{name}", hadamard(matrix, matrix), all_ones(matrix.size))
+        for name, matrix, coords in (("a", a, ca), ("b", b, cb), ("a*b", prod, cp))
+        if coords.is_involution()
+    ]
+    return merge_reports("homomorphism", [Report("homomorphism", True, None, checked), *kernels])
 
 
 def q_umbral_matrix(q: Fraction | int, size: int) -> TriangularMatrix:

@@ -65,7 +65,7 @@ class GPSpec:
         return cls("hadamard", factors=tuple(factors))
 
     def entry(self, n: int, m: int) -> Fraction:
-        if m > n:
+        if not 0 <= m <= n:
             return ZERO
         entry = _family(self.kind)[1]
         if entry is None:
@@ -85,7 +85,7 @@ def _qumbral_entry(spec: GPSpec, n: int, m: int) -> Fraction:
     return series[n - m]
 
 
-# kind -> (materialize(spec, size), entry(spec, n, m) for m <= n, or None)
+# kind -> (materialize(spec, size), entry(spec, n, m) for 0 <= m <= n, or None)
 FAMILIES = {
     "pascal": (
         lambda s, size: TriangularMatrix.from_view(1, pascal_rows(size)),

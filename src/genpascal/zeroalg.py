@@ -191,7 +191,7 @@ def block_product_check(
 
 def t_coefficient(q: int, n: int, m: int) -> Fraction:
     """Product of ordinary binomials of the base-q digit pairs."""
-    if m > n:
+    if not 0 <= m <= n:
         return ZERO
     dn = digits(n, q)
     dm = digits(m, q)

@@ -19,12 +19,15 @@ from genpascal.fractal import (
     fractal_row,
     pascal_prime_factorization,
 )
-from genpascal.matrices import TriangularMatrix, build_from_c, gbinom, hadamard, subtract
+from genpascal.digits import carry_count_rows, valuation
+from genpascal.matrices import TriangularMatrix, build_from_c, gbinom, hadamard, pascal_rows, subtract
 from genpascal.polynomials import Polynomial, w_poly
 from genpascal.report import Report
-from genpascal.sequences import BSequence, CSequence
+from genpascal.sequences import BSequence, CSequence, fractal_b
 from genpascal.special import phi_q_matrix
+from genpascal.specs import GPSpec
 from genpascal.verify import run_suite
+from genpascal.zeroalg import digit_binom
 
 
 def test_displays():
@@ -84,9 +87,37 @@ def borrows(q, n, m):
 def test_fast_path_is_q_to_the_borrows(q, n, data):
     # the lookup workload's index range, far past what the factorial oracle reaches
     m = data.draw(st.integers(min_value=0, max_value=n))
-    assert fast_gbinom_fractal(q, n, m) == q ** borrows(q, n, m)
+    k = borrows(q, n, m)
+    assert fast_gbinom_fractal(q, n, m) == q**k
+    # every weight is phi ** carry_count, the zero weight included: 0 ** 0 = 1 is digit dominance
+    for phi in (0, 2, Fraction(-3, 2)):
+        assert fractal_entry(phi, q, n, m) == Fraction(phi) ** k
+    assert fractal_entry(0, q, n, m) == digit_binom(q, n, m)
     assert fast_gbinom_fractal(q, n, n + data.draw(st.integers(min_value=1, max_value=10**12))) == 0
     assert fast_gbinom_fractal(q, n, -data.draw(st.integers(min_value=1, max_value=10**12))) == 0
+
+
+BASE_CALLS = {
+    "valuation": lambda q: valuation(5, q),
+    "carry_count_rows": lambda q: carry_count_rows(q, 4),
+    "fractal_row": lambda q: fractal_row(q, 3),
+    "fractal_column": lambda q: fractal_column(q, 3, 5),
+    "carry_count": lambda q: carry_count(q, 5, 2),
+    "fractal_entry-weight-0": lambda q: fractal_entry(0, q, 5, 2),
+    "fractal_entry-weight-2": lambda q: fractal_entry(2, q, 5, 2),
+    "fast_gbinom_fractal-inside": lambda q: fast_gbinom_fractal(q, 5, 2),
+    "fast_gbinom_fractal-outside": lambda q: fast_gbinom_fractal(q, 2, 5),
+    "spec-entry": lambda q: GPSpec.fractal(2, q).entry(3, 1),
+    "fractal_matrix": lambda q: fractal_matrix(2, q, 4),
+    "fractal_b": lambda q: fractal_b(q, 2, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASE_CALLS))
+@pytest.mark.parametrize("q", [-2, 0, 1])
+def test_base_below_two_raises(q, name):
+    with pytest.raises(ValueError, match="(q|base) must be >= 2"):
+        BASE_CALLS[name](q)
 
 
 @pytest.mark.parametrize("q,k_max", [(2, 4), (3, 3)])
@@ -196,19 +227,17 @@ def test_prime_factorization_entry():
 
 def reference_prime_factorization(size):
     """The entry-by-entry loop over fast_gbinom_fractal that the carry-count
-    tables replaced, kept as the oracle of the failure report."""
+    tables replaced, against ``math.comb``."""
     primes = [p for p in range(2, size) if all(p % d for d in range(2, p))]
-    checked = 0
+    checked = size * (size + 1) // 2
     for n in range(size):
         relevant = [p for p in primes if p <= n]
         for m in range(n + 1):
-            checked += 1
             product = 1
             for p in relevant:
                 product *= fast_gbinom_fractal(p, n, m)
-            if product != fractal.comb(n, m):
-                factors = {str(p): str(fast_gbinom_fractal(p, n, m)) for p in relevant}
-                ce = {"n": n, "m": m, "factors": factors, "expected": str(fractal.comb(n, m))}
+            if product != math.comb(n, m):
+                ce = {"n": n, "m": m, "got": str(product), "want": str(math.comb(n, m))}
                 return Report("primes", False, ce, checked)
     return Report("primes", True, None, checked)
 
@@ -217,16 +246,17 @@ def reference_prime_factorization(size):
     "size,bad", [(12, (6, 3)), (12, (11, 0)), (12, (10, 10)), (64, (63, 17)), (2, (1, 1))]
 )
 def test_prime_factorization_failure_report(monkeypatch, size, bad):
-    # comb is the independent side of the check: break it at one entry
-    monkeypatch.setattr(fractal, "comb", lambda n, m: math.comb(n, m) + ((n, m) == bad))
+    # the Pascal rows are the independent side of the check: break them at one entry
+    def corrupted(size):
+        return [[x + ((n, m) == bad) for m, x in enumerate(row)] for n, row in enumerate(pascal_rows(size))]
+
+    monkeypatch.setattr(fractal, "pascal_rows", corrupted)
     report = pascal_prime_factorization(size)
+    n, m = bad
     assert not report.passed
-    assert report == reference_prime_factorization(size)
-    assert (report.counterexample["n"], report.counterexample["m"]) == bad
-    if bad == (6, 3):
-        factors = {"2": "4", "3": "1", "5": "5"}
-        assert report.counterexample == {"n": 6, "m": 3, "factors": factors, "expected": "21"}
-        assert report.checked == 25
+    want = {"n": n, "m": m, "got": str(math.comb(n, m)), "want": str(math.comb(n, m) + 1)}
+    assert report.counterexample == want
+    assert report.checked == size * (size + 1) // 2
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 3, 17, 30])

@@ -36,7 +36,6 @@ def test_fractal_b_values():
 
 def test_zero_kind_raises():
     b = BSequence.fractal(2, 0)
-    assert b.zero_kind
     assert b[3] == 1  # individual values still fine
     with pytest.raises(ZeroFactor):
         b.factorial(2)

@@ -263,6 +263,18 @@ def test_involution_kernel():
             assert a.entry(n, m) in (1, -1)
 
 
+def test_involution_kernel_failure_report():
+    # the coordinates read only the first column, so a wrong entry elsewhere keeps them +-1
+    rows = [list(row) for row in phi_q_matrix(-1, 2, 6).rows]
+    rows[5][3] = 2
+    report = homomorphism_check(TriangularMatrix(rows), all_ones(6), 5)
+    assert not report.passed
+    # got is the square of the entry 2
+    ce = {"n": 5, "m": 3, "got": "4", "want": "1", "subsuite": "kernel-a"}
+    assert report.counterexample == ce
+    assert report.checked == 4 + 3 * 21
+
+
 def test_umbral_displays():
     assert q_umbral_matrix(-1, 7) == TriangularMatrix(gold.UMBRAL_NEG1_7)
     assert q_umbral_inverse(-1, 7) == TriangularMatrix(gold.UMBRAL_NEG1_INV_7)

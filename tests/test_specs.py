@@ -67,6 +67,20 @@ def test_materialized_entries_are_exactly_fractions(spec):
     assert all(type(e) is Fraction for row in built.rows for e in row)
 
 
+ENTRY_EXAMPLES = [spec for spec in EXAMPLES if FAMILIES[spec.kind][1] is not None]
+
+
+@pytest.mark.parametrize("spec", ENTRY_EXAMPLES, ids=[spec.kind for spec in ENTRY_EXAMPLES])
+def test_entry_is_zero_outside_the_triangle(spec):
+    # the per-entry form and the materialized matrix agree off the triangle too
+    size = 12
+    built = spec.materialize(size)
+    for n in range(size):
+        for m in (-1, n + 1):
+            assert spec.entry(n, m) == 0
+            assert built.entry(n, m) == 0
+
+
 def test_examples_cover_every_family():
     assert sorted(spec.kind for spec in EXAMPLES) == sorted(FAMILIES)
 
