@@ -49,7 +49,8 @@ def fractal_entry(phi: Fraction | int, q: int, n: int, m: int) -> Fraction:
     """Entry (n,m) of the fractal family, phi ** carry_count(q, n, m) inside
     the triangle and 0 outside; at phi = 0 it is the digit dominance mask."""
     k = carry_count(q, n, m)
-    return Fraction(phi) ** k if 0 <= m <= n else ZERO
+    phi = phi if type(phi) is Fraction else Fraction(phi)
+    return (phi**k if k else ONE) if 0 <= m <= n else ZERO
 
 
 def _count_powers(base, q: int, size: int) -> list:
@@ -79,7 +80,7 @@ def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
     in O(digit count) steps, 0 outside the triangle. By Kummer's theorem, for
     prime q this is the q-part of C(n, m); it equals the factorial ratio for every q."""
     k = carry_count(q, n, m)
-    return Fraction(q**k) if 0 <= m <= n else ZERO
+    return (Fraction(q**k) if k else ONE) if 0 <= m <= n else ZERO
 
 
 def fractal_row(q: int, n: int) -> Polynomial:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import comb, prod
+from math import comb
 from typing import Sequence
 
 from .fractal import fractal_entry, fractal_matrix
@@ -34,6 +34,12 @@ class GPSpec:
     q: int | None = None  # the q-umbral families also take a rational q
     factors: tuple["GPSpec", ...] = field(default_factory=tuple)
     a: tuple[Fraction, ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in FAMILIES:
+            raise ValueError(f"unknown spec kind {self.kind!r}")
+        if self.kind in ("phiq", "fractal", "zero-overlay", "tmatrix", "masked") and self.q < 2:
+            raise ValueError("q must be >= 2")  # the q of these kinds is a base of digit expansions
 
     @classmethod
     def from_c(cls, c: CSequence) -> "GPSpec":
@@ -67,13 +73,26 @@ class GPSpec:
     def entry(self, n: int, m: int) -> Fraction:
         if not 0 <= m <= n:
             return ZERO
-        entry = _family(self.kind)[1]
+        entry = FAMILIES[self.kind][1]
         if entry is None:
             raise ValueError(f"spec kind {self.kind!r} has no per-entry form")
         return entry(self, n, m)
 
     def materialize(self, size: int) -> TriangularMatrix:
-        return _family(self.kind)[0](self, size)
+        return FAMILIES[self.kind][0](self, size)
+
+
+def _from_c_entry(spec: GPSpec, n: int, m: int) -> Fraction:
+    a, b, c = spec.c[m], spec.c[n - m], spec.c[n]
+    return Fraction(a.numerator * b.numerator * c.denominator, a.denominator * b.denominator * c.numerator)
+
+
+def _hadamard_entry(spec: GPSpec, n: int, m: int) -> Fraction:
+    """One Fraction of the int products of the factors' numerators and denominators."""
+    num = den = 1
+    for x in [f.entry(n, m) for f in spec.factors]:
+        num, den = num * x.numerator, den * x.denominator
+    return Fraction(num, den)
 
 
 def _qumbral_entry(spec: GPSpec, n: int, m: int) -> Fraction:
@@ -92,7 +111,7 @@ FAMILIES = {
         lambda s, n, m: Fraction(comb(n, m)),
     ),
     "ones": (lambda s, size: all_ones(size), lambda s, n, m: ONE),
-    "from-c": (lambda s, size: build_from_c(s.c, size), lambda s, n, m: s.c[m] * s.c[n - m] / s.c[n]),
+    "from-c": (lambda s, size: build_from_c(s.c, size), _from_c_entry),
     "phiq": (
         lambda s, size: phi_q_matrix(s.phi, s.q, size),
         lambda s, n, m: ONE if n % s.q >= m % s.q else s.phi,
@@ -115,13 +134,6 @@ FAMILIES = {
     # the product of the factors' views, built one factor at a time; no factors give all ones
     "hadamard": (
         lambda s, size: reduce(hadamard, (f.materialize(size) for f in s.factors), all_ones(size)),
-        lambda s, n, m: prod((f.entry(n, m) for f in s.factors), start=ONE),
+        _hadamard_entry,
     ),
 }
-
-
-def _family(kind: str) -> tuple:
-    try:
-        return FAMILIES[kind]
-    except KeyError:
-        raise ValueError(f"unknown spec kind {kind!r}") from None

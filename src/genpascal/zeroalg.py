@@ -190,16 +190,17 @@ def block_product_check(
 
 
 def t_coefficient(q: int, n: int, m: int) -> Fraction:
-    """Product of ordinary binomials of the base-q digit pairs."""
+    """Product of ordinary binomials of the base-q digit pairs, stopping at a
+    zero factor or at the last digit of m (C(x, 0) = 1 for the rest of n)."""
+    if q < 2:
+        raise ValueError("base must be >= 2")
     if not 0 <= m <= n:
         return ZERO
-    dn = digits(n, q)
-    dm = digits(m, q)
-    dm += [0] * (len(dn) - len(dm))
     value = 1
-    for x, y in zip(dn, dm):
+    while m and value:
+        (n, x), (m, y) = divmod(n, q), divmod(m, q)
         value *= comb(x, y)
-    return Fraction(value)
+    return Fraction(value) if value else ZERO
 
 
 def t_matrix(q: int, size: int) -> TriangularMatrix:

@@ -21,6 +21,14 @@ convolution of a matrix, the addition-rule form of ``gbinom``, the geometric
 series, the first column of a c-sequence matrix as weights, and a matrix from
 its per-entry function.
 
+``fractal_entry``, ``fast_gbinom_fractal`` and ``t_coefficient`` are the
+library's per-entry kernels as they were when they coerced phi and built
+their Fraction through ``Fraction(...)`` on every call (``t_coefficient``
+over the digit lists of ``digits``); ``from_c_entry`` and ``hadamard_entry``
+are the ``from-c`` and ``hadamard`` per-entry forms of ``specs.FAMILIES``,
+the Fraction quotient c_m c_{n-m} / c_n and the Fraction product of the
+factors' entries.
+
 ``value_form`` writes a value as one of the other inputs the value
 constructors coerce through ``Fraction()``.
 """
@@ -28,12 +36,13 @@ constructors coerce through ``Fraction()``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm, prod
 from operator import ge, mul
 from typing import Callable, Iterable
 
-from genpascal.digits import digit_product_rows
+from genpascal.digits import digit_product_rows, digits
 from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
+from genpascal.fractal import carry_count
 from genpascal.matrices import TriangularMatrix
 from genpascal.polynomials import Polynomial
 from genpascal.rationals import ONE, ZERO
@@ -315,3 +324,39 @@ def pascal_convolve(a: TriangularMatrix, f: Polynomial, g: Polynomial) -> Polyno
     for n in range(a.size):
         out.append(sum((a.rows[n][m] * f.coefficient(m) * g.coefficient(n - m) for m in range(n + 1)), ZERO))
     return Polynomial(out)
+
+
+def fractal_entry(phi: Fraction | int, q: int, n: int, m: int) -> Fraction:
+    """Entry (n,m) of the fractal family, phi ** carry_count(q, n, m) inside
+    the triangle and 0 outside; at phi = 0 it is the digit dominance mask."""
+    k = carry_count(q, n, m)
+    return Fraction(phi) ** k if 0 <= m <= n else ZERO
+
+
+def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
+    """Entry (n,m) of the weight-q fractal matrix: q ** carry_count(q, n, m)
+    in O(digit count) steps, 0 outside the triangle. By Kummer's theorem, for
+    prime q this is the q-part of C(n, m); it equals the factorial ratio for every q."""
+    k = carry_count(q, n, m)
+    return Fraction(q**k) if 0 <= m <= n else ZERO
+
+
+def t_coefficient(q: int, n: int, m: int) -> Fraction:
+    """Product of ordinary binomials of the base-q digit pairs."""
+    if not 0 <= m <= n:
+        return ZERO
+    dn = digits(n, q)
+    dm = digits(m, q)
+    dm += [0] * (len(dn) - len(dm))
+    value = 1
+    for x, y in zip(dn, dm):
+        value *= comb(x, y)
+    return Fraction(value)
+
+
+def from_c_entry(s, n: int, m: int) -> Fraction:
+    return s.c[m] * s.c[n - m] / s.c[n]
+
+
+def hadamard_entry(s, n: int, m: int) -> Fraction:
+    return prod((f.entry(n, m) for f in s.factors), start=ONE)

@@ -27,7 +27,7 @@ from genpascal.sequences import BSequence, CSequence, fractal_b
 from genpascal.special import phi_q_matrix
 from genpascal.specs import GPSpec
 from genpascal.verify import run_suite
-from genpascal.zeroalg import digit_binom
+from genpascal.zeroalg import digit_binom, t_coefficient
 
 
 def test_displays():
@@ -108,6 +108,20 @@ BASE_CALLS = {
     "fast_gbinom_fractal-inside": lambda q: fast_gbinom_fractal(q, 5, 2),
     "fast_gbinom_fractal-outside": lambda q: fast_gbinom_fractal(q, 2, 5),
     "spec-entry": lambda q: GPSpec.fractal(2, q).entry(3, 1),
+    "t_coefficient-inside": lambda q: t_coefficient(q, 3, 1),
+    "t_coefficient-outside": lambda q: t_coefficient(q, 1, 3),
+    # every spec of a digit kind checks its base when it is made, so both sides of the triangle raise
+    "spec-entry-outside": lambda q: GPSpec.fractal(2, q).entry(3, 5),
+    "hadamard-spec-entry-inside": lambda q: GPSpec.hadamard([GPSpec.fractal(2, q)]).entry(3, 1),
+    "hadamard-spec-entry-outside": lambda q: GPSpec.hadamard([GPSpec.fractal(2, q)]).entry(3, 5),
+    "phiq-spec-entry-inside": lambda q: GPSpec.phiq(2, q).entry(3, 1),
+    "phiq-spec-entry-outside": lambda q: GPSpec.phiq(2, q).entry(3, 5),
+    "zero-overlay-spec-entry-inside": lambda q: GPSpec("zero-overlay", q=q).entry(3, 1),
+    "zero-overlay-spec-entry-outside": lambda q: GPSpec("zero-overlay", q=q).entry(3, 5),
+    "tmatrix-spec-entry-inside": lambda q: GPSpec.tmatrix(q).entry(3, 1),
+    "tmatrix-spec-entry-outside": lambda q: GPSpec.tmatrix(q).entry(3, 5),
+    "masked-spec-entry-inside": lambda q: GPSpec.masked([1, 2, 3, 4], q).entry(3, 1),
+    "masked-spec-entry-outside": lambda q: GPSpec.masked([1, 2, 3, 4], q).entry(3, 5),
     "fractal_matrix": lambda q: fractal_matrix(2, q, 4),
     "fractal_b": lambda q: fractal_b(q, 2, 4),
 }
@@ -223,6 +237,15 @@ def test_prime_factorization_entry():
     assert fast_gbinom_fractal(2, 6, 3) == 4
     assert fast_gbinom_fractal(3, 6, 3) == 1
     assert fast_gbinom_fractal(5, 6, 3) == 5
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=1999), st.data())
+def test_prime_fractal_hadamard_spec_is_pascal_per_entry(n, data):
+    # the paper's factorization one entry at a time: no matrix is built, so n reaches past the suites' sizes
+    m = data.draw(st.integers(min_value=0, max_value=n))
+    primes = [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert GPSpec.hadamard([GPSpec.fractal(p, p) for p in primes]).entry(n, m) == math.comb(n, m)
 
 
 def reference_prime_factorization(size):

@@ -3,6 +3,9 @@
 Each builder and series function is compared with its Fraction oracle in
 ``fraction_oracles``: equal matrices, equal integer views and hashes, equal
 Fraction rows with every entry an exact Fraction, and the same error text.
+The per-entry kernels and the ``from-c`` and ``hadamard`` per-entry forms,
+which compute on ints and build one Fraction, are compared with their
+Fraction oracles the same way, on the value and on its type.
 The readers' split of wire fractions is checked against parse_rational.
 """
 
@@ -14,12 +17,13 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 from genpascal.errors import NotFractal, ZeroEntry
+from genpascal.fractal import fast_gbinom_fractal, fractal_entry
 from genpascal.matrices import TriangularMatrix, build_from_c, hadamard_inverse
 from genpascal.rationals import parse_rational
 from genpascal.sequences import CSequence
 from genpascal.serialize import matrix_from_csv
 from genpascal.specs import GPSpec
-from genpascal.zeroalg import carryless_convolve, check_fractal, fractal_series, masked_matrix
+from genpascal.zeroalg import carryless_convolve, check_fractal, fractal_series, masked_matrix, t_coefficient
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -133,6 +137,70 @@ factor_specs = st.one_of(
 def test_hadamard_family_matches_the_streamed_oracle(factors, size):
     spec = GPSpec.hadamard(factors)
     assert_same_matrix(spec.materialize(size), oracle.materialize_hadamard(spec, size))
+
+
+def assert_same_entry(got, want) -> None:
+    assert got == want
+    assert type(got) is Fraction
+
+
+def dominated(q: int, n: int, m: int) -> int:
+    """The index whose base-q digits are the digitwise minimum of n and m, so
+    that n dominates it and its digit binomials are all nonzero."""
+    out, power = 0, 1
+    while n and m:
+        (n, x), (m, y) = divmod(n, q), divmod(m, q)
+        out += min(x, y) * power
+        power *= q
+    return out
+
+
+weights = st.sampled_from([0, 1, 2, -1, Fraction(-3, 2), Fraction(7, 3), oracle.FractionSubclass(5, 4)])
+index = st.integers(min_value=0, max_value=10**12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=7), index, index, weights)
+@example(2, 0, 0, 0)
+@example(3, 10**12, 10**12, Fraction(-3, 2))
+def test_entry_kernels_match_their_oracles(q, n, m, phi):
+    # m is drawn apart from n, so about half of the pairs lie outside the triangle
+    for n, m in [(n, m), (n, dominated(q, n, m)), (n, -m - 1)]:
+        assert_same_entry(fractal_entry(phi, q, n, m), oracle.fractal_entry(phi, q, n, m))
+        assert_same_entry(fast_gbinom_fractal(q, n, m), oracle.fast_gbinom_fractal(q, n, m))
+        assert_same_entry(t_coefficient(q, n, m), oracle.t_coefficient(q, n, m))
+
+
+small = st.integers(min_value=0, max_value=11)
+
+
+@SETTINGS
+@given(st.lists(nonzero, min_size=1, max_size=12), small, small)
+@example([Fraction(-3, 7)], 1, 0)  # a negative c_n: the sign moves off the denominator
+def test_from_c_entry_matches_the_oracle(values, n, m):
+    spec = GPSpec.from_c(c_sequence([Fraction(1), *values]))
+    n = n % (len(values) + 1)
+    m = m % (n + 1)
+    assert_same_entry(spec.entry(n, m), oracle.from_c_entry(spec, n, m))
+
+
+def test_from_c_entry_of_a_zero_c_n_raises_like_the_oracle():
+    spec = GPSpec.from_c(c_sequence([Fraction(1), Fraction(1), Fraction(0)]))
+    for form in (spec.entry, lambda n, m: oracle.from_c_entry(spec, n, m)):
+        with pytest.raises(ZeroDivisionError):
+            form(2, 1)
+
+
+@SETTINGS
+@given(st.lists(factor_specs, max_size=5), small, small)
+@example([], 5, 2)
+@example([GPSpec.fractal(0, 2), GPSpec.phiq(Fraction(-3, 2), 3)], 5, 2)  # a zero factor
+@example([GPSpec.fractal(Fraction(-2, 3), 2), GPSpec.fractal(-5, 3)], 5, 2)  # negative weights
+def test_hadamard_entry_matches_the_oracle(factors, n, m):
+    # the family's per-entry form, and so its oracle, is reached only inside the triangle
+    spec = GPSpec.hadamard(factors)
+    m = m % (n + 1)
+    assert_same_entry(spec.entry(n, m), oracle.hadamard_entry(spec, n, m))
 
 
 @SETTINGS

@@ -91,6 +91,8 @@ def test_kinds_without_entry_form(kind):
     assert spec.materialize(4).size == 4
     with pytest.raises(ValueError, match="no per-entry form"):
         spec.entry(1, 0)
+    with pytest.raises(ValueError, match="no per-entry form"):
+        GPSpec.hadamard([GPSpec("ones"), spec]).entry(1, 0)
 
 
 def test_unknown_kind():
