@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import inf
 
 from . import fractal, special, zeroalg
 from .errors import ZeroEntry, ZeroFactor
@@ -22,15 +21,11 @@ from .matrices import TriangularMatrix
 from .matrices import build_from_c  # noqa: F401  unused here; perfbench/tests checks the tracer patches it
 from .rationals import format_rational, parse_rational
 from .serialize import matrix_from_json, matrix_to_csv, matrix_to_json, matrix_to_pbm
-from .specs import GPSpec
+from .specs import Q_MIN, GPSpec
 from .verify import SUITES, run_suite
 
-# lower bound on --q per kind: None when the kind reads no --q, -inf for any integer
-Q_MIN = {
-    "pascal": None, "ones": None, "phiq": 2, "fractal": 2,
-    "qumbral": -inf, "qumbral-inverse": -inf, "zero-overlay": 2, "tmatrix": 2,
-}
-KINDS = tuple(Q_MIN)
+# the kinds gen and export build; those in specs.Q_MIN read --q
+KINDS = ("pascal", "ones", "phiq", "fractal", "qumbral", "qumbral-inverse", "zero-overlay", "tmatrix")
 
 # the gen usage as argparse wraps it at 80 columns on Python 3.10-3.12, written
 # out because 3.13 breaks the line before --kind instead and stderr is pinned
@@ -61,7 +56,7 @@ def build_matrix(args) -> tuple[TriangularMatrix, Fraction | None]:
     phi = parse_rational(args.phi) if args.phi is not None else None
     if kind == "phiq" and phi is None:
         raise ConfigError("--kind phiq requires --phi")
-    q = None if Q_MIN[kind] is None else _require_q(args, Q_MIN[kind])
+    q = _require_q(args, Q_MIN[kind]) if kind in Q_MIN else None
     spec_phi = Fraction(q) if kind == "fractal" and phi is None else phi
     return GPSpec(kind, phi=spec_phi, q=q).materialize(args.size), phi
 

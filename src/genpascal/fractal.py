@@ -80,7 +80,7 @@ def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
     in O(digit count) steps, 0 outside the triangle. By Kummer's theorem, for
     prime q this is the q-part of C(n, m); it equals the factorial ratio for every q."""
     k = carry_count(q, n, m)
-    return (Fraction(q**k) if k else ONE) if 0 <= m <= n else ZERO
+    return Fraction(q**k) if 0 <= m <= n else ZERO
 
 
 def fractal_row(q: int, n: int) -> Polynomial:

@@ -6,7 +6,7 @@ per-entry form; the two agree bit-exactly. ``entry`` evaluates one
 coefficient straight from the description; ``materialize`` builds the full
 truncation. A Hadamard spec materializes its factors one at a time and
 multiplies their integer views, so at most the running product and one factor
-are alive; its per-entry form multiplies the factors' entries.
+are alive; its per-entry form multiplies the factors' entries as ints.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, inf
 from typing import Sequence
 
 from .fractal import fractal_entry, fractal_matrix
@@ -38,8 +38,9 @@ class GPSpec:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise ValueError(f"unknown spec kind {self.kind!r}")
-        if self.kind in ("phiq", "fractal", "zero-overlay", "tmatrix", "masked") and self.q < 2:
-            raise ValueError("q must be >= 2")  # the q of these kinds is a base of digit expansions
+        minimum = Q_MIN.get(self.kind)
+        if minimum is not None and (self.q is None or self.q < minimum):
+            raise ValueError(f"spec kind {self.kind!r} requires q" if self.q is None else f"q must be >= {minimum}")
 
     @classmethod
     def from_c(cls, c: CSequence) -> "GPSpec":
@@ -88,7 +89,6 @@ def _from_c_entry(spec: GPSpec, n: int, m: int) -> Fraction:
 
 
 def _hadamard_entry(spec: GPSpec, n: int, m: int) -> Fraction:
-    """One Fraction of the int products of the factors' numerators and denominators."""
     num = den = 1
     for x in [f.entry(n, m) for f in spec.factors]:
         num, den = num * x.numerator, den * x.denominator
@@ -103,6 +103,10 @@ def _qumbral_entry(spec: GPSpec, n: int, m: int) -> Fraction:
         ratio *= spec.q
     return series[n - m]
 
+
+# the least q of each kind that takes one: a digit kind's q is a base, a q-umbral q is any number
+Q_MIN = {"phiq": 2, "fractal": 2, "zero-overlay": 2, "tmatrix": 2, "masked": 2,
+         "qumbral": -inf, "qumbral-inverse": -inf}
 
 # kind -> (materialize(spec, size), entry(spec, n, m) for 0 <= m <= n, or None)
 FAMILIES = {

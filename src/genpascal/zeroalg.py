@@ -200,7 +200,7 @@ def t_coefficient(q: int, n: int, m: int) -> Fraction:
     while m and value:
         (n, x), (m, y) = divmod(n, q), divmod(m, q)
         value *= comb(x, y)
-    return Fraction(value) if value else ZERO
+    return Fraction(value)
 
 
 def t_matrix(q: int, size: int) -> TriangularMatrix:

@@ -21,7 +21,7 @@ convolution of a matrix, the addition-rule form of ``gbinom``, the geometric
 series, the first column of a c-sequence matrix as weights, and a matrix from
 its per-entry function.
 
-``fractal_entry``, ``fast_gbinom_fractal`` and ``t_coefficient`` are the
+``fractal_entry`` and ``t_coefficient`` are the
 library's per-entry kernels as they were when they coerced phi and built
 their Fraction through ``Fraction(...)`` on every call (``t_coefficient``
 over the digit lists of ``digits``); ``from_c_entry`` and ``hadamard_entry``
@@ -331,14 +331,6 @@ def fractal_entry(phi: Fraction | int, q: int, n: int, m: int) -> Fraction:
     the triangle and 0 outside; at phi = 0 it is the digit dominance mask."""
     k = carry_count(q, n, m)
     return Fraction(phi) ** k if 0 <= m <= n else ZERO
-
-
-def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
-    """Entry (n,m) of the weight-q fractal matrix: q ** carry_count(q, n, m)
-    in O(digit count) steps, 0 outside the triangle. By Kummer's theorem, for
-    prime q this is the q-part of C(n, m); it equals the factorial ratio for every q."""
-    k = carry_count(q, n, m)
-    return Fraction(q**k) if 0 <= m <= n else ZERO
 
 
 def t_coefficient(q: int, n: int, m: int) -> Fraction:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden_matrices as gold
@@ -134,6 +134,12 @@ def test_base_below_two_raises(q, name):
         BASE_CALLS[name](q)
 
 
+@pytest.mark.parametrize("kind", ["phiq", "fractal", "zero-overlay", "tmatrix", "masked", "qumbral", "qumbral-inverse"])
+def test_spec_without_q_raises(kind):
+    with pytest.raises(ValueError, match=f"spec kind '{kind}' requires q"):
+        GPSpec(kind, phi=Fraction(2), a=(Fraction(1),))
+
+
 @pytest.mark.parametrize("q,k_max", [(2, 4), (3, 3)])
 def test_digit_block_identity_dominant(q, k_max):
     # (q^k n + i, q^k m + j) splits as (n,m)*(i,j) when i >= j
@@ -240,10 +246,12 @@ def test_prime_factorization_entry():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=1999), st.data())
-def test_prime_fractal_hadamard_spec_is_pascal_per_entry(n, data):
+@given(st.integers(min_value=0, max_value=1999).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@example((5000, 2500))  # about 670 factors
+@example((4999, 1234))
+def test_prime_fractal_hadamard_spec_is_pascal_per_entry(nm):
     # the paper's factorization one entry at a time: no matrix is built, so n reaches past the suites' sizes
-    m = data.draw(st.integers(min_value=0, max_value=n))
+    n, m = nm
     primes = [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
     assert GPSpec.hadamard([GPSpec.fractal(p, p) for p in primes]).entry(n, m) == math.comb(n, m)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 from genpascal.errors import NotFractal, ZeroEntry
-from genpascal.fractal import fast_gbinom_fractal, fractal_entry
+from genpascal.fractal import fractal_entry
 from genpascal.matrices import TriangularMatrix, build_from_c, hadamard_inverse
 from genpascal.rationals import parse_rational
 from genpascal.sequences import CSequence
@@ -167,7 +167,6 @@ def test_entry_kernels_match_their_oracles(q, n, m, phi):
     # m is drawn apart from n, so about half of the pairs lie outside the triangle
     for n, m in [(n, m), (n, dominated(q, n, m)), (n, -m - 1)]:
         assert_same_entry(fractal_entry(phi, q, n, m), oracle.fractal_entry(phi, q, n, m))
-        assert_same_entry(fast_gbinom_fractal(q, n, m), oracle.fast_gbinom_fractal(q, n, m))
         assert_same_entry(t_coefficient(q, n, m), oracle.t_coefficient(q, n, m))
 
 
