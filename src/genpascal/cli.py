@@ -103,8 +103,10 @@ def cmd_decompose(args) -> int:
     max_q = args.max_q if args.max_q is not None else matrix.size - 1
     if not 2 <= max_q < matrix.size:
         raise ConfigError("--max-q must satisfy 2 <= max-q < size")
-    coords = special.phi_coordinates(matrix, max_q)
-    print(json.dumps({str(q): format_rational(beta) for q, beta in sorted(coords.betas.items())}))
+    # beta_q reads only the b_d with d | q, so the sieve over the whole first
+    # column gives the same betas up to max_q and refuses a zero b_n past it
+    betas = special.phi_coordinates(matrix, matrix.size - 1).betas
+    print(json.dumps({str(q): format_rational(betas[q]) for q in range(2, max_q + 1)}))
     return 0
 
 

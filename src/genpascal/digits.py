@@ -5,6 +5,7 @@ the digit products (Lucas) and the additive one of the carry counts (Kummer).
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, Sequence
 
 
@@ -42,35 +43,74 @@ def digit_product_rows(
         row n = [t * c for t in top[n div q] for c in block(n mod q, 0..k-1)][: n + 1],
 
     so entry (q n' + i, q m' + j) is block(i, j) * top[n'][m']. Without ``top``
-    the family is self-similar: top is the rows being built, from row 0 = [1].
-    Only digits below k = min(q, size) occur, so a huge q costs no more than size.
+    the family is self-similar: top is the rows being built, from row 0 = [1];
+    a given top row n' holds n' + 1 entries. Only digits below k = min(q, size)
+    occur, so a huge q costs no more than size.
+
+    Row n is read off row n' = n div q. For n' >= q it is one strided slice
+    row[j::q] per digit j: row n' scaled by block(n mod q, j), cut to n'
+    entries when j > n mod q (0 skips the slice, 1 copies it). For n' < q
+    it is one block row, or zeros, per entry of row n' when those are all
+    0 or 1, and one flat product otherwise.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
     k = min(q, size)
-    table = [[block(i, j) for j in range(k)] for i in range(k)]
+    # + 0 turns the bools of ge into ints, since a block row may be copied into the rows as it is;
+    # for q >= size row n is block row n cut after digit n, so only j <= i is read
+    table = [[block(i, j) + 0 for j in range(k if q < size else i + 1)] for i in range(k)]
+    zeros = [0] * k
     if top is None:
         rows = top = [[1]]
     else:
         rows = []
     for n in range(len(rows), size):
         n1, i = divmod(n, q)
-        rows.append([t * c for t in top[n1] for c in table[i]][: n + 1])
+        above, cs = top[n1], table[i]
+        if n1 >= q:
+            row = [0] * (n + 1)
+            head = above[:n1]
+            for j, c in enumerate(cs):
+                if c:
+                    part = above if j <= i else head
+                    row[j::q] = part if c == 1 else [t * c for t in part]
+        elif above.count(0) + above.count(1) > n1:
+            row = []
+            for t in above:
+                row += cs if t else zeros
+            del row[n + 1 :]
+        else:
+            row = [t * c for t in above for c in cs][: n + 1]
+        rows.append(row)
     return rows[:size]
 
 
 def carry_count_rows(q: int, size: int) -> list[list[int]]:
-    """Carry counts of rows 0..size-1 as ints, row n from row n div q by the
-    additive digit recursion (see ``genpascal.fractal``)."""
+    """Carry counts of rows 0..size-1 as ints, row n from row n' = n div q by
+    the additive digit recursion (see ``genpascal.fractal``): with
+    n = q n' + i, entry q m' + j is prev[m'] for j <= i and
+    high[m'] = 1 + v_q(m' + 1) + prev[m' + 1] for j > i, where prev is row n'.
+
+    Row q n' is one strided slice per digit: prev at digit 0, high at the
+    others. Each of the next q - 1 rows is its predecessor plus one entry,
+    with the slice of its digit i switched from high to prev. So a row takes
+    O(1) interpreter steps on average, whatever q is.
+    """
     if q < 2:
         raise ValueError("q must be >= 2")
     step = [1 + valuation(m1 + 1, q) for m1 in range(size // q)]  # read once per q entries
     counts = [[0]]
-    for n in range(1, size):
-        n1, i = divmod(n, q)
-        prev = counts[n1]
-        row = []
-        for m1 in range(n1):
-            row += [prev[m1]] * (i + 1) + [step[m1] + prev[m1 + 1]] * (q - 1 - i)
-        counts.append(row + [prev[n1]] * (i + 1))
+    for n1 in range((size - 1) // q + 1):
+        prev = row = counts[n1]
+        if n1:  # n1 = 0 starts from the seed row 0
+            high = list(map(add, step, prev[1:]))
+            row = [0] * (q * n1 + 1)
+            row[::q] = prev
+            for j in range(1, q):
+                row[j::q] = high
+            counts.append(row)
+        for i in range(1, min(q, size - q * n1)):
+            row = row + [prev[n1]]
+            row[i::q] = prev
+            counts.append(row)
     return counts[:size]

@@ -11,10 +11,11 @@ The count obeys a digit recursion. Write n = q n' + i and m = q m' + j with
 0 <= i, j < q. If i >= j, the counts of (n, m) and (n', m') are equal. If
 i < j, the count of (n, m) is 1 + v_q(m' + 1) plus that of (n', m' + 1),
 where v_q is the q-adic valuation. ``digits.carry_count_rows`` follows it, so
-row n of the family follows from row n div q with O(1) work per entry. A
-single entry needs no recursion: it is phi ** carry_count(q, n, m) for every
-weight (0 ** 0 = 1 makes the zero weight the digit dominance mask), and the
-weight-q entry is q ** carry_count(q, n, m).
+row n of the family follows from row n div q by one strided slice per
+digit, with the per-entry work done in C. A single entry needs no
+recursion: it is phi ** carry_count(q, n, m) for every weight (0 ** 0 = 1
+makes the zero weight the digit dominance mask), and the weight-q entry is
+q ** carry_count(q, n, m).
 """
 
 from __future__ import annotations

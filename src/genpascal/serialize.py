@@ -40,7 +40,16 @@ def matrix_to_doc(
 
 
 def matrix_to_json(matrix: TriangularMatrix, kind: str, q=None, phi=None) -> str:
-    return json.dumps(matrix_to_doc(matrix, kind, q, phi), indent=1)
+    """``json.dumps(matrix_to_doc(...), indent=1)``, byte for byte. The header
+    goes through json.dumps; the rows are joined directly, since their
+    entries are wire rationals, ``-?digits(/digits)?``, which need no escaping."""
+    doc = matrix_to_doc(matrix, kind, q, phi)
+    rows, doc["rows"] = doc["rows"], []
+    text = json.dumps(doc, indent=1)  # ends with '"rows": []\n}'
+    if not rows:
+        return text
+    body = '"\n  ],\n  [\n   "'.join('",\n   "'.join(row) for row in rows)
+    return f'{text[:-4]}[\n  [\n   "{body}"\n  ]\n ]\n}}'
 
 
 def matrix_from_doc(doc: dict) -> TriangularMatrix:
@@ -108,15 +117,21 @@ def _matrix_from_rows(rows: list[list]) -> TriangularMatrix:
     return TriangularMatrix.from_view(den, [list(map(nums.__getitem__, row)) for row in rows])
 
 
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)  # a zero byte to '0', any other to '1'
 
 
 def matrix_to_pbm(matrix: TriangularMatrix) -> str:
     """P1 bitmap of the nonzero pattern, row n padded with zeros beyond the
-    diagonal to the full width."""
+    diagonal to the full width. A row whose entries all lie in 0..255 is
+    read as bytes in C; any other row goes through bool once per entry."""
     size = matrix.size
     _, rows = matrix.int_view()
-    zeros = bytes(size)
+    pad = b"0" * size
     lines = [b"P1", b"%d %d" % (size, size)]
-    lines += [(bytes(map(bool, row)) + zeros[n + 1 :]).translate(_BITS) for n, row in enumerate(rows)]
+    for n, row in enumerate(rows):
+        try:
+            bits = bytes(row)
+        except ValueError:  # an entry below 0 or above 255
+            bits = bytes(map(bool, row))
+        lines.append(bits.translate(_BITS) + pad[n + 1 :])
     return (b"\n".join(lines) + b"\n").decode("ascii")

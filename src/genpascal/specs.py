@@ -41,6 +41,8 @@ class GPSpec:
         minimum = Q_MIN.get(self.kind)
         if minimum is not None and (self.q is None or self.q < minimum):
             raise ValueError(f"spec kind {self.kind!r} requires q" if self.q is None else f"q must be >= {minimum}")
+        if self.kind in ("phiq", "fractal") and self.phi is None:
+            raise ValueError(f"spec kind {self.kind!r} requires phi")
 
     @classmethod
     def from_c(cls, c: CSequence) -> "GPSpec":

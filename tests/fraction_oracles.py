@@ -29,6 +29,11 @@ are the ``from-c`` and ``hadamard`` per-entry forms of ``specs.FAMILIES``,
 the Fraction quotient c_m c_{n-m} / c_n and the Fraction product of the
 factors' entries.
 
+``digit_product_rows`` and ``carry_count_rows`` are the digit kernels of
+``genpascal.digits`` as they were when they spent one interpreter step per
+entry, before they copied whole strided slices, and ``matrix_to_pbm`` is the
+PBM writer as it was when it called ``bool`` on every entry.
+
 ``value_form`` writes a value as one of the other inputs the value
 constructors coerce through ``Fraction()``.
 """
@@ -38,9 +43,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm, prod
 from operator import ge, mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from genpascal.digits import digit_product_rows, digits
+from genpascal.digits import digits, valuation
 from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
 from genpascal.fractal import carry_count
 from genpascal.matrices import TriangularMatrix
@@ -352,3 +357,59 @@ def from_c_entry(s, n: int, m: int) -> Fraction:
 
 def hadamard_entry(s, n: int, m: int) -> Fraction:
     return prod((f.entry(n, m) for f in s.factors), start=ONE)
+
+
+def digit_product_rows(
+    q: int, size: int, block: Callable[[int, int], int], top: Sequence[Sequence[int]] | None = None
+) -> list[list[int]]:
+    """Rows 0..size-1 of the multiplicative digit recursion on ints,
+
+        row n = [t * c for t in top[n div q] for c in block(n mod q, 0..k-1)][: n + 1],
+
+    so entry (q n' + i, q m' + j) is block(i, j) * top[n'][m']. Without ``top``
+    the family is self-similar: top is the rows being built, from row 0 = [1].
+    Only digits below k = min(q, size) occur, so a huge q costs no more than size.
+    """
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    k = min(q, size)
+    table = [[block(i, j) for j in range(k)] for i in range(k)]
+    if top is None:
+        rows = top = [[1]]
+    else:
+        rows = []
+    for n in range(len(rows), size):
+        n1, i = divmod(n, q)
+        rows.append([t * c for t in top[n1] for c in table[i]][: n + 1])
+    return rows[:size]
+
+
+def carry_count_rows(q: int, size: int) -> list[list[int]]:
+    """Carry counts of rows 0..size-1 as ints, row n from row n div q by the
+    additive digit recursion (see ``genpascal.fractal``)."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    step = [1 + valuation(m1 + 1, q) for m1 in range(size // q)]  # read once per q entries
+    counts = [[0]]
+    for n in range(1, size):
+        n1, i = divmod(n, q)
+        prev = counts[n1]
+        row = []
+        for m1 in range(n1):
+            row += [prev[m1]] * (i + 1) + [step[m1] + prev[m1 + 1]] * (q - 1 - i)
+        counts.append(row + [prev[n1]] * (i + 1))
+    return counts[:size]
+
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def matrix_to_pbm(matrix: TriangularMatrix) -> str:
+    """P1 bitmap of the nonzero pattern, row n padded with zeros beyond the
+    diagonal to the full width."""
+    size = matrix.size
+    _, rows = matrix.int_view()
+    zeros = bytes(size)
+    lines = [b"P1", b"%d %d" % (size, size)]
+    lines += [(bytes(map(bool, row)) + zeros[n + 1 :]).translate(_BITS) for n, row in enumerate(rows)]
+    return (b"\n".join(lines) + b"\n").decode("ascii")

@@ -78,6 +78,8 @@ ERROR_ARGS = [
     ["export", "--kind", "phiq", "--q", "2"],
     ["decompose", "--kind", "fractal", "--size", "6"],
     ["decompose", "--kind", "pascal", "--size", "8"],
+    # a zero b_n past --max-q is still refused: the whole first column is read
+    ["decompose", "--kind", "phiq", "--q", "5", "--phi", "0", "--size", "8", "--max-q", "3"],
 ]
 
 SUCCESS_ARGS = [

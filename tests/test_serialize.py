@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_oracles as oracle
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import TriangularMatrix, build_from_c
 from genpascal.rationals import format_rational, parse_rational
@@ -253,6 +254,42 @@ def test_pbm_golden_file():
     for n, line in enumerate(lines[2:]):
         for m, bit in enumerate(line):
             assert int(bit) == (comb(n, m) % 2 if m <= n else 0)
+
+
+PBM_ENTRIES = [0, 1, 255, 256, -1, 10**40]
+
+
+@pytest.mark.parametrize("den", [1, 7])
+@pytest.mark.parametrize("size", [0, 1, 2, 6])
+def test_pbm_bytes_rows_and_their_fallback(size, den):
+    # entries in 0..255 take the bytes() path and a row with any other entry falls back to bool per entry,
+    # over a denominator too; each shift puts every entry at (0, 0), on the diagonal and in the first column
+    for shift in range(len(PBM_ENTRIES)):
+        rows = [[PBM_ENTRIES[(n + m + shift) % len(PBM_ENTRIES)] for m in range(n + 1)] for n in range(size)]
+        matrix = TriangularMatrix.from_view(den, rows)
+        assert matrix_to_pbm(matrix) == oracle.matrix_to_pbm(matrix)
+
+
+@st.composite
+def view_matrices(draw):
+    """from_view matrices of size 0 to 12 with signed, often fractional entries."""
+    size = draw(st.integers(min_value=0, max_value=12))
+    count = size * (size + 1) // 2
+    flat = iter(draw(st.lists(st.integers(-(10**30), 10**30), min_size=count, max_size=count)))
+    rows = [[next(flat) for _ in range(n + 1)] for n in range(size)]
+    return TriangularMatrix.from_view(draw(st.integers(1, 12)), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    view_matrices(),
+    st.sampled_from(sorted(FAMILIES)),
+    st.one_of(st.none(), st.integers(-5, 10**6)),
+    st.one_of(st.none(), st.fractions(max_denominator=12)),
+)
+@example(TriangularMatrix([]), "pascal", None, None)
+def test_json_writer_is_json_dumps(matrix, kind, q, phi):
+    assert matrix_to_json(matrix, kind, q, phi) == json.dumps(matrix_to_doc(matrix, kind, q, phi), indent=1)
 
 
 def writer_cases():

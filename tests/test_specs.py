@@ -100,3 +100,11 @@ def test_unknown_kind():
         GPSpec("bogus").entry(1, 0)
     with pytest.raises(ValueError):
         GPSpec("bogus").materialize(2)
+
+
+@pytest.mark.parametrize("kind", ["phiq", "fractal"])
+@pytest.mark.parametrize("n, m", [(3, 1), (3, 5)])
+def test_spec_without_phi_raises(kind, n, m):
+    # refused when made, so an entry on either side of the triangle never runs
+    with pytest.raises(ValueError, match=f"spec kind '{kind}' requires phi"):
+        GPSpec(kind, q=3).entry(n, m)
