@@ -49,17 +49,13 @@ def digit_product_rows(
 
     Row n is read off row n' = n div q. For n' >= q it is one strided slice
     row[j::q] per digit j: row n' scaled by block(n mod q, j), cut to n'
-    entries when j > n mod q (0 skips the slice, 1 copies it). For n' < q
-    it is one block row, or zeros, per entry of row n' when those are all
-    0 or 1, and one flat product otherwise.
+    entries when j > n mod q (0 skips the slice, 1 copies it). For n' < q,
+    where row n' is shorter than the block row, it is the flat product.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
     k = min(q, size)
-    # + 0 turns the bools of ge into ints, since a block row may be copied into the rows as it is;
-    # for q >= size row n is block row n cut after digit n, so only j <= i is read
-    table = [[block(i, j) + 0 for j in range(k if q < size else i + 1)] for i in range(k)]
-    zeros = [0] * k
+    table = [[block(i, j) for j in range(k)] for i in range(k)]
     if top is None:
         rows = top = [[1]]
     else:
@@ -74,11 +70,6 @@ def digit_product_rows(
                 if c:
                     part = above if j <= i else head
                     row[j::q] = part if c == 1 else [t * c for t in part]
-        elif above.count(0) + above.count(1) > n1:
-            row = []
-            for t in above:
-                row += cs if t else zeros
-            del row[n + 1 :]
         else:
             row = [t * c for t in above for c in cs][: n + 1]
         rows.append(row)
