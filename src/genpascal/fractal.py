@@ -16,6 +16,13 @@ digit, with the per-entry work done in C. A single entry needs no
 recursion: it is phi ** carry_count(q, n, m) for every weight (0 ** 0 = 1
 makes the zero weight the digit dominance mask), and the weight-q entry is
 q ** carry_count(q, n, m).
+
+The weight-q rows and columns also follow polynomial recurrences: row
+qn+m from rows n and n-1, column qn+m from columns n and n+1 at the inner
+size. ``fractal_row`` and ``fractal_column`` take a table of what is
+already built and add the inner rows or columns they build to it, so rows
+0..N-1 (or columns 0..N-1 at size N) built in order over one table cost one
+recurrence step each, and a lone row or column builds O(log n) inner ones.
 """
 
 from __future__ import annotations
@@ -84,29 +91,48 @@ def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
     return Fraction(q**k) if 0 <= m <= n else ZERO
 
 
-def fractal_row(q: int, n: int) -> Polynomial:
+def fractal_row(q: int, n: int, rows: dict[int, Polynomial] | None = None) -> Polynomial:
     """Row n of the weight-q fractal matrix, built only from the recurrence
-    u_{qn+m} = w_m(x) u_n(x^q) + q b_n x^{m+1} w_{q-2-m}(x) u_{n-1}(x^q)."""
+    u_{qn+m} = w_m(x) u_n(x^q) + q b_n x^{m+1} w_{q-2-m}(x) u_{n-1}(x^q),
+    and the zero polynomial outside the triangle (n < 0).
+
+    ``rows`` maps n to the rows already built. An inner row it lacks is built
+    through the module's ``fractal_row`` and added, so one table shared by the
+    calls for rows 0..N-1 builds each row once, and a lone call builds only
+    the O(log n) rows below it."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    if n == 0:
-        return P_ONE
+    if n <= 0:
+        return P_ONE if n == 0 else P_ZERO
     n1, m = divmod(n, q)
     if n1 == 0:
         return w_poly(m)  # b_0 = 0 kills the second term
-    term = w_poly(m) * fractal_row(q, n1).substitute_power(q)
+    rows = {} if rows is None else rows
+    if n1 not in rows:
+        rows[n1] = fractal_row(q, n1, rows)
+    term = w_poly(m) * rows[n1].substitute_power(q)
     tail = w_poly(q - 2 - m)
     if not tail.is_zero():
+        if n1 - 1 not in rows:
+            rows[n1 - 1] = fractal_row(q, n1 - 1, rows)
         bn = q ** valuation(n1, q)  # b_{n1} of the weight-q family
-        term = term + (q * bn) * tail.shift(m + 1) * fractal_row(q, n1 - 1).substitute_power(q)
+        term = term + (q * bn) * tail.shift(m + 1) * rows[n1 - 1].substitute_power(q)
     return term
 
 
-def fractal_column(q: int, n: int, size: int) -> Polynomial:
+def fractal_column(
+    q: int, n: int, size: int, columns: dict[tuple[int, int], Polynomial] | None = None
+) -> Polynomial:
     """Column n of the weight-q fractal matrix truncated at degree size-1,
     built from g_{qn+m} = x^m w_{q-1-m}(x) g_n(x^q) + q b_{n+1} w_{m-1}(x) g_{n+1}(x^q),
     seeded by direct evaluation for n < q. The inner columns are needed only
-    through degree (size-1) div q."""
+    through degree (size-1) div q, so they are the columns n div q and
+    n div q + 1 at size (size-1) div q + 1.
+
+    ``columns`` maps (n, size) to the columns already built. An inner column
+    it lacks is built through the module's ``fractal_column`` and added, so one
+    table shared by the calls for columns 0..N-1 at size N builds each
+    (column, size) once, and a lone call builds O(log n) inner columns."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if size < 1:
@@ -115,11 +141,16 @@ def fractal_column(q: int, n: int, size: int) -> Polynomial:
         return Polynomial.from_view(1, [fast_gbinom_fractal(q, k, n).numerator for k in range(size)])
     n1, m = divmod(n, q)
     inner = (size - 1) // q + 1
-    term = (w_poly(q - 1 - m) * fractal_column(q, n1, inner).substitute_power(q)).shift(m)
+    columns = {} if columns is None else columns
+    if (n1, inner) not in columns:
+        columns[n1, inner] = fractal_column(q, n1, inner, columns)
+    term = (w_poly(q - 1 - m) * columns[n1, inner].substitute_power(q)).shift(m)
     lead = w_poly(m - 1)
     if not lead.is_zero():
+        if (n1 + 1, inner) not in columns:
+            columns[n1 + 1, inner] = fractal_column(q, n1 + 1, inner, columns)
         bn = q ** valuation(n1 + 1, q)
-        term = term + (q * bn) * lead * fractal_column(q, n1 + 1, inner).substitute_power(q)
+        term = term + (q * bn) * lead * columns[n1 + 1, inner].substitute_power(q)
     return term.truncate(size - 1)
 
 

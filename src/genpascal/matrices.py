@@ -229,6 +229,10 @@ def identity_check(a: TriangularMatrix, suite: str = "identities") -> Report:
     for all 0 <= m <= n and shifts 0 <= p < q with n+q < size. Equal shifts
     make both sides identical and swapping p,q swaps the sides, so scanning
     p < q is exhaustive. Returns the first counterexample found.
+
+    For each n the products (n+s,m+s)(m+s,s) are made once per shift s, and
+    for each p the sides of every q > p are compared as two flat lists, so
+    the per-entry work runs in C; the first differing index names q and m.
     """
     den, rows = a.int_view()
     checked = 0
@@ -243,18 +247,23 @@ def identity_check(a: TriangularMatrix, suite: str = "identities") -> Report:
     # on the numerators each side is den**3 times its value, so the sides agree exactly when the entries do
     cols = _columns(rows)
     for n in range(a.size):
-        for p in range(a.size - n):
-            np_ = rows[n + p]
-            left = list(map(mul, np_[p:], cols[p]))  # (n+p,m+p)(m+p,p) for m = 0..n
-            for q in range(p + 1, a.size - n):
-                nq = rows[n + q]
-                lhs = list(map(mul, left, repeat(nq[q])))
-                rhs = list(map(mul, map(mul, nq[q:], cols[q]), repeat(np_[p])))
-                if lhs != rhs:
-                    m = _first_difference(lhs, rhs)
-                    return Report(
-                        suite, False, {"identity": "shift", "n": n, "m": m, "p": p, "q": q}, checked + m + 1
-                    )
-                checked += n + 1
+        width = n + 1
+        shifts = a.size - n
+        # products[s][m] = (n+s,m+s)(m+s,s), made once per shift s and laid end to end in flat
+        products = [list(map(mul, rows[n + s][s:], cols[s])) for s in range(shifts)]
+        flat = list(chain.from_iterable(products))
+        # (n+s,s) repeated once per m, aligned with flat
+        diagonal = list(chain.from_iterable(repeat(rows[n + s][s], width) for s in range(shifts)))
+        for p in range(shifts):
+            # every shift q > p at once: entry (q-p-1)*width + m holds the sides at (m, q)
+            start = (p + 1) * width
+            lhs = list(map(mul, products[p] * (shifts - 1 - p), diagonal[start:]))
+            rhs = list(map(mul, flat[start:], repeat(rows[n + p][p])))
+            if lhs != rhs:
+                i = _first_difference(lhs, rhs)
+                k, m = divmod(i, width)
+                ce = {"identity": "shift", "n": n, "m": m, "p": p, "q": p + 1 + k}
+                return Report(suite, False, ce, checked + i + 1)
+            checked += len(lhs)
     return Report(suite, True, None, checked)
 

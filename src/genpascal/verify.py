@@ -70,13 +70,20 @@ def suite_kron(size: int) -> Report:
 
 
 def recurrence_check(q: int, size: int) -> Report:
-    """Rows and columns from the recurrences against the materialized matrix."""
+    """Rows and columns from the recurrences against the materialized matrix.
+
+    Each row and column is built once over a shared table, through the
+    module's bindings, so a wrapper put on them sees every one of them."""
     matrix = fractal.fractal_matrix(q, q, size)
-    rows = [fractal.fractal_row(q, n) for n in range(size)]
-    columns = [fractal.fractal_column(q, n, size) for n in range(size)]
+    rows, columns = {}, {}
+    for n in range(size):
+        rows[n] = fractal.fractal_row(q, n, rows)
+        columns[n, size] = fractal.fractal_column(q, n, size, columns)
+    got_rows = [rows[n] for n in range(size)]
+    got_columns = [columns[n, size] for n in range(size)]
     return merge_reports("recurrences", [
-        check_equal("recurrence-rows", rows, [matrix.row_poly(n) for n in range(size)], q=q),
-        check_equal("recurrence-columns", columns, [matrix.column_poly(n) for n in range(size)], q=q),
+        check_equal("recurrence-rows", got_rows, [matrix.row_poly(n) for n in range(size)], q=q),
+        check_equal("recurrence-columns", got_columns, [matrix.column_poly(n) for n in range(size)], q=q),
     ])
 
 

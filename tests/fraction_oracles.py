@@ -34,6 +34,12 @@ factors' entries.
 entry, before they copied whole strided slices, and ``matrix_to_pbm`` is the
 PBM writer as it was when it called ``bool`` on every entry.
 
+``fractal_row`` and ``fractal_column`` are the recurrences as they were when
+each call rebuilt the rows or columns it recursed on, with no table shared
+between calls, and ``identity_check`` is the shift-identity check as it was
+when it remade the products of shift q for every p and compared one q at a
+time.
+
 ``value_form`` writes a value as one of the other inputs the value
 constructors coerce through ``Fraction()``.
 """
@@ -41,16 +47,18 @@ constructors coerce through ``Fraction()``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb, lcm, prod
 from operator import ge, mul
 from typing import Callable, Iterable, Sequence
 
 from genpascal.digits import digits, valuation
 from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
-from genpascal.fractal import carry_count
-from genpascal.matrices import TriangularMatrix
-from genpascal.polynomials import Polynomial
+from genpascal.fractal import carry_count, fast_gbinom_fractal
+from genpascal.matrices import TriangularMatrix, _columns, _first_difference
+from genpascal.polynomials import P_ONE, P_ZERO, Polynomial, w_poly
 from genpascal.rationals import ONE, ZERO
+from genpascal.report import Report
 from genpascal.sequences import BSequence
 from genpascal.zeroalg import digit_binom
 
@@ -413,3 +421,83 @@ def matrix_to_pbm(matrix: TriangularMatrix) -> str:
     lines = [b"P1", b"%d %d" % (size, size)]
     lines += [(bytes(map(bool, row)) + zeros[n + 1 :]).translate(_BITS) for n, row in enumerate(rows)]
     return (b"\n".join(lines) + b"\n").decode("ascii")
+
+
+def fractal_row(q: int, n: int) -> Polynomial:
+    """Row n of the weight-q fractal matrix, built only from the recurrence
+    u_{qn+m} = w_m(x) u_n(x^q) + q b_n x^{m+1} w_{q-2-m}(x) u_{n-1}(x^q)."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    if n == 0:
+        return P_ONE
+    n1, m = divmod(n, q)
+    if n1 == 0:
+        return w_poly(m)  # b_0 = 0 kills the second term
+    term = w_poly(m) * fractal_row(q, n1).substitute_power(q)
+    tail = w_poly(q - 2 - m)
+    if not tail.is_zero():
+        bn = q ** valuation(n1, q)  # b_{n1} of the weight-q family
+        term = term + (q * bn) * tail.shift(m + 1) * fractal_row(q, n1 - 1).substitute_power(q)
+    return term
+
+
+def fractal_column(q: int, n: int, size: int) -> Polynomial:
+    """Column n of the weight-q fractal matrix truncated at degree size-1,
+    built from g_{qn+m} = x^m w_{q-1-m}(x) g_n(x^q) + q b_{n+1} w_{m-1}(x) g_{n+1}(x^q),
+    seeded by direct evaluation for n < q. The inner columns are needed only
+    through degree (size-1) div q."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    if size < 1:
+        return P_ZERO
+    if n < q:
+        return Polynomial.from_view(1, [fast_gbinom_fractal(q, k, n).numerator for k in range(size)])
+    n1, m = divmod(n, q)
+    inner = (size - 1) // q + 1
+    term = (w_poly(q - 1 - m) * fractal_column(q, n1, inner).substitute_power(q)).shift(m)
+    lead = w_poly(m - 1)
+    if not lead.is_zero():
+        bn = q ** valuation(n1 + 1, q)
+        term = term + (q * bn) * lead * fractal_column(q, n1 + 1, inner).substitute_power(q)
+    return term.truncate(size - 1)
+
+
+
+def identity_check(a: TriangularMatrix, suite: str = "identities") -> Report:
+    """Check the defining entry identities on the whole truncation.
+
+    (n,0) = 1 and (n,m) = (n,n-m) for every stored entry, and the six-factor
+    shift identity
+        (n+q,q)(n+p,m+p)(m+p,p) = (n+p,p)(n+q,m+q)(m+q,q)
+    for all 0 <= m <= n and shifts 0 <= p < q with n+q < size. Equal shifts
+    make both sides identical and swapping p,q swaps the sides, so scanning
+    p < q is exhaustive. Returns the first counterexample found.
+    """
+    den, rows = a.int_view()
+    checked = 0
+    for n, row in enumerate(rows):
+        if row[0] != den:
+            ce = {"identity": "column0", "n": n, "value": str(a.rows[n][0])}
+            return Report(suite, False, ce, checked + 1)
+        if row != row[::-1]:
+            m = _first_difference(row, row[::-1])
+            return Report(suite, False, {"identity": "symmetry", "n": n, "m": m}, checked + m + 2)
+        checked += n + 2
+    # on the numerators each side is den**3 times its value, so the sides agree exactly when the entries do
+    cols = _columns(rows)
+    for n in range(a.size):
+        for p in range(a.size - n):
+            np_ = rows[n + p]
+            left = list(map(mul, np_[p:], cols[p]))  # (n+p,m+p)(m+p,p) for m = 0..n
+            for q in range(p + 1, a.size - n):
+                nq = rows[n + q]
+                lhs = list(map(mul, left, repeat(nq[q])))
+                rhs = list(map(mul, map(mul, nq[q:], cols[q]), repeat(np_[p])))
+                if lhs != rhs:
+                    m = _first_difference(lhs, rhs)
+                    return Report(
+                        suite, False, {"identity": "shift", "n": n, "m": m, "p": p, "q": q}, checked + m + 1
+                    )
+                checked += n + 1
+    return Report(suite, True, None, checked)
+

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_oracles as oracle
 import golden_matrices as gold
 from fraction_oracles import from_fn
 from genpascal import fractal
@@ -21,7 +23,7 @@ from genpascal.fractal import (
 )
 from genpascal.digits import carry_count_rows, valuation
 from genpascal.matrices import TriangularMatrix, build_from_c, gbinom, hadamard, pascal_rows, subtract
-from genpascal.polynomials import Polynomial, w_poly
+from genpascal.polynomials import P_ZERO, Polynomial, w_poly
 from genpascal.report import Report
 from genpascal.sequences import BSequence, CSequence, fractal_b
 from genpascal.special import phi_q_matrix
@@ -101,7 +103,9 @@ BASE_CALLS = {
     "valuation": lambda q: valuation(5, q),
     "carry_count_rows": lambda q: carry_count_rows(q, 4),
     "fractal_row": lambda q: fractal_row(q, 3),
+    "fractal_row-outside": lambda q: fractal_row(q, -1),
     "fractal_column": lambda q: fractal_column(q, 3, 5),
+    "fractal_column-outside": lambda q: fractal_column(q, -1, 5),
     "carry_count": lambda q: carry_count(q, 5, 2),
     "fractal_entry-weight-0": lambda q: fractal_entry(0, q, 5, 2),
     "fractal_entry-weight-2": lambda q: fractal_entry(2, q, 5, 2),
@@ -232,6 +236,74 @@ def test_recurrence_failure_report_is_pinned(monkeypatch, name, at, change, size
     # the recursions read the module's binding, so rows and columns built from a corrupted one are corrupted too
     monkeypatch.setattr(fractal, name, corrupted)
     assert run_suite("recurrences", size).to_json() == text
+
+
+@pytest.mark.parametrize("q,n", [(2, -1), (3, -4), (5, -100)])
+def test_rows_and_columns_outside_the_triangle_are_zero(q, n):
+    # as the per-entry forms read entries outside the triangle; a negative row used to recurse without end
+    assert fractal_row(q, n) == P_ZERO
+    assert fractal_row(q, n, {}) == P_ZERO
+    assert fractal_column(q, n, 6) == P_ZERO
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 64), st.integers(0, 300))
+@example(2, 1, 37)  # a lone column at size 1 recurses through inner size 1 again and again
+@example(7, 5, 6)  # q >= size: every column is a seed
+@example(3, 0, 0)
+@example(2, 64, 300)
+def test_table_built_rows_and_columns_match_the_recursive_oracle(q, size, lone):
+    rows, columns = {}, {}
+    for n in range(size):
+        rows[n] = fractal_row(q, n, rows)
+        columns[n, size] = fractal_column(q, n, size, columns)
+    assert [rows[n] for n in range(size)] == [oracle.fractal_row(q, n) for n in range(size)]
+    # the inner columns the table built along the way, at every inner size, too
+    for (n, inner), column in columns.items():
+        assert column == oracle.fractal_column(q, n, inner), (n, inner)
+    assert fractal_row(q, lone) == oracle.fractal_row(q, lone)
+    assert fractal_column(q, lone, size) == oracle.fractal_column(q, lone, size)
+    assert fractal_column(q, lone, 1) == oracle.fractal_column(q, lone, 1)
+
+
+def counting(monkeypatch):
+    """Wrap the module's row and column builders; the counter keys are
+    (q, n) for a row and (q, n, size) for a column."""
+    calls = Counter()
+    row, column = fractal.fractal_row, fractal.fractal_column
+
+    def counted_row(q, n, *table):
+        calls[q, n] += 1
+        return row(q, n, *table)
+
+    def counted_column(q, n, size, *table):
+        calls[q, n, size] += 1
+        return column(q, n, size, *table)
+
+    monkeypatch.setattr(fractal, "fractal_row", counted_row)
+    monkeypatch.setattr(fractal, "fractal_column", counted_column)
+    return calls
+
+
+def test_recurrences_build_each_row_and_column_once(monkeypatch):
+    calls = counting(monkeypatch)
+    assert run_suite("recurrences", 31).passed
+    assert max(calls.values()) == 1
+    outer = {(q, n) for q in (2, 3, 5) for n in range(31)} | {(q, n, 31) for q in (2, 3, 5) for n in range(31)}
+    assert outer <= set(calls)
+
+
+@pytest.mark.parametrize("q,n", [(2, 5000), (3, 4000), (7, 2400)])
+def test_a_lone_row_or_column_builds_logarithmically_many(monkeypatch, q, n):
+    calls = counting(monkeypatch)
+    levels = 1 + int(math.log(n, q))
+    row = fractal.fractal_row(q, n)
+    assert row.degree == n
+    assert len(calls) <= 3 * levels and max(calls.values()) == 1
+    calls.clear()
+    column = fractal.fractal_column(q, n // 5, n)
+    assert column == oracle.fractal_column(q, n // 5, n)
+    assert len(calls) <= 3 * levels and max(calls.values()) == 1
 
 
 def test_prime_factorization_small():

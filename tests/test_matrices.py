@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
 
 import pytest
@@ -469,6 +470,35 @@ def checked_matrices(draw):
 @given(checked_matrices())
 def test_identity_check_matches_the_fraction_loop(matrix):
     assert identity_check(matrix, "s") == reference_identity_check(matrix, "s")
+
+
+golden_at = cache(golden_family)
+
+
+@st.composite
+def golden_corruptions(draw):
+    """A golden-family matrix of size <= 11 with one entry moved by a small
+    delta, or with the entry and its mirror (n, n-m) moved alike, which keeps
+    symmetry so that the shift identity is what sees it."""
+    size = draw(st.integers(min_value=1, max_value=11))
+    name, base = draw(st.sampled_from(golden_at(size)))
+    den, ints = base.int_view()
+    rows = [list(row) for row in ints]
+    n = draw(st.integers(min_value=0, max_value=size - 1))
+    m = draw(st.integers(min_value=0, max_value=n))
+    delta = draw(st.sampled_from([1, -1, 2, den]))
+    rows[n][m] += delta
+    if m != n - m and draw(st.booleans()):
+        rows[n][n - m] += delta
+    return name, TriangularMatrix.from_view(den, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(golden_corruptions())
+@example(("pascal-row-4", TriangularMatrix.from_view(1, [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1], [1, 5, 6, 5, 1]])))
+def test_identity_check_matches_the_per_shift_loop(corrupted):
+    name, matrix = corrupted
+    assert identity_check(matrix, name) == oracle.identity_check(matrix, name)
 
 
 @pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(0), Fraction(-1), Fraction(7)])
