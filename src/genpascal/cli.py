@@ -21,10 +21,10 @@ from .matrices import TriangularMatrix
 from .matrices import build_from_c  # noqa: F401  unused here; perfbench/tests checks the tracer patches it
 from .rationals import format_rational, parse_rational
 from .serialize import matrix_from_json, matrix_to_csv, matrix_to_json, matrix_to_pbm
-from .specs import Q_MIN, GPSpec
+from .specs import FAMILIES, GPSpec
 from .verify import SUITES, run_suite
 
-# the kinds gen and export build; those in specs.Q_MIN read --q
+# the kinds gen and export build; those whose FAMILIES row requires q read --q
 KINDS = ("pascal", "ones", "phiq", "fractal", "qumbral", "qumbral-inverse", "zero-overlay", "tmatrix")
 
 # the gen usage as argparse wraps it at 80 columns on Python 3.10-3.12, written
@@ -36,27 +36,24 @@ GEN_USAGE = """\
                      [--output OUTPUT]"""
 
 
-class ConfigError(Exception):
-    pass
-
-
-def _require_q(args, minimum: float = 2) -> int:
+def _require_q(args, minimum: int | None = 2) -> int:
     if args.q is None:
-        raise ConfigError(f"--kind {args.kind} requires --q")
-    if args.q < minimum:
-        raise ConfigError(f"--q must be >= {minimum} for kind {args.kind}")
+        raise ValueError(f"--kind {args.kind} requires --q")
+    if minimum is not None and args.q < minimum:
+        raise ValueError(f"--q must be >= {minimum} for kind {args.kind}")
     return args.q
 
 
 def build_matrix(args) -> tuple[TriangularMatrix, Fraction | None]:
     """The matrix the arguments describe, and ``--phi`` as given (None when omitted)."""
     if args.size < 1:
-        raise ConfigError("--size must be >= 1")
+        raise ValueError("--size must be >= 1")
     kind = args.kind
     phi = parse_rational(args.phi) if args.phi is not None else None
     if kind == "phiq" and phi is None:
-        raise ConfigError("--kind phiq requires --phi")
-    q = _require_q(args, Q_MIN[kind]) if kind in Q_MIN else None
+        raise ValueError("--kind phiq requires --phi")
+    required = FAMILIES[kind][2]
+    q = _require_q(args, required["q"]) if "q" in required else None
     spec_phi = Fraction(q) if kind == "fractal" and phi is None else phi
     return GPSpec(kind, phi=spec_phi, q=q).materialize(args.size), phi
 
@@ -86,7 +83,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.size < 1:
-        raise ConfigError("--size must be >= 1")
+        raise ValueError("--size must be >= 1")
     report = run_suite(args.suite, args.size)
     print(report.to_json())
     return 0 if report.passed else 1
@@ -99,10 +96,10 @@ def cmd_decompose(args) -> int:
     elif args.kind is not None:
         matrix, _ = build_matrix(args)
     else:
-        raise ConfigError("decompose needs --kind or --input")
+        raise ValueError("decompose needs --kind or --input")
     max_q = args.max_q if args.max_q is not None else matrix.size - 1
     if not 2 <= max_q < matrix.size:
-        raise ConfigError("--max-q must satisfy 2 <= max-q < size")
+        raise ValueError("--max-q must satisfy 2 <= max-q < size")
     # beta_q reads only the b_d with d | q, so the sieve over the whole first
     # column gives the same betas up to max_q and refuses a zero b_n past it
     betas = special.phi_coordinates(matrix, matrix.size - 1).betas
@@ -116,7 +113,7 @@ def _parse_series(text: str, q: int, degree: int) -> list[Fraction]:
         return coeffs
     if len(coeffs) == q:
         return zeroalg.fractal_series(coeffs, q, degree)
-    raise ConfigError(
+    raise ValueError(
         f"series needs at least {degree + 1} coefficients, or exactly {q} for a fractal base block"
     )
 
@@ -124,7 +121,7 @@ def _parse_series(text: str, q: int, degree: int) -> list[Fraction]:
 def cmd_convolve(args) -> int:
     q = _require_q(args)
     if args.degree < 0:
-        raise ConfigError("--degree must be >= 0")
+        raise ValueError("--degree must be >= 0")
     a = _parse_series(args.a, q, args.degree)
     b = _parse_series(args.b, q, args.degree)
     result = zeroalg.carryless_convolve(a, b, q, args.degree)
@@ -195,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ZeroFactor, ZeroEntry, ValueError, OSError) as exc:
+    except (ZeroFactor, ZeroEntry, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

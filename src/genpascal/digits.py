@@ -47,10 +47,10 @@ def digit_product_rows(
     a given top row n' holds n' + 1 entries. Only digits below k = min(q, size)
     occur, so a huge q costs no more than size.
 
-    Row n is read off row n' = n div q. For n' >= q it is one strided slice
-    row[j::q] per digit j: row n' scaled by block(n mod q, j), cut to n'
-    entries when j > n mod q (0 skips the slice, 1 copies it). For n' < q,
-    where row n' is shorter than the block row, it is the flat product.
+    Row n is read off row n' = n div q as one strided slice row[j::q] per
+    digit j: row n' scaled by block(n mod q, j), cut to n' entries when
+    j > n mod q (0 skips the slice, 1 copies it). So a row costs one
+    interpreter step per digit of the block, however short row n' is.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -62,16 +62,12 @@ def digit_product_rows(
         rows = []
     for n in range(len(rows), size):
         n1, i = divmod(n, q)
-        above, cs = top[n1], table[i]
-        if n1 >= q:
-            row = [0] * (n + 1)
-            head = above[:n1]
-            for j, c in enumerate(cs):
-                if c:
-                    part = above if j <= i else head
-                    row[j::q] = part if c == 1 else [t * c for t in part]
-        else:
-            row = [t * c for t in above for c in cs][: n + 1]
+        above, row = top[n1], [0] * (n + 1)
+        head = above[:n1]
+        for j, c in enumerate(table[i]):
+            if c:
+                part = above if j <= i else head
+                row[j::q] = part if c == 1 else [t * c for t in part]
         rows.append(row)
     return rows[:size]
 

@@ -164,9 +164,3 @@ def mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], degree: int) -> list
             for j, y in enumerate(b[: degree + 1 - i]):
                 out[i + j] += x * y
     return out
-
-
-def divide_linear(series: list[Fraction], ratio: Fraction) -> None:
-    """Divide the truncated series in place by 1 - ratio*x."""
-    for k in range(1, len(series)):
-        series[k] += ratio * series[k - 1]

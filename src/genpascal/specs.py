@@ -1,8 +1,9 @@
 """Symbolic matrix descriptions and the table of matrix families.
 
-A GPSpec names a matrix family plus parameters. ``FAMILIES`` maps each kind
-to its full-truncation constructor and, where the family has one, its
-per-entry form; the two agree bit-exactly. ``entry`` evaluates one
+A GPSpec names a matrix family plus parameters. ``FAMILIES`` holds one row
+per kind: its full-truncation constructor, its per-entry form (the two agree
+bit-exactly) and the spec fields it requires, each with its least value where
+there is one, checked once when a spec is made. ``entry`` evaluates one
 coefficient straight from the description; ``materialize`` builds the full
 truncation. A Hadamard spec materializes its factors one at a time and
 multiplies their integer views, so at most the running product and one factor
@@ -14,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import comb, inf
+from math import comb, prod
 from typing import Sequence
 
 from .fractal import fractal_entry, fractal_matrix
 from .matrices import TriangularMatrix, all_ones, build_from_c, hadamard, pascal_rows
-from .polynomials import divide_linear
 from .rationals import ONE, ZERO
 from .sequences import CSequence
 from .special import phi_q_matrix, q_umbral_inverse, q_umbral_matrix, zero_overlay_matrix
@@ -38,11 +38,12 @@ class GPSpec:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise ValueError(f"unknown spec kind {self.kind!r}")
-        minimum = Q_MIN.get(self.kind)
-        if minimum is not None and (self.q is None or self.q < minimum):
-            raise ValueError(f"spec kind {self.kind!r} requires q" if self.q is None else f"q must be >= {minimum}")
-        if self.kind in ("phiq", "fractal") and self.phi is None:
-            raise ValueError(f"spec kind {self.kind!r} requires phi")
+        for name, least in FAMILIES[self.kind][2].items():
+            value = getattr(self, name)
+            if value is None:
+                raise ValueError(f"spec kind {self.kind!r} requires {name}")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
     @classmethod
     def from_c(cls, c: CSequence) -> "GPSpec":
@@ -76,10 +77,7 @@ class GPSpec:
     def entry(self, n: int, m: int) -> Fraction:
         if not 0 <= m <= n:
             return ZERO
-        entry = FAMILIES[self.kind][1]
-        if entry is None:
-            raise ValueError(f"spec kind {self.kind!r} has no per-entry form")
-        return entry(self, n, m)
+        return FAMILIES[self.kind][1](self, n, m)
 
     def materialize(self, size: int) -> TriangularMatrix:
         return FAMILIES[self.kind][0](self, size)
@@ -97,49 +95,62 @@ def _hadamard_entry(spec: GPSpec, n: int, m: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _qumbral_entry(spec: GPSpec, n: int, m: int) -> Fraction:
-    series = [ONE] + [ZERO] * (n - m)
-    ratio = ONE
-    for _ in range(m + 1):
-        divide_linear(series, ratio)
-        ratio *= spec.q
-    return series[n - m]
+def _q_binomial(q: Fraction | int, n: int, m: int, inverse: bool = False) -> Fraction:
+    """The Gaussian binomial [n m]_q = prod_{i=1..m} (1 - q**(n-m+i)) / (1 - q**i), the q-umbral entry;
+    with ``inverse``, (-1)**(n-m) q**C(n-m, 2) [n m]_q, the inverse's entry by the q-binomial theorem."""
+    if q == 1:
+        num, den = comb(n, m), 1
+    elif q == -1:  # the zero-overlay entry of modulus 2
+        num, den = (comb(n // 2, m // 2) if n % 2 >= m % 2 else 0), 1
+    else:  # 1 - q**k = (d**k - a**k) / d**k, and the d**k leave d**((n-m)m) in the denominator
+        a, d = q.numerator, q.denominator
+        num = prod(d**k - a**k for k in range(n - m + 1, n + 1))
+        den = prod(d**k - a**k for k in range(1, m + 1)) * d ** ((n - m) * m)
+    if inverse:
+        k = comb(n - m, 2)
+        num, den = (-1) ** (n - m) * q.numerator**k * num, q.denominator**k * den
+    return Fraction(num, den)
 
 
-# the least q of each kind that takes one: a digit kind's q is a base, a q-umbral q is any number
-Q_MIN = {"phiq": 2, "fractal": 2, "zero-overlay": 2, "tmatrix": 2, "masked": 2,
-         "qumbral": -inf, "qumbral-inverse": -inf}
-
-# kind -> (materialize(spec, size), entry(spec, n, m) for 0 <= m <= n, or None)
+# kind -> (materialize(spec, size), entry(spec, n, m) for 0 <= m <= n, {field the spec requires:
+# its least value or None}); a digit kind's q is a base, a q-umbral q is any number
 FAMILIES = {
     "pascal": (
         lambda s, size: TriangularMatrix.from_view(1, pascal_rows(size)),
         lambda s, n, m: Fraction(comb(n, m)),
+        {},
     ),
-    "ones": (lambda s, size: all_ones(size), lambda s, n, m: ONE),
-    "from-c": (lambda s, size: build_from_c(s.c, size), _from_c_entry),
+    "ones": (lambda s, size: all_ones(size), lambda s, n, m: ONE, {}),
+    "from-c": (lambda s, size: build_from_c(s.c, size), _from_c_entry, {"c": None}),
     "phiq": (
         lambda s, size: phi_q_matrix(s.phi, s.q, size),
         lambda s, n, m: ONE if n % s.q >= m % s.q else s.phi,
+        {"q": 2, "phi": None},
     ),
     "fractal": (
         lambda s, size: fractal_matrix(s.phi, s.q, size),
         lambda s, n, m: fractal_entry(s.phi, s.q, n, m),
+        {"q": 2, "phi": None},
     ),
-    "qumbral": (lambda s, size: q_umbral_matrix(s.q, size), _qumbral_entry),
-    "qumbral-inverse": (lambda s, size: q_umbral_inverse(s.q, size), None),
+    "qumbral": (lambda s, size: q_umbral_matrix(s.q, size), lambda s, n, m: _q_binomial(s.q, n, m), {"q": None}),
+    "qumbral-inverse": (
+        lambda s, size: q_umbral_inverse(s.q, size), lambda s, n, m: _q_binomial(s.q, n, m, True), {"q": None}
+    ),
     "zero-overlay": (
         lambda s, size: zero_overlay_matrix(s.q, size),
         lambda s, n, m: Fraction(comb(n // s.q, m // s.q)) if n % s.q >= m % s.q else ZERO,
+        {"q": 2},
     ),
-    "tmatrix": (lambda s, size: t_matrix(s.q, size), lambda s, n, m: t_coefficient(s.q, n, m)),
+    "tmatrix": (lambda s, size: t_matrix(s.q, size), lambda s, n, m: t_coefficient(s.q, n, m), {"q": 2}),
     "masked": (
         lambda s, size: masked_matrix(s.a, s.q, size),
         lambda s, n, m: s.a[n - m] if n - m < len(s.a) and digit_binom(s.q, n, m) else ZERO,
+        {"q": 2},
     ),
     # the product of the factors' views, built one factor at a time; no factors give all ones
     "hadamard": (
         lambda s, size: reduce(hadamard, (f.materialize(size) for f in s.factors), all_ones(size)),
         _hadamard_entry,
+        {},
     ),
 }

@@ -27,7 +27,10 @@ their Fraction through ``Fraction(...)`` on every call (``t_coefficient``
 over the digit lists of ``digits``); ``from_c_entry`` and ``hadamard_entry``
 are the ``from-c`` and ``hadamard`` per-entry forms of ``specs.FAMILIES``,
 the Fraction quotient c_m c_{n-m} / c_n and the Fraction product of the
-factors' entries.
+factors' entries. ``qumbral_entry`` is the ``qumbral`` per-entry form as it
+was before the Gaussian binomial replaced it: entry (n, m) is coefficient
+n - m of the series 1 / prod_{i=0..m} (1 - q**i x), divided out one linear
+factor at a time by ``divide_linear``, which ``genpascal.polynomials`` held.
 
 ``digit_product_rows`` and ``carry_count_rows`` are the digit kernels of
 ``genpascal.digits`` as they were when they spent one interpreter step per
@@ -365,6 +368,21 @@ def from_c_entry(s, n: int, m: int) -> Fraction:
 
 def hadamard_entry(s, n: int, m: int) -> Fraction:
     return prod((f.entry(n, m) for f in s.factors), start=ONE)
+
+
+def divide_linear(series: list[Fraction], ratio: Fraction) -> None:
+    """Divide the truncated series in place by 1 - ratio*x."""
+    for k in range(1, len(series)):
+        series[k] += ratio * series[k - 1]
+
+
+def qumbral_entry(s, n: int, m: int) -> Fraction:
+    series = [ONE] + [ZERO] * (n - m)
+    ratio = ONE
+    for _ in range(m + 1):
+        divide_linear(series, ratio)
+        ratio *= s.q
+    return series[n - m]
 
 
 def digit_product_rows(

@@ -80,6 +80,11 @@ ERROR_ARGS = [
     ["decompose", "--kind", "pascal", "--size", "8"],
     # a zero b_n past --max-q is still refused: the whole first column is read
     ["decompose", "--kind", "phiq", "--q", "5", "--phi", "0", "--size", "8", "--max-q", "3"],
+    # the remaining refusals of verify, decompose and convolve
+    ["verify", "--suite", "primes", "--size", "0"],
+    ["decompose", "--size", "5"],
+    ["decompose", "--kind", "pascal", "--size", "8", "--max-q", "8"],
+    ["convolve", "--q", "2", "--degree", "-1", "1,1", "1,1"],
 ]
 
 SUCCESS_ARGS = [

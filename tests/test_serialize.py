@@ -293,12 +293,13 @@ def test_json_writer_is_json_dumps(matrix, kind, q, phi):
 
 
 def writer_cases():
-    """(kind, spec, q) for every family kind that has a per-entry form."""
+    """(kind, spec, q) for every family kind."""
     phis = (Fraction(0), Fraction(3, 2), Fraction(-3, 2))
     yield "pascal", GPSpec("pascal"), None
     yield "ones", GPSpec("ones"), None
     for qv in (*phis, 2, 3, 5):
         yield "qumbral", GPSpec.qumbral(qv), None
+        yield "qumbral-inverse", GPSpec("qumbral-inverse", q=Fraction(qv)), None
     for q in (2, 3, 5):
         for phi in phis:
             yield "phiq", GPSpec.phiq(phi, q), q
@@ -321,7 +322,7 @@ def case_id(kind, spec, q):
 
 
 def test_writer_cases_cover_every_kind_with_an_entry_form():
-    assert {kind for kind, (_, entry) in FAMILIES.items() if entry} == {kind for kind, _, _ in writer_cases()}
+    assert set(FAMILIES) == {kind for kind, _, _ in writer_cases()}
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden_matrices as gold
-from fraction_oracles import geometric
+from fraction_oracles import divide_linear, geometric
 from genpascal.errors import ZeroEntry, ZeroPhi
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import (
@@ -19,7 +19,7 @@ from genpascal.matrices import (
     identity_matrix,
     matmul,
 )
-from genpascal.polynomials import divide_linear, mul_trunc
+from genpascal.polynomials import mul_trunc
 from genpascal.rationals import ONE, ZERO
 from genpascal.sequences import BSequence, CSequence
 from genpascal.special import (

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fraction_oracles import qumbral_entry
 from genpascal.matrices import hadamard_product
 from genpascal.sequences import CSequence
 from genpascal.specs import FAMILIES, GPSpec
@@ -67,10 +70,7 @@ def test_materialized_entries_are_exactly_fractions(spec):
     assert all(type(e) is Fraction for row in built.rows for e in row)
 
 
-ENTRY_EXAMPLES = [spec for spec in EXAMPLES if FAMILIES[spec.kind][1] is not None]
-
-
-@pytest.mark.parametrize("spec", ENTRY_EXAMPLES, ids=[spec.kind for spec in ENTRY_EXAMPLES])
+@pytest.mark.parametrize("spec", EXAMPLES, ids=[spec.kind for spec in EXAMPLES])
 def test_entry_is_zero_outside_the_triangle(spec):
     # the per-entry form and the materialized matrix agree off the triangle too
     size = 12
@@ -83,16 +83,6 @@ def test_entry_is_zero_outside_the_triangle(spec):
 
 def test_examples_cover_every_family():
     assert sorted(spec.kind for spec in EXAMPLES) == sorted(FAMILIES)
-
-
-@pytest.mark.parametrize("kind", ["qumbral-inverse"])
-def test_kinds_without_entry_form(kind):
-    spec = GPSpec(kind, q=2)
-    assert spec.materialize(4).size == 4
-    with pytest.raises(ValueError, match="no per-entry form"):
-        spec.entry(1, 0)
-    with pytest.raises(ValueError, match="no per-entry form"):
-        GPSpec.hadamard([GPSpec("ones"), spec]).entry(1, 0)
 
 
 def test_unknown_kind():
@@ -108,3 +98,34 @@ def test_spec_without_phi_raises(kind, n, m):
     # refused when made, so an entry on either side of the triangle never runs
     with pytest.raises(ValueError, match=f"spec kind '{kind}' requires phi"):
         GPSpec(kind, q=3).entry(n, m)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (3, 5)])
+def test_spec_without_c_raises(n, m):
+    # the from-c row requires c, so neither entry nor materialize subscripts a missing sequence
+    with pytest.raises(ValueError, match="spec kind 'from-c' requires c"):
+        GPSpec("from-c").entry(n, m)
+    with pytest.raises(ValueError, match="spec kind 'from-c' requires c"):
+        GPSpec("from-c").materialize(4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from([-1, 0, 1]), st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    st.integers(0, 16),
+)
+@example(Fraction(-3, 2), 16)
+@example(2, 16)
+def test_qumbral_entry_forms_match_the_builders(q, size):
+    # the closed forms (Gaussian binomial, q-binomial theorem) against the series builders,
+    # and the qumbral form against the series division it replaced
+    for kind in ("qumbral", "qumbral-inverse"):
+        spec = GPSpec(kind, q=q)
+        built = spec.materialize(size)
+        for n in range(size):
+            for m in range(n + 1):
+                value = spec.entry(n, m)
+                assert type(value) is Fraction
+                assert value == built.entry(n, m)
+                if kind == "qumbral":
+                    assert value == qumbral_entry(spec, n, m)
