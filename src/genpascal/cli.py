@@ -108,23 +108,29 @@ def cmd_decompose(args) -> int:
 
 
 def _parse_series(text: str, q: int, degree: int) -> list[Fraction]:
+    """The coefficients of a full series (at least degree + 1 of them) or of
+    a base block (exactly q)."""
     coeffs = [parse_rational(part) for part in text.split(",")]
-    if len(coeffs) >= degree + 1:
+    if len(coeffs) > degree or len(coeffs) == q:
         return coeffs
-    if len(coeffs) == q:
-        return zeroalg.fractal_series(coeffs, q, degree)
     raise ValueError(
         f"series needs at least {degree + 1} coefficients, or exactly {q} for a fractal base block"
     )
 
 
 def cmd_convolve(args) -> int:
-    q = _require_q(args)
-    if args.degree < 0:
+    q, degree = _require_q(args), args.degree
+    if degree < 0:
         raise ValueError("--degree must be >= 0")
-    a = _parse_series(args.a, q, args.degree)
-    b = _parse_series(args.b, q, args.degree)
-    result = zeroalg.carryless_convolve(a, b, q, args.degree)
+    a = _parse_series(args.a, q, degree)
+    b = _parse_series(args.b, q, degree)
+    if len(a) == len(b) == q <= degree:
+        # two base blocks: the product's base block is their carryless product
+        # below q, and its series is that block extended once
+        result = zeroalg.fractal_series(zeroalg.carryless_convolve(a, b, q, q - 1), q, degree)
+    else:
+        a, b = (x if len(x) > degree else zeroalg.fractal_series(x, q, degree) for x in (a, b))
+        result = zeroalg.carryless_convolve(a, b, q, degree)
     print(",".join(format_rational(x) for x in result))
     return 0
 

@@ -41,9 +41,17 @@ from .sequences import BSequence, fractal_b
 
 def carry_count(q: int, n: int, m: int) -> int:
     """Number of moduli q**k (k >= 1) with n mod q**k < m mod q**k; the base
-    check of the per-entry forms."""
+    check of the per-entry forms.
+
+    Inside the triangle this is the number of borrows in n - m in base q. At
+    q = 2 it is s(m) + s(n - m) - s(n), s the binary digit sum (Legendre's
+    formula for the 2-adic valuation of C(n, m), which Kummer's theorem makes
+    the borrow count), read off three ``int.bit_count`` calls; every other
+    base, and q = 2 outside the triangle, walks the digits."""
     if q < 2:
         raise ValueError("q must be >= 2")
+    if q == 2 and 0 <= m <= n:
+        return m.bit_count() + (n - m).bit_count() - n.bit_count()
     count = 0
     power = q
     while power <= n:
@@ -85,8 +93,9 @@ def fractal_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
 
 def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
     """Entry (n,m) of the weight-q fractal matrix: q ** carry_count(q, n, m)
-    in O(digit count) steps, 0 outside the triangle. By Kummer's theorem, for
-    prime q this is the q-part of C(n, m); it equals the factorial ratio for every q."""
+    in O(digit count) steps (three bit counts at q = 2), 0 outside the
+    triangle. By Kummer's theorem, for prime q this is the q-part of C(n, m);
+    it equals the factorial ratio for every q."""
     k = carry_count(q, n, m)
     return Fraction(q**k) if 0 <= m <= n else ZERO
 

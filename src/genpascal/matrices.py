@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import SizeMismatch, ZeroEntry
 from .polynomials import Polynomial
-from .rationals import ZERO, SharedFractions, lowest_view, to_view
+from .rationals import ZERO, SharedFractions, lowest_view, ratio, to_view
 from .report import Report
 from .sequences import BSequence, CSequence
 
@@ -170,7 +170,7 @@ def gbinom(b: BSequence, n: int, m: int) -> Fraction:
     num, den = b.factorial_pair(n)
     num_m, den_m = b.factorial_pair(m)
     num_k, den_k = b.factorial_pair(n - m)
-    return Fraction(num * den_m * den_k, den * num_m * num_k)
+    return ratio(num * den_m * den_k, den * num_m * num_k)
 
 
 def hadamard(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:

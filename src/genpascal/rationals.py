@@ -30,6 +30,17 @@ def to_view(values: Iterable) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in vs]
 
 
+def ratio(top: int, bottom: int) -> Fraction:
+    """Fraction(top, bottom), with no gcd when bottom divides top: the exact
+    quotient is read off one division. A zero bottom raises Fraction's own
+    ZeroDivisionError."""
+    if bottom:
+        quotient, rest = divmod(top, bottom)
+        if not rest:
+            return Fraction(quotient)
+    return Fraction(top, bottom)
+
+
 class SharedFractions(dict):
     """Maps each distinct numerator x of a view over den to one exact Fraction
     x / den, built on first lookup. 0 and den map to ZERO and ONE, so equal

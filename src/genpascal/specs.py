@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .fractal import fractal_entry, fractal_matrix
 from .matrices import TriangularMatrix, all_ones, build_from_c, hadamard, pascal_rows
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, ratio
 from .sequences import CSequence
 from .special import phi_q_matrix, q_umbral_inverse, q_umbral_matrix, zero_overlay_matrix
 from .zeroalg import digit_binom, masked_matrix, t_coefficient, t_matrix
@@ -85,12 +85,14 @@ class GPSpec:
 
 def _from_c_entry(spec: GPSpec, n: int, m: int) -> Fraction:
     a, b, c = spec.c[m], spec.c[n - m], spec.c[n]
-    return Fraction(a.numerator * b.numerator * c.denominator, a.denominator * b.denominator * c.numerator)
+    return ratio(a.numerator * b.numerator * c.denominator, a.denominator * b.denominator * c.numerator)
 
 
 def _hadamard_entry(spec: GPSpec, n: int, m: int) -> Fraction:
+    # the outer GPSpec.entry has checked the triangle, so each factor's form is called directly
     num = den = 1
-    for x in [f.entry(n, m) for f in spec.factors]:
+    for f in spec.factors:
+        x = FAMILIES[f.kind][1](f, n, m)
         num, den = num * x.numerator, den * x.denominator
     return Fraction(num, den)
 

@@ -30,9 +30,18 @@ Series = Sequence[Fraction | int]
 
 
 def digit_binom(q: int, n: int, m: int) -> int:
-    """1 iff every base-q digit of n dominates the digit of m, else 0."""
+    """1 iff every base-q digit of n dominates the digit of m, else 0; 0
+    outside the triangle 0 <= m <= n.
+
+    At q = 2 this is C(n, m) mod 2 (Lucas's theorem), which is 1 exactly
+    when the bits of m are a subset of those of n: one ``n & m == m``.
+    Every other base walks the digits."""
     if q < 2:
         raise ValueError("q must be >= 2")
+    if not 0 <= m <= n:
+        return 0
+    if q == 2:
+        return int(n & m == m)
     while n or m:
         if n % q < m % q:
             return 0

@@ -43,6 +43,12 @@ between calls, and ``identity_check`` is the shift-identity check as it was
 when it remade the products of shift q for every p and compared one q at a
 time.
 
+``carry_count`` and ``digit_binom`` are the library's digit loops as they
+were before their base-2 forms (Legendre's bit counts, Lucas's bit mask):
+``carry_count`` counts the moduli q**k with n mod q**k < m mod q**k at every
+base, and ``digit_binom`` compares digits until both indices run out, so it
+does not return for n < 0.
+
 ``value_form`` writes a value as one of the other inputs the value
 constructors coerce through ``Fraction()``.
 """
@@ -57,13 +63,38 @@ from typing import Callable, Iterable, Sequence
 
 from genpascal.digits import digits, valuation
 from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
-from genpascal.fractal import carry_count, fast_gbinom_fractal
+from genpascal.fractal import fast_gbinom_fractal
 from genpascal.matrices import TriangularMatrix, _columns, _first_difference
 from genpascal.polynomials import P_ONE, P_ZERO, Polynomial, w_poly
 from genpascal.rationals import ONE, ZERO
 from genpascal.report import Report
 from genpascal.sequences import BSequence
-from genpascal.zeroalg import digit_binom
+
+
+def carry_count(q: int, n: int, m: int) -> int:
+    """Number of moduli q**k (k >= 1) with n mod q**k < m mod q**k; the base
+    check of the per-entry forms."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    count = 0
+    power = q
+    while power <= n:
+        if n % power < m % power:
+            count += 1
+        power *= q
+    return count
+
+
+def digit_binom(q: int, n: int, m: int) -> int:
+    """1 iff every base-q digit of n dominates the digit of m, else 0."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    while n or m:
+        if n % q < m % q:
+            return 0
+        n //= q
+        m //= q
+    return 1
 
 
 class FractionSubclass(Fraction):

@@ -1,13 +1,19 @@
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from genpascal.cli import main
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import all_ones
 from genpascal.serialize import matrix_from_csv, matrix_from_json
+from genpascal.zeroalg import fractal_series
 
 
 DATA = Path(__file__).parent / "data"
@@ -261,6 +267,44 @@ def test_convolve_bad_length(capsys):
     code, _, err = run(capsys, "convolve", "--q", "2", "--degree", "7", "1,1,1", "1,1")
     assert code == 2
     assert "coefficients" in err
+
+
+def output(*argv):
+    """(exit code, stdout, stderr) of one CLI run, without a pytest fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+block_tail = st.lists(
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)),
+    min_size=5,
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=194),
+    block_tail,
+    block_tail,
+    st.sampled_from([(1, 1)] * 4 + [(2, 1), (1, 0), (0, 2)]),  # a leading "-" would read as an option
+)
+@example(2, 0, [1] * 5, [1] * 5, (1, 1))
+@example(6, 194, [Fraction(-1, 2)] * 5, [Fraction(7, 3)] * 5, (1, 1))
+@example(3, 5, [1] * 5, [2] * 5, (2, 1))  # a_0 must be 1 in a
+@example(3, 5, [1] * 5, [2] * 5, (1, 3))  # in b
+@example(3, 5, [1] * 5, [2] * 5, (0, 0))  # in both
+def test_convolve_base_blocks_print_what_their_full_series_print(q, offset, a_tail, b_tail, heads):
+    degree = q + offset
+    blocks = [[Fraction(head), *tail[: q - 1]] for head, tail in zip(heads, (a_tail, b_tail))]
+    argv = ["convolve", "--q", str(q), "--degree", str(degree)]
+    got = output(*argv, *(",".join(map(str, block)) for block in blocks))
+    want = output(*argv, *(",".join(map(str, fractal_series(block, q, degree))) for block in blocks))
+    assert got == want
+    assert got[0] == (0 if heads == (1, 1) else 2)
 
 
 def test_export_pbm(capsys, tmp_path):

@@ -7,6 +7,9 @@ The per-entry kernels and the ``from-c`` and ``hadamard`` per-entry forms,
 which compute on ints and build one Fraction, are compared with their
 Fraction oracles the same way, on the value and on its type.
 The readers' split of wire fractions is checked against parse_rational.
+The base-2 forms of ``carry_count`` and ``digit_binom`` are compared with the
+digit loops they replaced there, and ``gbinom`` and the ``from-c`` entry,
+which take an exact quotient when there is one, with ``Fraction(top, bottom)``.
 """
 
 from fractions import Fraction
@@ -17,13 +20,20 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 from genpascal.errors import NotFractal, ZeroEntry
-from genpascal.fractal import fractal_entry
-from genpascal.matrices import TriangularMatrix, build_from_c, hadamard_inverse
+from genpascal.fractal import carry_count, fractal_entry
+from genpascal.matrices import TriangularMatrix, build_from_c, gbinom, hadamard_inverse
 from genpascal.rationals import parse_rational
-from genpascal.sequences import CSequence
+from genpascal.sequences import BSequence, CSequence
 from genpascal.serialize import matrix_from_csv
 from genpascal.specs import GPSpec
-from genpascal.zeroalg import carryless_convolve, check_fractal, fractal_series, masked_matrix, t_coefficient
+from genpascal.zeroalg import (
+    carryless_convolve,
+    check_fractal,
+    digit_binom,
+    fractal_series,
+    masked_matrix,
+    t_coefficient,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -268,3 +278,67 @@ def test_reader_leaves_other_fraction_forms_to_parse_rational(entry):
     with pytest.raises(ValueError) as got:
         matrix_from_csv(f"{entry}\n")
     assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**256), st.integers(min_value=0, max_value=2**256))
+@example(0, 0)
+@example(2**100 + 12345, 0)  # m = 0
+@example(3**150, 3**150)  # m = n
+@example(2**256 - 1, 2**255 + 7)  # n = 2**k - 1: every m is dominated, no borrows
+@example(2**256, 1)  # n = 2**k: m = 1 borrows at every one of the 256 bits
+@example(2**64, 2**64 - 1)
+def test_base_2_forms_match_the_digit_loops(n, m):
+    for n, m in [(n, m % (n + 1)), (n, 0), (n, n)]:
+        got = carry_count(2, n, m), digit_binom(2, n, m)
+        assert got == (oracle.carry_count(2, n, m), oracle.digit_binom(2, n, m))
+        assert list(map(type, got)) == [int, int]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=2**80),
+    st.integers(min_value=0, max_value=2**80),
+)
+@example(2, 5, 0)
+@example(2, 2**70, 2**70)
+def test_carry_count_outside_the_triangle_is_the_digit_loop(q, n, m):
+    # m > n, m < 0, and n < 0 (where the loop never starts), at every base
+    for n, m in [(n, n + 1 + m), (n, -1 - m), (-1 - n, m), (-1 - n, -1 - m)]:
+        assert carry_count(q, n, m) == oracle.carry_count(q, n, m)
+
+
+# rationals with a larger range than ``nonzero``, so that most quotients are not integers
+wide = st.builds(
+    Fraction, st.integers(min_value=-99, max_value=99).filter(bool), st.integers(min_value=1, max_value=99)
+)
+b_sequences = st.one_of(
+    st.sampled_from([BSequence.naturals(), BSequence.fractal(2, 2), BSequence.fractal(3, 3)]),
+    st.lists(wide, min_size=60, max_size=60).map(lambda vs: BSequence.explicit([0, *vs])),
+)
+c_sequences = st.one_of(
+    st.sampled_from([CSequence.from_b(BSequence.naturals()), CSequence.fractal(2), CSequence.fractal(3)]),
+    st.lists(wide, min_size=59, max_size=59).map(lambda vs: CSequence.explicit([1, 1, *vs])),
+)
+index60 = st.integers(min_value=0, max_value=60)
+
+
+@SETTINGS
+@given(b_sequences, index60, index60)
+@example(BSequence.naturals(), 60, 30)
+@example(BSequence.explicit([0, 1, 2, Fraction(1, 2)]), 3, 1)  # b_3! / (b_1! b_2!) = 1/2
+def test_gbinom_is_the_factorial_quotient(b, n, m):
+    n, m = max(n, m), min(n, m)
+    (top, bottom), (num_m, den_m), (num_k, den_k) = map(b.factorial_pair, (n, m, n - m))
+    assert_same_entry(gbinom(b, n, m), Fraction(top * den_m * den_k, bottom * num_m * num_k))
+
+
+@SETTINGS
+@given(c_sequences, index60, index60)
+@example(CSequence.explicit([1, 1, Fraction(2, 3)]), 2, 1)  # c_1 c_1 / c_2 = 3/2
+def test_from_c_entry_is_the_quotient(c, n, m):
+    n, m = max(n, m), min(n, m)
+    x, y, z = c[m], c[n - m], c[n]
+    want = Fraction(x.numerator * y.numerator * z.denominator, x.denominator * y.denominator * z.numerator)
+    assert_same_entry(GPSpec.from_c(c).entry(n, m), want)

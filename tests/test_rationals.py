@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from genpascal.rationals import MAX_EXPONENT, format_rational, parse_rational
+from genpascal.rationals import MAX_EXPONENT, format_rational, parse_rational, ratio
 
 
 def test_integer_format():
@@ -86,3 +86,19 @@ def test_parse_matches_the_general_parser(text):
     got = parse_or_error(parse_rational, text)
     assert got == parse_or_error(general_parse, text)
     assert got is ValueError or type(got) is Fraction
+
+
+@given(st.integers(min_value=-10**40, max_value=10**40), st.integers(min_value=-10**20, max_value=10**20))
+@example(5, 0)
+@example(-6, 4)
+def test_ratio_is_the_fraction_of_top_and_bottom(top, bottom):
+    for top in (top, top * bottom):  # the second divides exactly
+        try:
+            want = Fraction(top, bottom)
+        except ZeroDivisionError as exc:
+            with pytest.raises(ZeroDivisionError) as raised:
+                ratio(top, bottom)
+            assert str(raised.value) == str(exc)
+        else:
+            got = ratio(top, bottom)
+            assert got == want and type(got) is Fraction

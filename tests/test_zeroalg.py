@@ -70,6 +70,13 @@ def test_digit_binom_values():
     assert digit_binom(10, 5, 14) == 0  # m > n never dominates
 
 
+@pytest.mark.parametrize("q", [2, 3, 10])
+def test_digit_binom_is_zero_outside_the_triangle(q):
+    # a negative n once kept the digit loop running: -1 // q == -1
+    for n, m in [(-1, 0), (-1, -1), (-q**3, 2), (-5, -7), (0, -1), (q**4, -q), (0, 1), (q**5, q**5 + 1), (7, 15)]:
+        assert digit_binom(q, n, m) == 0
+
+
 def test_digit_binom_is_parity():
     for n in range(128):
         for m in range(n + 1):
