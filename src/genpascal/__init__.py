@@ -58,12 +58,10 @@ from .zeroalg import (
     kronecker,
     masked_convolve,
     masked_matrix,
-    masked_row,
     sierpinski_matrix,
     sierpinski_selfsim_check,
     t_coefficient,
     t_matrix,
-    t_row,
 )
 
 __version__ = "0.1.0"

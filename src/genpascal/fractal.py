@@ -19,10 +19,10 @@ q ** carry_count(q, n, m).
 
 The weight-q rows and columns also follow polynomial recurrences: row
 qn+m from rows n and n-1, column qn+m from columns n and n+1 at the inner
-size. ``fractal_row`` and ``fractal_column`` take a table of what is
-already built and add the inner rows or columns they build to it, so rows
-0..N-1 (or columns 0..N-1 at size N) built in order over one table cost one
-recurrence step each, and a lone row or column builds O(log n) inner ones.
+size. The two terms fill disjoint residue classes mod q (each w spans fewer
+than q degrees), each class a strided copy of inner ints. The builders take
+a table of what is built and add the inner ones they build, so rows 0..N-1
+(or columns 0..N-1 at size N) in order cost one step each, a lone one O(log n).
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
 def fractal_row(q: int, n: int, rows: dict[int, Polynomial] | None = None) -> Polynomial:
     """Row n of the weight-q fractal matrix, built only from the recurrence
     u_{qn+m} = w_m(x) u_n(x^q) + q b_n x^{m+1} w_{q-2-m}(x) u_{n-1}(x^q),
-    and the zero polynomial outside the triangle (n < 0).
+    and 0 for n < 0. The terms fill the residues 0..m and m+1..q-1 mod q
+    with strided copies of the ints of u_n and of q b_n u_{n-1}.
 
     ``rows`` maps n to the rows already built. An inner row it lacks is built
     through the module's ``fractal_row`` and added, so one table shared by the
@@ -119,14 +120,13 @@ def fractal_row(q: int, n: int, rows: dict[int, Polynomial] | None = None) -> Po
     rows = {} if rows is None else rows
     if n1 not in rows:
         rows[n1] = fractal_row(q, n1, rows)
-    term = w_poly(m) * rows[n1].substitute_power(q)
-    tail = w_poly(q - 2 - m)
-    if not tail.is_zero():
+    parts = [rows[n1].int_view()[1]] * (m + 1)
+    if m < q - 1:
         if n1 - 1 not in rows:
             rows[n1 - 1] = fractal_row(q, n1 - 1, rows)
-        bn = q ** valuation(n1, q)  # b_{n1} of the weight-q family
-        term = term + (q * bn) * tail.shift(m + 1) * rows[n1 - 1].substitute_power(q)
-    return term
+        c = q * q ** valuation(n1, q)  # q b_{n1} of the weight-q family
+        parts += [[c * x for x in rows[n1 - 1].int_view()[1]]] * (q - 1 - m)
+    return Polynomial.from_view(1, _strided(n + 1, q, parts))
 
 
 def fractal_column(
@@ -134,9 +134,9 @@ def fractal_column(
 ) -> Polynomial:
     """Column n of the weight-q fractal matrix truncated at degree size-1,
     built from g_{qn+m} = x^m w_{q-1-m}(x) g_n(x^q) + q b_{n+1} w_{m-1}(x) g_{n+1}(x^q),
-    seeded by direct evaluation for n < q. The inner columns are needed only
-    through degree (size-1) div q, so they are the columns n div q and
-    n div q + 1 at size (size-1) div q + 1.
+    seeded by q ** carry_count for n < q. The terms fill the residues m..q-1
+    and 0..m-1 mod q with strided copies of g_n and q b_{n+1} g_{n+1}, needed
+    only through degree (size-1) div q: at the inner size (size-1) div q + 1.
 
     ``columns`` maps (n, size) to the columns already built. An inner column
     it lacks is built through the module's ``fractal_column`` and added, so one
@@ -147,20 +147,28 @@ def fractal_column(
     if size < 1:
         return P_ZERO
     if n < q:
-        return Polynomial.from_view(1, [fast_gbinom_fractal(q, k, n).numerator for k in range(size)])
+        return Polynomial.from_view(1, [q ** carry_count(q, k, n) if 0 <= n <= k else 0 for k in range(size)])
     n1, m = divmod(n, q)
     inner = (size - 1) // q + 1
     columns = {} if columns is None else columns
     if (n1, inner) not in columns:
         columns[n1, inner] = fractal_column(q, n1, inner, columns)
-    term = (w_poly(q - 1 - m) * columns[n1, inner].substitute_power(q)).shift(m)
-    lead = w_poly(m - 1)
-    if not lead.is_zero():
+    parts = [columns[n1, inner].int_view()[1]] * (q - m)
+    if m:
         if (n1 + 1, inner) not in columns:
             columns[n1 + 1, inner] = fractal_column(q, n1 + 1, inner, columns)
-        bn = q ** valuation(n1 + 1, q)
-        term = term + (q * bn) * lead * columns[n1 + 1, inner].substitute_power(q)
-    return term.truncate(size - 1)
+        c = q * q ** valuation(n1 + 1, q)  # q b_{n1+1} of the weight-q family
+        parts = [[c * x for x in columns[n1 + 1, inner].int_view()[1]]] * m + parts
+    return Polynomial.from_view(1, _strided(size, q, parts))
+
+
+def _strided(size: int, q: int, parts: list) -> list[int]:
+    """``size`` ints, class t mod q holding parts[t] cut to its length, 0 past it."""
+    out = [0] * size
+    for t, part in zip(range(size), parts):
+        part = part[: len(range(t, size, q))]
+        out[t : t + q * len(part) : q] = part
+    return out
 
 
 def _primes_upto(n: int) -> list[int]:

@@ -58,6 +58,10 @@ class Polynomial:
         object.__setattr__(self, "_coeffs", cs)
         return cs
 
+    def int_view(self) -> tuple[int, tuple[int, ...]]:
+        """(den, ints), ints[k] = den * [x**k], as ``TriangularMatrix.int_view``."""
+        return self._view
+
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""

@@ -18,11 +18,10 @@ from math import comb, factorial
 from operator import ge, mul
 from typing import Sequence
 
-from .digits import digit_product_rows, digits
+from .digits import digit_product_rows
 from .errors import NotFractal, SizeMismatch
 from .matrices import TriangularMatrix, build_from_c, hadamard, matmul
-from .polynomials import P_ONE, Polynomial, w_poly
-from .rationals import ZERO, to_view
+from .rationals import ONE, ZERO, to_view
 from .report import Report, check_equal, merge_reports
 from .sequences import CSequence
 
@@ -70,15 +69,27 @@ def kronecker(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
     return TriangularMatrix.from_view(da * db, rows)
 
 
+def _dominance_row(q: int, n: int) -> list[int]:
+    """Row n of the base-q zero pattern read off the digits of n: 1 at the
+    columns sum t_i q**i with 0 <= t_i <= n_i (Lucas's product form), else 0."""
+    row, columns, power = [0] * (n + 1), [0], 1
+    while n:
+        n, d = divmod(n, q)
+        if d:
+            columns = [c + t for t in range(0, (d + 1) * power, power) for c in columns]
+        power *= q
+    for c in columns:
+        row[c] = 1
+    return row
+
+
 def sierpinski_selfsim_check(q: int, k: int) -> Report:
-    """The leading q**(k+1) block, evaluated per entry, equals both Kronecker
+    """The leading q**(k+1) block, read off the digits of n, equals both Kronecker
     splits of itself (the row recursion of ``sierpinski_matrix`` is one of them)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    s1 = sierpinski_matrix(q, q)
-    sk = sierpinski_matrix(q, q**k)
-    size = q ** (k + 1)
-    big = TriangularMatrix.from_view(1, [[digit_binom(q, n, m) for m in range(n + 1)] for n in range(size)])
+    s1, sk = sierpinski_matrix(q, q), sierpinski_matrix(q, q**k)
+    big = TriangularMatrix.from_view(1, [_dominance_row(q, n) for n in range(q ** (k + 1))])
     return merge_reports("kron", [
         check_equal("kron", kronecker(s1, sk), big, q=q, k=k, order="coarse-first"),
         check_equal("kron", kronecker(sk, s1), big, q=q, k=k, order="fine-first"),
@@ -159,19 +170,6 @@ def carryless_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fracti
     return _extend(da * db, window, q, degree)
 
 
-def masked_row(a: Series, q: int, n: int) -> Polynomial:
-    """Row n of (a(x)|q) as the digit product of the base rows:
-    u_n(x) = prod_i u_{n_i}(x**(q**i)) with u_t = sum_m a_{t-m} x**m, t < q."""
-    check_fractal(a, q, n)
-    den, x = _numerators(a, q)
-    base = [Polynomial.from_view(den, x[t::-1]) for t in range(q)]
-    out = P_ONE
-    for i, d in enumerate(digits(n, q)):
-        if d:
-            out = out * base[d].substitute_power(q**i)
-    return out
-
-
 def block_matrix(a: Series, b: Series, q: int, k: int, size: int) -> TriangularMatrix:
     """Block form: entry (Q*n+i, Q*m+j) = a_{n-m} dom(n,m) b_{i-j} dom(i,j)
     with Q = q**k; the inner part b must live below Q and size must tile.
@@ -200,11 +198,14 @@ def block_product_check(
 
 def t_coefficient(q: int, n: int, m: int) -> Fraction:
     """Product of ordinary binomials of the base-q digit pairs, stopping at a
-    zero factor or at the last digit of m (C(x, 0) = 1 for the rest of n)."""
+    zero factor or at the last digit of m (C(x, 0) = 1 for the rest of n).
+    At q = 2 it is 1 exactly when ``n & m == m`` (Lucas), with no digit walk."""
     if q < 2:
         raise ValueError("base must be >= 2")
     if not 0 <= m <= n:
         return ZERO
+    if q == 2:
+        return ONE if n & m == m else ZERO
     value = 1
     while m and value:
         (n, x), (m, y) = divmod(n, q), divmod(m, q)
@@ -233,17 +234,6 @@ def t_matrix_via_overlay(q: int, size: int) -> TriangularMatrix:
     coeffs = fractal_series([Fraction(1, factorial(d)) for d in range(q)], q, size - 1)
     base = build_from_c(CSequence.explicit(coeffs), size)
     return hadamard(sierpinski_matrix(q, size), base)
-
-
-def t_row(q: int, n: int) -> Polynomial:
-    """Row generating polynomial prod_i (1 + x**(q**i))**n_i."""
-    out = P_ONE
-    for i, d in enumerate(digits(n, q)):
-        if d:
-            factor = w_poly(1).substitute_power(q**i)
-            for _ in range(d):
-                out = out * factor
-    return out
 
 
 def t_threeway_check(q: int, size: int) -> Report:

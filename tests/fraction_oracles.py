@@ -49,6 +49,12 @@ were before their base-2 forms (Legendre's bit counts, Lucas's bit mask):
 base, and ``digit_binom`` compares digits until both indices run out, so it
 does not return for n < 0.
 
+``masked_row`` and ``t_row`` are library code that only tests reached,
+moved here unchanged: the row polynomials of the masked matrix and of the
+digit-product matrix as products of ``Polynomial``s over the base-q digits.
+``dominance_row`` is the per-entry build of a row of the zero pattern that
+the Kronecker self-similarity check used, one ``digit_binom`` per entry.
+
 ``value_form`` writes a value as one of the other inputs the value
 constructors coerce through ``Fraction()``.
 """
@@ -61,6 +67,7 @@ from math import comb, lcm, prod
 from operator import ge, mul
 from typing import Callable, Iterable, Sequence
 
+from genpascal import zeroalg
 from genpascal.digits import digits, valuation
 from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
 from genpascal.fractal import fast_gbinom_fractal
@@ -69,6 +76,7 @@ from genpascal.polynomials import P_ONE, P_ZERO, Polynomial, w_poly
 from genpascal.rationals import ONE, ZERO
 from genpascal.report import Report
 from genpascal.sequences import BSequence
+from genpascal.zeroalg import Series, _numerators
 
 
 def carry_count(q: int, n: int, m: int) -> int:
@@ -323,6 +331,19 @@ def carryless_convolve(a, b, q: int, degree: int) -> list[Fraction]:
     return fractal_series(window, q, degree)
 
 
+def masked_row(a: Series, q: int, n: int) -> Polynomial:
+    """Row n of (a(x)|q) as the digit product of the base rows:
+    u_n(x) = prod_i u_{n_i}(x**(q**i)) with u_t = sum_m a_{t-m} x**m, t < q."""
+    check_fractal(a, q, n)
+    den, x = _numerators(a, q)
+    base = [Polynomial.from_view(den, x[t::-1]) for t in range(q)]
+    out = P_ONE
+    for i, d in enumerate(digits(n, q)):
+        if d:
+            out = out * base[d].substitute_power(q**i)
+    return out
+
+
 def from_fn(size: int, fn: Callable[[int, int], Fraction | int]) -> TriangularMatrix:
     return TriangularMatrix([[fn(n, m) for m in range(n + 1)] for n in range(size)])
 
@@ -393,6 +414,17 @@ def t_coefficient(q: int, n: int, m: int) -> Fraction:
     return Fraction(value)
 
 
+def t_row(q: int, n: int) -> Polynomial:
+    """Row generating polynomial prod_i (1 + x**(q**i))**n_i."""
+    out = P_ONE
+    for i, d in enumerate(digits(n, q)):
+        if d:
+            factor = w_poly(1).substitute_power(q**i)
+            for _ in range(d):
+                out = out * factor
+    return out
+
+
 def from_c_entry(s, n: int, m: int) -> Fraction:
     return s.c[m] * s.c[n - m] / s.c[n]
 
@@ -414,6 +446,11 @@ def qumbral_entry(s, n: int, m: int) -> Fraction:
         divide_linear(series, ratio)
         ratio *= s.q
     return series[n - m]
+
+
+def dominance_row(q: int, n: int) -> list[int]:
+    """Row n of the base-q zero pattern, one ``digit_binom`` per entry."""
+    return [zeroalg.digit_binom(q, n, m) for m in range(n + 1)]
 
 
 def digit_product_rows(

@@ -247,9 +247,12 @@ def test_rows_and_columns_outside_the_triangle_are_zero(q, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 7), st.integers(0, 64), st.integers(0, 300))
+@given(st.integers(2, 11), st.integers(0, 64), st.integers(0, 300))
 @example(2, 1, 37)  # a lone column at size 1 recurses through inner size 1 again and again
 @example(7, 5, 6)  # q >= size: every column is a seed
+@example(11, 4, 200)  # q > size: the strided copies skip the residues at or past the size
+@example(5, 12, 60)  # lone >= size: the lone column is zero, its inner columns past the inner size too
+@example(11, 1, 11)  # size 1, a lone column at the first non-seed index
 @example(3, 0, 0)
 @example(2, 64, 300)
 def test_table_built_rows_and_columns_match_the_recursive_oracle(q, size, lone):
@@ -291,6 +294,21 @@ def test_recurrences_build_each_row_and_column_once(monkeypatch):
     assert max(calls.values()) == 1
     outer = {(q, n) for q in (2, 3, 5) for n in range(31)} | {(q, n, 31) for q in (2, 3, 5) for n in range(31)}
     assert outer <= set(calls)
+
+
+def test_recurrences_make_no_polynomial_product(monkeypatch):
+    # each term of a recurrence is a strided copy of the inner ints, never a Polynomial product
+    calls = Counter()
+    product = Polynomial.__mul__
+
+    def counted(self, other):
+        calls["mul"] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted)
+    assert run_suite("recurrences", 31).passed
+    assert calls["mul"] == 0
 
 
 @pytest.mark.parametrize("q,n", [(2, 5000), (3, 4000), (7, 2400)])

@@ -7,8 +7,8 @@ The per-entry kernels and the ``from-c`` and ``hadamard`` per-entry forms,
 which compute on ints and build one Fraction, are compared with their
 Fraction oracles the same way, on the value and on its type.
 The readers' split of wire fractions is checked against parse_rational.
-The base-2 forms of ``carry_count`` and ``digit_binom`` are compared with the
-digit loops they replaced there, and ``gbinom`` and the ``from-c`` entry,
+The base-2 forms of ``carry_count``, ``digit_binom`` and ``t_coefficient`` are
+compared with the digit loops they replaced there, and ``gbinom`` and the ``from-c`` entry,
 which take an exact quotient when there is one, with ``Fraction(top, bottom)``.
 """
 
@@ -293,6 +293,19 @@ def test_base_2_forms_match_the_digit_loops(n, m):
         got = carry_count(2, n, m), digit_binom(2, n, m)
         assert got == (oracle.carry_count(2, n, m), oracle.digit_binom(2, n, m))
         assert list(map(type, got)) == [int, int]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**256), st.integers(min_value=0, max_value=2**256))
+@example(2**100 + 12345, 0)  # m = 0
+@example(3**150, 3**150)  # m = n
+@example(2**256 - 1, 2**255 + 7)  # n = 2**k - 1 dominates every m below it
+@example(2**256, 2**256 - 1)  # n = 2**k dominates only 0 and itself
+@example(2**256, 2**256)
+def test_base_2_t_coefficient_matches_the_digit_walk(n, m):
+    # the bit mask against the product of digit binomials, inside and outside the triangle
+    for n, m in [(n, m), (n, m % (n + 1)), (n, dominated(2, n, m)), (n, 0), (n, n), (n, -m - 1)]:
+        assert_same_entry(t_coefficient(2, n, m), oracle.t_coefficient(2, n, m))
 
 
 @settings(max_examples=200, deadline=None)

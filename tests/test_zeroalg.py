@@ -2,16 +2,18 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 import golden_matrices as gold
 from fraction_oracles import from_fn
+from genpascal import zeroalg
 from genpascal.errors import NotFractal, SizeMismatch
 from genpascal.matrices import TriangularMatrix, identity_matrix, matmul
 from genpascal.polynomials import Polynomial
 from genpascal.specs import GPSpec
+from genpascal.verify import suite_kron
 from genpascal.zeroalg import (
     block_matrix,
     block_product_check,
@@ -22,14 +24,12 @@ from genpascal.zeroalg import (
     kronecker,
     masked_convolve,
     masked_matrix,
-    masked_row,
     sierpinski_matrix,
     sierpinski_selfsim_check,
     t_coefficient,
     t_matrix,
     t_matrix_via_kronecker,
     t_matrix_via_overlay,
-    t_row,
     t_threeway_check,
 )
 
@@ -99,6 +99,38 @@ def test_kronecker_base_cases():
 @pytest.mark.parametrize("q,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_selfsim(q, k):
     assert sierpinski_selfsim_check(q, k).passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 3000))
+@example(2, 2**11 - 1)  # n = q**k - 1 dominates every column
+@example(2, 2**11)  # n = q**k dominates only 0 and itself
+@example(3, 3**7 - 1)
+@example(3, 3**7)
+@example(12, 12**3 - 1)
+@example(12, 12**3)
+@example(7, 0)
+def test_dominance_row_matches_the_per_entry_oracle(q, n):
+    assert zeroalg._dominance_row(q, n) == oracle.dominance_row(q, n)
+
+
+def test_kron_names_a_flipped_kronecker_entry(monkeypatch):
+    # a product that is wrong in one entry must fail against the block read off the digits
+    product = zeroalg.kronecker
+
+    def flipped(a, b):
+        den, rows = product(a, b).int_view()
+        rows = [list(row) for row in rows]
+        if len(rows) > 20:
+            rows[20][9] = 1 - rows[20][9]
+        return TriangularMatrix.from_view(den, rows)
+
+    monkeypatch.setattr(zeroalg, "kronecker", flipped)
+    report = suite_kron(70)
+    assert not report.passed
+    ce = report.counterexample
+    assert (ce["q"], ce["k"], ce["order"], ce["n"], ce["m"]) == (2, 4, "coarse-first", 20, 9)
+    assert (ce["got"], ce["want"]) == ("1", "0")
 
 
 def test_masked_matrix_cases():
@@ -203,20 +235,20 @@ def test_masked_convolve_is_the_series_convolution_of_the_sierpinski_matrix(q, s
 
 
 def test_masked_row_all_ones():
-    u15 = masked_row(ONES16, 2, 15)
+    u15 = oracle.masked_row(ONES16, 2, 15)
     expected = Polynomial([1])
     for i in range(4):
         expected = expected * Polynomial([1] + [0] * (2**i - 1) + [1])
     assert u15 == expected == Polynomial([1] * 16)
-    assert masked_row(ONES16, 2, 0) == Polynomial([1])
+    assert oracle.masked_row(ONES16, 2, 0) == Polynomial([1])
 
 
 def test_masked_row_squared_series():
     squared = carryless_convolve(ONES16, ONES16, 2, 15)
-    assert masked_row(squared, 2, 3) == Polynomial([4, 2, 2, 1])
+    assert oracle.masked_row(squared, 2, 3) == Polynomial([4, 2, 2, 1])
     full = matmul(sierpinski_matrix(2, 16), sierpinski_matrix(2, 16))
     for n in range(16):
-        assert masked_row(squared, 2, n) == full.row_poly(n)
+        assert oracle.masked_row(squared, 2, n) == full.row_poly(n)
 
 
 def test_block_matrix_layout():
@@ -319,10 +351,10 @@ def test_t2_is_sierpinski():
 
 
 def test_t_row():
-    assert t_row(2, 8) == Polynomial([1, 0, 0, 0, 0, 0, 0, 0, 1])
-    assert t_row(3, 8) == Polynomial(gold.T3_9[8])
+    assert oracle.t_row(2, 8) == Polynomial([1, 0, 0, 0, 0, 0, 0, 0, 1])
+    assert oracle.t_row(3, 8) == Polynomial(gold.T3_9[8])
     for n in range(27):
-        assert t_row(3, n) == t_matrix(3, 27).row_poly(n)
+        assert oracle.t_row(3, n) == t_matrix(3, 27).row_poly(n)
 
 
 def test_t_row_sums():
@@ -330,7 +362,7 @@ def test_t_row_sums():
     from genpascal.digits import digits
 
     for n in range(243):
-        assert sum(t_row(3, n).coeffs) == 2 ** sum(digits(n, 3))
+        assert sum(oracle.t_row(3, n).coeffs) == 2 ** sum(digits(n, 3))
 
 
 def test_overlay_fractal_block_identity():
