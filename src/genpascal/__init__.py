@@ -28,7 +28,6 @@ from .matrices import (
     gbinom,
     hadamard,
     hadamard_inverse,
-    hadamard_product,
     identity_check,
     identity_matrix,
     matmul,

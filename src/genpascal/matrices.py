@@ -18,7 +18,6 @@ numerator, and caches them. No raw int ever leaves the view.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import chain, islice, repeat
 from math import lcm
 from operator import add, mul
@@ -180,12 +179,6 @@ def hadamard(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
     da, ra = a.int_view()
     db, rb = b.int_view()
     return TriangularMatrix.from_view(da * db, [list(map(mul, xs, ys)) for xs, ys in zip(ra, rb)])
-
-
-def hadamard_product(matrices: Sequence[TriangularMatrix]) -> TriangularMatrix:
-    if not matrices:
-        raise ValueError("empty product")
-    return reduce(hadamard, matrices)
 
 
 def hadamard_inverse(a: TriangularMatrix) -> TriangularMatrix:

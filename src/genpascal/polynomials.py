@@ -1,19 +1,19 @@
-"""Dense exact polynomials, also used as truncated power series.
+"""Dense exact polynomials: the row and column values of the matrices.
 
 A polynomial is stored as its integer view (den, ints), by the rule of the
 matrices: den is the lcm of the coefficient denominators and ints[k] is den
 times the coefficient of x**k, with trailing zeros stripped, so the view is
-unique and equal polynomials have equal views. Sums, products, shifts,
-substitutions and truncations run on the ints and divide out one gcd at the
-end; ``coeffs`` makes the exact Fractions on first read, one per distinct
-numerator. A polynomial built from values stores only their view, too.
+unique and equal polynomials have equal views. The library builds them from
+int views (``from_view``) and compares them; ``coeffs`` makes the exact
+Fractions on first read, one per distinct numerator. A polynomial built from
+values stores only their view, too. Products and ``x -> x**q`` run on the
+ints; ``mul_trunc`` multiplies coefficient lists as truncated power series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -62,41 +62,11 @@ class Polynomial:
         """(den, ints), ints[k] = den * [x**k], as ``TriangularMatrix.int_view``."""
         return self._view
 
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self._view[1]) - 1
-
-    def coefficient(self, n: int) -> Fraction:
-        if 0 <= n < len(self._view[1]):
-            return self.coeffs[n]
-        return ZERO
-
-    def is_zero(self) -> bool:
-        return not self._view[1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self._view == other._view
 
     def __hash__(self):
         return hash(self._view)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        (da, a), (db, b) = self._view, other._view
-        if da != db:
-            den = lcm(da, db)
-            a, b = [x * (den // da) for x in a], [x * (den // db) for x in b]
-            da = den
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial.from_view(da, [*map(add, a, b), *a[len(b) :]])
-
-    def __neg__(self) -> "Polynomial":
-        den, ints = self._view
-        return _stored(den, tuple([-x for x in ints]))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __mul__(self, other):
         da, a = self._view
@@ -105,9 +75,6 @@ class Polynomial:
         db, b = other._view
         if not a or not b:
             return P_ZERO
-        # each nonzero term of a adds a scaled copy of b: make a the factor for which that costs less
-        if (len(b) - b.count(0)) * len(a) < (len(a) - a.count(0)) * len(b):
-            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
         width = len(b)
         for i, x in enumerate(a):
@@ -117,13 +84,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by x**k."""
-        den, ints = self._view
-        if not ints:
-            return self
-        return _stored(den, (0,) * k + ints)
-
     def substitute_power(self, q: int) -> "Polynomial":
         """p(x) -> p(x**q)."""
         den, ints = self._view
@@ -132,11 +92,6 @@ class Polynomial:
         out = [0] * ((len(ints) - 1) * q + 1)
         out[::q] = ints
         return _stored(den, tuple(out))
-
-    def truncate(self, degree: int) -> "Polynomial":
-        """Drop terms of degree > ``degree``."""
-        den, ints = self._view
-        return Polynomial.from_view(den, ints[: max(degree + 1, 0)])
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"

@@ -2,10 +2,14 @@
 
 ``FractionPolynomial`` is ``genpascal.polynomials.Polynomial`` as it was when
 it stored its coefficients as Fractions, renamed and otherwise unchanged but
-for ``truncate``, which now gives the zero polynomial for a negative degree as
-the library does; its ``__repr__`` still reads ``Polynomial([...])``. ``masked_convolve`` is the
-Fraction loop of ``genpascal.zeroalg.masked_convolve`` over ``digit_binom``,
-and ``gbinom`` the ratio of Fraction factorials.
+for ``truncate``, which gives the zero polynomial for a negative degree; its
+``__repr__`` still reads ``Polynomial([...])``. It is the oracles'
+polynomial arithmetic: the library's ``Polynomial`` keeps only products and
+``x -> x**q``, so the sums, differences, shifts and truncations of the
+oracles below, and ``w_poly`` (1 + x + ... + x**m), are ``FractionPolynomial``s.
+A test compares one with a library ``Polynomial`` by ``coeffs``.
+``masked_convolve`` is the Fraction loop of ``genpascal.zeroalg.masked_convolve``
+over ``digit_binom``, and ``gbinom`` the ratio of Fraction factorials.
 
 ``build_from_c``, ``hadamard_inverse``, ``masked_matrix``, ``check_fractal``,
 ``fractal_series`` and ``carryless_convolve`` are the library functions of
@@ -16,7 +20,8 @@ Their matrices go through the value constructor.
 
 ``pascal_convolve``, ``gbinom_via_recurrence``, ``geometric``, ``b_from_c``
 (``BSequence.from_c``) and ``from_fn`` (``TriangularMatrix.from_fn``) are
-library code that only tests reached, moved here unchanged: the series
+library code that only tests reached, moved here unchanged but for
+``pascal_convolve`` taking and giving ``FractionPolynomial``s: the series
 convolution of a matrix, the addition-rule form of ``gbinom``, the geometric
 series, the first column of a c-sequence matrix as weights, and a matrix from
 its per-entry function.
@@ -39,9 +44,9 @@ PBM writer as it was when it called ``bool`` on every entry.
 
 ``fractal_row`` and ``fractal_column`` are the recurrences as they were when
 each call rebuilt the rows or columns it recursed on, with no table shared
-between calls, and ``identity_check`` is the shift-identity check as it was
-when it remade the products of shift q for every p and compared one q at a
-time.
+between calls, as sums of ``FractionPolynomial`` products, and
+``identity_check`` is the shift-identity check as it was when it remade the
+products of shift q for every p and compared one q at a time.
 
 ``carry_count`` and ``digit_binom`` are the library's digit loops as they
 were before their base-2 forms (Legendre's bit counts, Lucas's bit mask):
@@ -49,9 +54,9 @@ were before their base-2 forms (Legendre's bit counts, Lucas's bit mask):
 base, and ``digit_binom`` compares digits until both indices run out, so it
 does not return for n < 0.
 
-``masked_row`` and ``t_row`` are library code that only tests reached,
-moved here unchanged: the row polynomials of the masked matrix and of the
-digit-product matrix as products of ``Polynomial``s over the base-q digits.
+``masked_row`` and ``t_row`` are library code that only tests reached: the
+row polynomials of the masked matrix and of the digit-product matrix as
+products of ``FractionPolynomial``s over the base-q digits.
 ``dominance_row`` is the per-entry build of a row of the zero pattern that
 the Kronecker self-similarity check used, one ``digit_binom`` per entry.
 
@@ -72,7 +77,6 @@ from genpascal.digits import digits, valuation
 from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
 from genpascal.fractal import fast_gbinom_fractal
 from genpascal.matrices import TriangularMatrix, _columns, _first_difference
-from genpascal.polynomials import P_ONE, P_ZERO, Polynomial, w_poly
 from genpascal.rationals import ONE, ZERO
 from genpascal.report import Report
 from genpascal.sequences import BSequence
@@ -219,6 +223,11 @@ class FractionPolynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
+def w_poly(m: int) -> FractionPolynomial:
+    """1 + x + ... + x**m, with the zero polynomial for m = -1."""
+    return FractionPolynomial([1] * (m + 1))
+
+
 def _coeff(a, n: int) -> Fraction:
     if not 0 <= n < len(a):
         return ZERO
@@ -331,13 +340,13 @@ def carryless_convolve(a, b, q: int, degree: int) -> list[Fraction]:
     return fractal_series(window, q, degree)
 
 
-def masked_row(a: Series, q: int, n: int) -> Polynomial:
+def masked_row(a: Series, q: int, n: int) -> FractionPolynomial:
     """Row n of (a(x)|q) as the digit product of the base rows:
     u_n(x) = prod_i u_{n_i}(x**(q**i)) with u_t = sum_m a_{t-m} x**m, t < q."""
     check_fractal(a, q, n)
     den, x = _numerators(a, q)
-    base = [Polynomial.from_view(den, x[t::-1]) for t in range(q)]
-    out = P_ONE
+    base = [FractionPolynomial(Fraction(v, den) for v in x[t::-1]) for t in range(q)]
+    out = FractionPolynomial([1])
     for i, d in enumerate(digits(n, q)):
         if d:
             out = out * base[d].substitute_power(q**i)
@@ -383,7 +392,9 @@ def gbinom_via_recurrence(b: BSequence, n: int, m: int) -> Fraction:
     return prev[m]
 
 
-def pascal_convolve(a: TriangularMatrix, f: Polynomial, g: Polynomial) -> Polynomial:
+def pascal_convolve(
+    a: TriangularMatrix, f: FractionPolynomial, g: FractionPolynomial
+) -> FractionPolynomial:
     """Product in the series algebra attached to the matrix:
     coefficient n of the result is sum_m (n,m) f_m g_{n-m}, for n < size."""
     if f.degree >= a.size or g.degree >= a.size:
@@ -391,7 +402,7 @@ def pascal_convolve(a: TriangularMatrix, f: Polynomial, g: Polynomial) -> Polyno
     out = []
     for n in range(a.size):
         out.append(sum((a.rows[n][m] * f.coefficient(m) * g.coefficient(n - m) for m in range(n + 1)), ZERO))
-    return Polynomial(out)
+    return FractionPolynomial(out)
 
 
 def fractal_entry(phi: Fraction | int, q: int, n: int, m: int) -> Fraction:
@@ -414,9 +425,9 @@ def t_coefficient(q: int, n: int, m: int) -> Fraction:
     return Fraction(value)
 
 
-def t_row(q: int, n: int) -> Polynomial:
+def t_row(q: int, n: int) -> FractionPolynomial:
     """Row generating polynomial prod_i (1 + x**(q**i))**n_i."""
-    out = P_ONE
+    out = FractionPolynomial([1])
     for i, d in enumerate(digits(n, q)):
         if d:
             factor = w_poly(1).substitute_power(q**i)
@@ -509,13 +520,13 @@ def matrix_to_pbm(matrix: TriangularMatrix) -> str:
     return (b"\n".join(lines) + b"\n").decode("ascii")
 
 
-def fractal_row(q: int, n: int) -> Polynomial:
+def fractal_row(q: int, n: int) -> FractionPolynomial:
     """Row n of the weight-q fractal matrix, built only from the recurrence
     u_{qn+m} = w_m(x) u_n(x^q) + q b_n x^{m+1} w_{q-2-m}(x) u_{n-1}(x^q)."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if n == 0:
-        return P_ONE
+        return FractionPolynomial([1])
     n1, m = divmod(n, q)
     if n1 == 0:
         return w_poly(m)  # b_0 = 0 kills the second term
@@ -527,7 +538,7 @@ def fractal_row(q: int, n: int) -> Polynomial:
     return term
 
 
-def fractal_column(q: int, n: int, size: int) -> Polynomial:
+def fractal_column(q: int, n: int, size: int) -> FractionPolynomial:
     """Column n of the weight-q fractal matrix truncated at degree size-1,
     built from g_{qn+m} = x^m w_{q-1-m}(x) g_n(x^q) + q b_{n+1} w_{m-1}(x) g_{n+1}(x^q),
     seeded by direct evaluation for n < q. The inner columns are needed only
@@ -535,9 +546,9 @@ def fractal_column(q: int, n: int, size: int) -> Polynomial:
     if q < 2:
         raise ValueError("q must be >= 2")
     if size < 1:
-        return P_ZERO
+        return FractionPolynomial()
     if n < q:
-        return Polynomial.from_view(1, [fast_gbinom_fractal(q, k, n).numerator for k in range(size)])
+        return FractionPolynomial(fast_gbinom_fractal(q, k, n) for k in range(size))
     n1, m = divmod(n, q)
     inner = (size - 1) // q + 1
     term = (w_poly(q - 1 - m) * fractal_column(q, n1, inner).substitute_power(q)).shift(m)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 import golden_matrices as gold
+from fraction_oracles import FractionPolynomial
 from genpascal.errors import SizeMismatch, ZeroEntry, ZeroFactor
 from genpascal.matrices import (
     TriangularMatrix,
@@ -361,8 +362,8 @@ def test_identity_check_catches_column0():
 
 
 def test_pascal_convolve_cauchy():
-    a = Polynomial([1, 1, 1])
-    b = Polynomial([1, 2])
+    a = FractionPolynomial([1, 1, 1])
+    b = FractionPolynomial([1, 2])
     got = oracle.pascal_convolve(all_ones(6), a, b)
     assert got == (a * b).truncate(5)
 
@@ -370,7 +371,7 @@ def test_pascal_convolve_cauchy():
 def test_pascal_convolve_zero_pattern():
     from genpascal.fractal import fractal_matrix
 
-    ones = Polynomial([1] * 16)
+    ones = FractionPolynomial([1] * 16)
     g = oracle.pascal_convolve(fractal_matrix(0, 2, 16), ones, ones)
     assert g.coefficient(15) == 16
 
@@ -382,16 +383,16 @@ def test_pascal_convolve_zero_pattern():
 )
 def test_pascal_convolve_commutes(xs, ys):
     m = build_from_c(CSequence.exponential(), 8)
-    a = Polynomial([Fraction(x) for x in xs])
-    b = Polynomial([Fraction(y) for y in ys])
+    a = FractionPolynomial([Fraction(x) for x in xs])
+    b = FractionPolynomial([Fraction(y) for y in ys])
     assert oracle.pascal_convolve(m, a, b) == oracle.pascal_convolve(m, b, a)
 
 
 def test_pascal_convolve_bilinear():
     m = build_from_c(CSequence.fractal(2), 8)
-    a = Polynomial([1, 2, 3])
-    b = Polynomial([0, 1, 1])
-    c = Polynomial([2, 0, 5])
+    a = FractionPolynomial([1, 2, 3])
+    b = FractionPolynomial([0, 1, 1])
+    c = FractionPolynomial([2, 0, 5])
     left = oracle.pascal_convolve(m, a, b + c)
     right = oracle.pascal_convolve(m, a, b) + oracle.pascal_convolve(m, a, c)
     assert left == right

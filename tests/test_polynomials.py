@@ -29,12 +29,11 @@ def reference_product(a, b):
 
 def test_normalization():
     assert Polynomial([1, 2, 0, 0]) == Polynomial([1, 2])
-    assert Polynomial([0, 0]).is_zero()
-    assert Polynomial().degree == -1
+    assert Polynomial([0, 0]).coeffs == ()
 
 
 def test_w_poly():
-    assert w_poly(-1).is_zero()
+    assert w_poly(-1) == Polynomial()
     assert w_poly(0) == Polynomial([1])
     assert w_poly(2) == Polynomial([1, 1, 1])
 
@@ -42,29 +41,20 @@ def test_w_poly():
 def test_arithmetic():
     p = Polynomial([1, 1])
     assert p * p == Polynomial([1, 2, 1])
-    assert p - p == Polynomial()
-    assert p.shift(2) == Polynomial([0, 0, 1, 1])
     assert p.substitute_power(3) == Polynomial([1, 0, 0, 1])
-    assert (p * p).truncate(1) == Polynomial([1, 2])
     assert FractionPolynomial(p.coeffs).evaluate(Fraction(1, 2)) == Fraction(3, 2)
 
 
-def test_truncate_below_degree_zero_is_the_zero_polynomial():
-    p = Polynomial([1, 2, 3, 4])
-    for degree in (-1, -3, -4, -10):
-        assert p.truncate(degree) == Polynomial()
-    assert p.truncate(0) == Polynomial([1])
-
-
-def test_coefficient_out_of_range():
-    assert Polynomial([1, 2]).coefficient(5) == 0
+def plus(a, b):
+    """a + b, summed by the oracle."""
+    return Polynomial((FractionPolynomial(a.coeffs) + FractionPolynomial(b.coeffs)).coeffs)
 
 
 @given(polys, polys, polys)
 def test_ring_laws(a, b, c):
     assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-    assert (a + b) + c == a + (b + c)
+    assert a * plus(b, c) == plus(a * b, a * c)
+    assert (a * b) * c == a * (b * c)
 
 
 def test_helpers():
@@ -87,7 +77,7 @@ def test_product_coefficients_are_exactly_fractions():
         product = a * b
         assert all(type(c) is Fraction for c in product.coeffs)
         assert product == reference_product(a, b)
-    assert (mixed * mixed).coefficient(0) == Fraction(1, 4)
+    assert (mixed * mixed).coeffs[0] == Fraction(1, 4)
     assert (mixed * Polynomial([Fraction(2)])).coeffs == (1, Fraction(-4, 3), 10)
 
 
@@ -104,34 +94,27 @@ scalars = st.one_of(coeff, fraction_coeff)
 
 def assert_same(got, want):
     """got, a Polynomial, holds exactly the coefficients of the oracle's ``want``."""
-    assert got.coeffs == want.coeffs and got.degree == want.degree
+    assert got.coeffs == want.coeffs
     assert all(type(c) is Fraction for c in got.coeffs)
     assert repr(got) == repr(want)
     assert got == Polynomial(want.coeffs) and hash(got) == hash(Polynomial(want.coeffs))
 
 
-@given(mixed_values, mixed_values, scalars, st.integers(0, 4), st.integers(1, 4), st.integers(-3, 9), scalars)
-def test_operations_match_the_fraction_polynomial(xs, ys, c, k, q, degree, x):
+@given(mixed_values, mixed_values, scalars, st.integers(0, 4), st.integers(1, 4), scalars)
+def test_operations_match_the_fraction_polynomial(xs, ys, c, k, q, x):
     a, b = Polynomial(xs), Polynomial(ys)
     fa, fb = FractionPolynomial(xs), FractionPolynomial(ys)
     assert_same(a, fa)
     assert_same(Polynomial(value_form(Fraction(v), k + i) for i, v in enumerate(xs)), fa)
-    assert_same(a + b, fa + fb)
-    assert_same(a - b, fa - fb)
-    assert_same(-a, -fa)
     assert_same(a * b, fa * fb)
     assert_same(a * c, fa * c)
     assert_same(c * a, c * fa)
-    assert_same(a.shift(k), fa.shift(k))
     assert_same(a.substitute_power(q), fa.substitute_power(q))
-    assert_same(a.truncate(degree), fa.truncate(degree))
     # results built on the integer view feed the next operation
-    chained = (a * b + a).truncate(degree) - b.substitute_power(q)
-    assert_same(chained, (fa * fb + fa).truncate(degree) - fb.substitute_power(q))
-    assert_same((a - a) * c, (fa - fa) * c)
+    assert_same((a * b).substitute_power(q) * a, (fa * fb).substitute_power(q) * fa)
+    assert_same((a * 0) * c, (fa * 0) * c)
     assert FractionPolynomial(a.coeffs).evaluate(x) == fa.evaluate(x)
     assert (a == b) == (fa == fb)
-    assert [a.coefficient(n) for n in range(-1, 10)] == [fa.coefficient(n) for n in range(-1, 10)]
 
 
 def test_view_is_the_lcm_of_the_denominators():
@@ -139,10 +122,8 @@ def test_view_is_the_lcm_of_the_denominators():
     p = Polynomial([Fraction(1, 2), Fraction(-1, 3), 1, 0])
     assert Polynomial.from_view(6, (3, -2, 6)) == p == Polynomial.from_view(12, [6, -4, 12, 0, 0])
     assert Polynomial([FractionSubclass(1, 2), "-2/6", True, False]) == p
-    assert Polynomial.from_view(5, [0, 0]) == Polynomial() == p - p
+    assert Polynomial.from_view(5, [0, 0]) == Polynomial()
     assert p * Polynomial([6]) == Polynomial.from_view(1, [3, -2, 6])
-    assert p.truncate(1) == Polynomial.from_view(6, [3, -2])
-    assert p + Polynomial([Fraction(-1, 2)]) == Polynomial.from_view(3, [0, -1, 3])
     assert Polynomial.from_view(4, [2, 2]).coeffs == (Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError):
         Polynomial.from_view(0, [1])

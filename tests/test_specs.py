@@ -4,8 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraction_oracles import qumbral_entry
-from genpascal.matrices import hadamard_product
+from fraction_oracles import materialize_hadamard, qumbral_entry
 from genpascal.sequences import CSequence
 from genpascal.specs import FAMILIES, GPSpec
 
@@ -59,9 +58,7 @@ def test_entry_matches_materialized(spec):
 def test_hadamard_spec_streams():
     factors = [GPSpec.fractal(Fraction(p), p) for p in (2, 3, 5, 7)]
     spec = GPSpec.hadamard(factors)
-    streamed = spec.materialize(11)
-    collected = hadamard_product([f.materialize(11) for f in factors])
-    assert streamed == collected
+    assert spec.materialize(11) == materialize_hadamard(spec, 11)
 
 
 @pytest.mark.parametrize("spec", EXAMPLES, ids=[spec.kind for spec in EXAMPLES])

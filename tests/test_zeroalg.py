@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 import golden_matrices as gold
-from fraction_oracles import from_fn
+from fraction_oracles import FractionPolynomial, from_fn
 from genpascal import zeroalg
 from genpascal.errors import NotFractal, SizeMismatch
 from genpascal.matrices import TriangularMatrix, identity_matrix, matmul
@@ -230,8 +230,8 @@ def test_masked_convolve_is_the_series_convolution_of_the_sierpinski_matrix(q, s
     a = data.draw(st.lists(signed_rational, min_size=size, max_size=size))
     b = data.draw(st.lists(signed_rational, min_size=size, max_size=size))
     assume(not digit_multiplicative(a, q) and not digit_multiplicative(b, q))
-    want = oracle.pascal_convolve(sierpinski_matrix(q, size), Polynomial(a), Polynomial(b))
-    assert Polynomial(masked_convolve(a, b, q, size - 1)) == want
+    want = oracle.pascal_convolve(sierpinski_matrix(q, size), FractionPolynomial(a), FractionPolynomial(b))
+    assert Polynomial(masked_convolve(a, b, q, size - 1)).coeffs == want.coeffs
 
 
 def test_masked_row_all_ones():
@@ -239,16 +239,16 @@ def test_masked_row_all_ones():
     expected = Polynomial([1])
     for i in range(4):
         expected = expected * Polynomial([1] + [0] * (2**i - 1) + [1])
-    assert u15 == expected == Polynomial([1] * 16)
-    assert oracle.masked_row(ONES16, 2, 0) == Polynomial([1])
+    assert u15.coeffs == expected.coeffs == Polynomial([1] * 16).coeffs
+    assert oracle.masked_row(ONES16, 2, 0).coeffs == (1,)
 
 
 def test_masked_row_squared_series():
     squared = carryless_convolve(ONES16, ONES16, 2, 15)
-    assert oracle.masked_row(squared, 2, 3) == Polynomial([4, 2, 2, 1])
+    assert oracle.masked_row(squared, 2, 3).coeffs == (4, 2, 2, 1)
     full = matmul(sierpinski_matrix(2, 16), sierpinski_matrix(2, 16))
     for n in range(16):
-        assert oracle.masked_row(squared, 2, n) == full.row_poly(n)
+        assert oracle.masked_row(squared, 2, n).coeffs == full.row_poly(n).coeffs
 
 
 def test_block_matrix_layout():
@@ -351,10 +351,10 @@ def test_t2_is_sierpinski():
 
 
 def test_t_row():
-    assert oracle.t_row(2, 8) == Polynomial([1, 0, 0, 0, 0, 0, 0, 0, 1])
-    assert oracle.t_row(3, 8) == Polynomial(gold.T3_9[8])
+    assert oracle.t_row(2, 8).coeffs == (1, 0, 0, 0, 0, 0, 0, 0, 1)
+    assert oracle.t_row(3, 8).coeffs == Polynomial(gold.T3_9[8]).coeffs
     for n in range(27):
-        assert oracle.t_row(3, n) == t_matrix(3, 27).row_poly(n)
+        assert oracle.t_row(3, n).coeffs == t_matrix(3, 27).row_poly(n).coeffs
 
 
 def test_t_row_sums():
