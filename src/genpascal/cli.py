@@ -40,7 +40,7 @@ def _require_q(args, minimum: int | None = 2) -> int:
     if args.q is None:
         raise ValueError(f"--kind {args.kind} requires --q")
     if minimum is not None and args.q < minimum:
-        raise ValueError(f"--q must be >= {minimum} for kind {args.kind}")
+        raise ValueError(f"--q must be >= {minimum}" + (f" for kind {args.kind}" if "kind" in args else ""))
     return args.q
 
 

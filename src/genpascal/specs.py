@@ -1,13 +1,13 @@
 """Symbolic matrix descriptions and the table of matrix families.
 
-A GPSpec names a matrix family plus parameters. ``FAMILIES`` holds one row
-per kind: its full-truncation constructor, its per-entry form (the two agree
-bit-exactly) and the spec fields it requires, each with its least value where
-there is one, checked once when a spec is made. ``entry`` evaluates one
-coefficient straight from the description; ``materialize`` builds the full
-truncation. A Hadamard spec materializes its factors one at a time and
+A GPSpec names a matrix family and its parameters. ``FAMILIES`` holds one row
+per kind, the eight CLI kinds plus ``from-c`` and ``hadamard``: its
+full-truncation constructor, its per-entry form (the two agree bit-exactly)
+and the spec fields it requires, each with its least value where there is one,
+checked when a spec is made. ``entry`` gives one coefficient, ``materialize``
+the truncation. A Hadamard spec materializes its factors one at a time and
 multiplies their integer views, so at most the running product and one factor
-are alive; its per-entry form multiplies the factors' entries as ints.
+are alive; its entry multiplies the factors' entries as ints.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import comb, prod
-from typing import Sequence
 
 from .fractal import fractal_entry, fractal_matrix
 from .matrices import TriangularMatrix, all_ones, build_from_c, hadamard, pascal_rows
 from .rationals import ONE, ZERO, ratio
 from .sequences import CSequence
 from .special import phi_q_matrix, q_umbral_inverse, q_umbral_matrix, zero_overlay_matrix
-from .zeroalg import digit_binom, masked_matrix, t_coefficient, t_matrix
+from .zeroalg import t_coefficient, t_matrix
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,6 @@ class GPSpec:
     phi: Fraction | None = None
     q: int | None = None  # the q-umbral families also take a rational q
     factors: tuple["GPSpec", ...] = field(default_factory=tuple)
-    a: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
         if self.kind not in FAMILIES:
@@ -64,11 +62,6 @@ class GPSpec:
     @classmethod
     def tmatrix(cls, q: int) -> "GPSpec":
         return cls("tmatrix", q=q)
-
-    @classmethod
-    def masked(cls, a: Sequence[Fraction | int], q: int) -> "GPSpec":
-        """(a(x)|q): series coefficients a_{n-m} under the digit-dominance mask."""
-        return cls("masked", q=q, a=tuple(Fraction(x) for x in a))
 
     @classmethod
     def hadamard(cls, factors: list["GPSpec"]) -> "GPSpec":
@@ -144,11 +137,6 @@ FAMILIES = {
         {"q": 2},
     ),
     "tmatrix": (lambda s, size: t_matrix(s.q, size), lambda s, n, m: t_coefficient(s.q, n, m), {"q": 2}),
-    "masked": (
-        lambda s, size: masked_matrix(s.a, s.q, size),
-        lambda s, n, m: s.a[n - m] if n - m < len(s.a) and digit_binom(s.q, n, m) else ZERO,
-        {"q": 2},
-    ),
     # the product of the factors' views, built one factor at a time; no factors give all ones
     "hadamard": (
         lambda s, size: reduce(hadamard, (f.materialize(size) for f in s.factors), all_ones(size)),

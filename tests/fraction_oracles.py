@@ -62,10 +62,18 @@ the Kronecker self-similarity check used, one ``digit_binom`` per entry.
 
 ``value_form`` writes a value as one of the other inputs the value
 constructors coerce through ``Fraction()``.
+
+``sierpinski_oracle`` and ``block_oracle`` are the per-entry forms of
+``sierpinski_matrix`` and ``block_matrix`` over ``digit_binom``;
+``oracle_from_rows``, ``oracle_from_json`` and ``oracle_from_csv`` are the
+readers as they were when they parsed each distinct entry to a Fraction and
+used the value constructor; ``_mobius`` is the Moebius function by trial
+division, for the explicit Moebius inversion of the first column.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import repeat
 from math import comb, lcm, prod
@@ -77,7 +85,7 @@ from genpascal.digits import digits, valuation
 from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
 from genpascal.fractal import fast_gbinom_fractal
 from genpascal.matrices import TriangularMatrix, _columns, _first_difference
-from genpascal.rationals import ONE, ZERO
+from genpascal.rationals import ONE, ZERO, parse_rational
 from genpascal.report import Report
 from genpascal.sequences import BSequence
 from genpascal.zeroalg import Series, _numerators
@@ -598,3 +606,68 @@ def identity_check(a: TriangularMatrix, suite: str = "identities") -> Report:
                 checked += n + 1
     return Report(suite, True, None, checked)
 
+
+def sierpinski_oracle(q, size):
+    return from_fn(size, lambda n, m: digit_binom(q, n, m))
+
+
+def block_oracle(a, b, q, k, size):
+    """The per-entry form of block_matrix:
+    (Q n + i, Q m + j) -> a_{n-m} dom(n,m) b_{i-j} dom(i,j), Q = q**k."""
+    block = q**k
+    coeff = lambda s, d: Fraction(s[d]) if d < len(s) else Fraction(0)
+
+    def fn(row, col):
+        n, i = divmod(row, block)
+        m, j = divmod(col, block)
+        if i < j or not digit_binom(q, n, m) or not digit_binom(q, i, j):
+            return Fraction(0)
+        return coeff(a, n - m) * coeff(b, i - j)
+
+    return from_fn(size, fn)
+
+
+def oracle_from_rows(rows) -> TriangularMatrix:
+    """The Fraction reader the integer-view readers replaced: each distinct
+    string entry parsed once to a Fraction, then the value constructor."""
+    parsed: dict[str, Fraction] = {}
+
+    def parse(entry) -> Fraction:
+        if type(entry) is not str:
+            return parse_rational(entry)
+        value = parsed.get(entry)
+        if value is None:
+            value = parsed[entry] = parse_rational(entry)
+        return value
+
+    return TriangularMatrix([[parse(entry) for entry in row] for row in rows])
+
+
+def oracle_from_json(text: str) -> TriangularMatrix:
+    doc = json.loads(text)
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError('a matrix document is a JSON object whose "rows" is a list of lists')
+    matrix = oracle_from_rows(rows)
+    if matrix.size != doc.get("size", matrix.size):
+        raise ValueError("size field disagrees with row count")
+    return matrix
+
+
+def oracle_from_csv(text: str) -> TriangularMatrix:
+    return oracle_from_rows(line.split(",") for line in text.strip().splitlines() if line.strip())
+
+
+def _mobius(n: int) -> int:
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if n > 1:
+        result = -result
+    return result

@@ -95,6 +95,24 @@ def test_zero_denominator_is_a_config_error(capsys, argv):
     assert err == "error: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize("q", ["1", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--kind", "fractal"], "--q must be >= 2 for kind fractal"),
+        (["export", "--kind", "tmatrix"], "--q must be >= 2 for kind tmatrix"),
+        (["decompose", "--kind", "phiq", "--phi", "2"], "--q must be >= 2 for kind phiq"),
+        (["eval", "--kind", "fractal", "3", "1"], "--q must be >= 2 for kind fractal"),
+        (["convolve", "--degree", "3", "1,1", "1,1"], "--q must be >= 2"),  # convolve has no --kind
+    ],
+    ids=["gen", "export", "decompose", "eval", "convolve"],
+)
+def test_q_below_two_is_a_config_error(capsys, argv, message, q):
+    code, out, err = run(capsys, *argv, f"--q={q}")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_huge_exponent_is_a_config_error(capsys):
     # refused before 10**exponent is built, so this returns at once
     code, out, err = run(capsys, "gen", "--kind", "phiq", "--q", "2", "--phi=1e999999999")

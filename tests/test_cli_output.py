@@ -85,6 +85,8 @@ ERROR_ARGS = [
     ["decompose", "--size", "5"],
     ["decompose", "--kind", "pascal", "--size", "8", "--max-q", "8"],
     ["convolve", "--q", "2", "--degree", "-1", "1,1", "1,1"],
+    # convolve has no --kind, so its --q refusal names none
+    ["convolve", "--q", "1", "--degree", "3", "1,1", "1,1"],
 ]
 
 SUCCESS_ARGS = [

@@ -42,7 +42,7 @@ def int_block(values):
     st.sampled_from(["ge", "comb", "int"]),
     st.lists(st.sampled_from([0, 1, 2, 5]), min_size=1, max_size=7),
     st.sampled_from([None, (0, 1), (0, 1, 3, 10**20)]),
-    st.randoms(use_true_random=False),
+    st.randoms(use_true_random=True),  # seeded once; a draw per top entry overran the data budget
 )
 @settings(max_examples=40, deadline=None)
 @example(2, 300, "ge", [0], None, random.Random(0))

@@ -124,8 +124,6 @@ BASE_CALLS = {
     "zero-overlay-spec-entry-outside": lambda q: GPSpec("zero-overlay", q=q).entry(3, 5),
     "tmatrix-spec-entry-inside": lambda q: GPSpec.tmatrix(q).entry(3, 1),
     "tmatrix-spec-entry-outside": lambda q: GPSpec.tmatrix(q).entry(3, 5),
-    "masked-spec-entry-inside": lambda q: GPSpec.masked([1, 2, 3, 4], q).entry(3, 1),
-    "masked-spec-entry-outside": lambda q: GPSpec.masked([1, 2, 3, 4], q).entry(3, 5),
     "fractal_matrix": lambda q: fractal_matrix(2, q, 4),
     "fractal_b": lambda q: fractal_b(q, 2, 4),
 }
@@ -138,10 +136,10 @@ def test_base_below_two_raises(q, name):
         BASE_CALLS[name](q)
 
 
-@pytest.mark.parametrize("kind", ["phiq", "fractal", "zero-overlay", "tmatrix", "masked", "qumbral", "qumbral-inverse"])
+@pytest.mark.parametrize("kind", ["phiq", "fractal", "zero-overlay", "tmatrix", "qumbral", "qumbral-inverse"])
 def test_spec_without_q_raises(kind):
     with pytest.raises(ValueError, match=f"spec kind '{kind}' requires q"):
-        GPSpec(kind, phi=Fraction(2), a=(Fraction(1),))
+        GPSpec(kind, phi=Fraction(2))
 
 
 @pytest.mark.parametrize("q,k_max", [(2, 4), (3, 3)])

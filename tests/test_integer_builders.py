@@ -34,6 +34,7 @@ from genpascal.zeroalg import (
     masked_matrix,
     t_coefficient,
 )
+from test_specs import SPECS
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -129,23 +130,11 @@ def test_masked_matrix_matches_the_oracle(series, q):
         assert_same_matrix(masked_matrix(series, q, size), oracle.masked_matrix(series, q, size))
 
 
-factor_specs = st.one_of(
-    st.builds(GPSpec.phiq, rational, st.integers(min_value=2, max_value=5)),
-    st.builds(GPSpec.fractal, rational, st.integers(min_value=2, max_value=4)),
-    st.builds(
-        lambda c: GPSpec.from_c(CSequence.explicit([1, 1, *c])), st.lists(nonzero, min_size=10, max_size=10)
-    ),
-    st.builds(GPSpec.masked, st.lists(coefficient, min_size=12, max_size=12), st.sampled_from([2, 3, 4])),
-    st.builds(GPSpec.tmatrix, st.integers(min_value=2, max_value=4)),
-)
-
-
 @SETTINGS
-@given(st.lists(factor_specs, max_size=4), st.integers(min_value=0, max_value=12))
-@example([], 0)
-@example([], 5)
-def test_hadamard_family_matches_the_streamed_oracle(factors, size):
-    spec = GPSpec.hadamard(factors)
+@given(SPECS["hadamard"], st.integers(min_value=0, max_value=12))
+@example(GPSpec.hadamard([]), 0)
+@example(GPSpec.hadamard([]), 5)
+def test_hadamard_family_matches_the_streamed_oracle(spec, size):
     assert_same_matrix(spec.materialize(size), oracle.materialize_hadamard(spec, size))
 
 
@@ -201,13 +190,12 @@ def test_from_c_entry_of_a_zero_c_n_raises_like_the_oracle():
 
 
 @SETTINGS
-@given(st.lists(factor_specs, max_size=5), small, small)
-@example([], 5, 2)
-@example([GPSpec.fractal(0, 2), GPSpec.phiq(Fraction(-3, 2), 3)], 5, 2)  # a zero factor
-@example([GPSpec.fractal(Fraction(-2, 3), 2), GPSpec.fractal(-5, 3)], 5, 2)  # negative weights
-def test_hadamard_entry_matches_the_oracle(factors, n, m):
+@given(SPECS["hadamard"], small, small)
+@example(GPSpec.hadamard([]), 5, 2)
+@example(GPSpec.hadamard([GPSpec.fractal(0, 2), GPSpec.phiq(Fraction(-3, 2), 3)]), 5, 2)  # a zero factor
+@example(GPSpec.hadamard([GPSpec.fractal(Fraction(-2, 3), 2), GPSpec.fractal(-5, 3)]), 5, 2)  # negative weights
+def test_hadamard_entry_matches_the_oracle(spec, n, m):
     # the family's per-entry form, and so its oracle, is reached only inside the triangle
-    spec = GPSpec.hadamard(factors)
     m = m % (n + 1)
     assert_same_entry(spec.entry(n, m), oracle.hadamard_entry(spec, n, m))
 

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as oracle
+from fraction_oracles import oracle_from_csv, oracle_from_json
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import TriangularMatrix, build_from_c
-from genpascal.rationals import format_rational, parse_rational
+from genpascal.rationals import format_rational
 from genpascal.sequences import CSequence
 from genpascal.serialize import (
     matrix_from_csv,
@@ -21,8 +22,7 @@ from genpascal.serialize import (
     matrix_to_json,
     matrix_to_pbm,
 )
-from genpascal.special import phi_q_series
-from genpascal.specs import FAMILIES, GPSpec
+from genpascal.specs import FAMILIES
 
 DATA = Path(__file__).parent / "data"
 
@@ -71,37 +71,6 @@ def test_read_entries_are_exactly_fractions():
     for m in (matrix_from_json(doc), matrix_from_csv(text)):
         assert all(type(e) is Fraction for row in m.rows for e in row)
         assert m.rows == ((1,), (Fraction(1, 2), 2), (Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)))
-
-
-def oracle_from_rows(rows) -> TriangularMatrix:
-    """The Fraction reader the integer-view readers replaced: each distinct
-    string entry parsed once to a Fraction, then the value constructor."""
-    parsed: dict[str, Fraction] = {}
-
-    def parse(entry) -> Fraction:
-        if type(entry) is not str:
-            return parse_rational(entry)
-        value = parsed.get(entry)
-        if value is None:
-            value = parsed[entry] = parse_rational(entry)
-        return value
-
-    return TriangularMatrix([[parse(entry) for entry in row] for row in rows])
-
-
-def oracle_from_json(text: str) -> TriangularMatrix:
-    doc = json.loads(text)
-    rows = doc.get("rows") if isinstance(doc, dict) else None
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ValueError('a matrix document is a JSON object whose "rows" is a list of lists')
-    matrix = oracle_from_rows(rows)
-    if matrix.size != doc.get("size", matrix.size):
-        raise ValueError("size field disagrees with row count")
-    return matrix
-
-
-def oracle_from_csv(text: str) -> TriangularMatrix:
-    return oracle_from_rows(line.split(",") for line in text.strip().splitlines() if line.strip())
 
 
 def outcome(read, text):
@@ -290,52 +259,3 @@ def view_matrices(draw):
 @example(TriangularMatrix([]), "pascal", None, None)
 def test_json_writer_is_json_dumps(matrix, kind, q, phi):
     assert matrix_to_json(matrix, kind, q, phi) == json.dumps(matrix_to_doc(matrix, kind, q, phi), indent=1)
-
-
-def writer_cases():
-    """(kind, spec, q) for every family kind."""
-    phis = (Fraction(0), Fraction(3, 2), Fraction(-3, 2))
-    yield "pascal", GPSpec("pascal"), None
-    yield "ones", GPSpec("ones"), None
-    for qv in (*phis, 2, 3, 5):
-        yield "qumbral", GPSpec.qumbral(qv), None
-        yield "qumbral-inverse", GPSpec("qumbral-inverse", q=Fraction(qv)), None
-    for q in (2, 3, 5):
-        for phi in phis:
-            yield "phiq", GPSpec.phiq(phi, q), q
-            yield "fractal", GPSpec.fractal(phi, q), q
-            yield "masked", GPSpec.masked([phi**k for k in range(40)], q), q
-            if phi:
-                yield "from-c", GPSpec.from_c(phi_q_series(phi, q)), q
-        yield "zero-overlay", GPSpec("zero-overlay", q=q), q
-        yield "tmatrix", GPSpec.tmatrix(q), q
-        factors = [GPSpec.phiq(Fraction(3, 2), q), GPSpec.fractal(Fraction(-3, 2), q)]
-        yield "hadamard", GPSpec.hadamard(factors), q
-
-
-def case_id(kind, spec, q):
-    if kind == "from-c":
-        return f"from-c-{spec.c.kind}"
-    if kind == "masked":
-        return f"masked-q={q}-a1={spec.a[1]}"
-    return f"{kind}-q={spec.q if q is None else q}-phi={spec.phi}"
-
-
-def test_writer_cases_cover_every_kind_with_an_entry_form():
-    assert set(FAMILIES) == {kind for kind, _, _ in writer_cases()}
-
-
-@pytest.mark.parametrize(
-    "kind, spec, q", [pytest.param(*case, id=case_id(*case)) for case in writer_cases()]
-)
-def test_writers_match_the_per_entry_text(kind, spec, q):
-    # the writers read the integer view; the oracle formats each exact entry
-    sizes = {0, 1, 40} | ({q, q * q + 1} if q else {2, 3, 5, 10, 26})
-    for size in sorted(sizes):
-        matrix = spec.materialize(size)
-        texts = [[format_rational(spec.entry(n, m)) for m in range(n + 1)] for n in range(size)]
-        doc = {"kind": kind, "q": q, "phi": None, "size": size, "rows": texts}
-        assert matrix_to_json(matrix, kind, q) == json.dumps(doc, indent=1)
-        assert matrix_to_csv(matrix) == "\n".join(map(",".join, texts)) + "\n"
-        bits = ["".join("1" if spec.entry(n, m) != 0 else "0" for m in range(size)) for n in range(size)]
-        assert matrix_to_pbm(matrix) == "\n".join(["P1", f"{size} {size}", *bits]) + "\n"

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden_matrices as gold
-from fraction_oracles import divide_linear, geometric
+from fraction_oracles import _mobius, divide_linear, geometric
 from genpascal.errors import ZeroEntry, ZeroPhi
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import (
@@ -135,21 +135,6 @@ def first_column_b(a: TriangularMatrix) -> BSequence:
     if a.size > 1:
         values[1] = ONE
     return BSequence.explicit(values)
-
-
-def _mobius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
 
 
 def mobius_coordinates(a: TriangularMatrix, max_q: int) -> dict[int, Fraction]:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,81 +6,86 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraction_oracles import materialize_hadamard, qumbral_entry
+from genpascal.matrices import identity_check
+from genpascal.rationals import format_rational
 from genpascal.sequences import CSequence
+from genpascal.serialize import matrix_from_csv, matrix_from_json, matrix_to_csv, matrix_to_json, matrix_to_pbm
+from genpascal.special import phi_coordinates, phi_q_series
 from genpascal.specs import FAMILIES, GPSpec
 
-CASES = [
-    GPSpec.from_c(CSequence.exponential()),
-    GPSpec.from_c(CSequence.fractal(3)),
-    GPSpec.phiq(Fraction(7), 2),
-    GPSpec.phiq(Fraction(-2, 3), 5),
-    GPSpec.fractal(Fraction(2), 2),
-    GPSpec.fractal(Fraction(0), 2),
-    GPSpec.fractal(Fraction(1, 3), 3),
-    GPSpec.qumbral(Fraction(-1)),
-    GPSpec.qumbral(Fraction(2)),
-    GPSpec.tmatrix(3),
-    GPSpec.masked([Fraction(1)] * 16, 2),
-    GPSpec.masked([1, Fraction(-2, 3), 5, 0, Fraction(1, 7)] + [1] * 11, 3),
-    GPSpec("pascal"),
-    GPSpec("zero-overlay", q=3),
-    GPSpec("zero-overlay", q=2),
-    GPSpec("ones"),
-]
+# fixed values drawn half the time: a zero weight, a fraction and its negative, and small bases
+PHIS = [Fraction(0), Fraction(3, 2), Fraction(-3, 2)]
+BASES = [2, 3, 5]
+phis = st.sampled_from(PHIS) | st.fractions(min_value=-9, max_value=9, max_denominator=12)
+bases = st.sampled_from(BASES) | st.integers(min_value=2, max_value=7)
+umbral_qs = st.sampled_from([*PHIS, *map(Fraction, BASES), Fraction(1), Fraction(-1)]) | phis
 
-# one spec of every kind in FAMILIES
-EXAMPLES = [
-    GPSpec("pascal"),
-    GPSpec("ones"),
-    GPSpec.from_c(CSequence.explicit([1, 1] + [Fraction(-k, k + 3) for k in range(1, 11)])),
-    GPSpec.phiq(Fraction(-2, 3), 3),
-    GPSpec.fractal(Fraction(1, 3), 3),
-    GPSpec.qumbral(Fraction(2)),
-    GPSpec("qumbral-inverse", q=Fraction(2)),
-    GPSpec("zero-overlay", q=3),
-    GPSpec.tmatrix(3),
-    GPSpec.masked([1, Fraction(-2, 3), 5, 0, Fraction(1, 7)] + [1] * 11, 3),
-    GPSpec.hadamard([GPSpec.fractal(Fraction(2), 2), GPSpec.phiq(Fraction(1, 2), 3)]),
-]
+# kind -> a strategy of its specs; the explicit c-sequences and the sizes below stop at 40
+SPECS = {
+    "pascal": st.just(GPSpec("pascal")),
+    "ones": st.just(GPSpec("ones")),
+    "from-c": st.one_of(
+        st.sampled_from([CSequence.exponential(), CSequence.geometric()]),
+        st.builds(CSequence.fractal, bases),
+        st.builds(phi_q_series, phis.filter(bool), bases),
+        st.lists(phis.filter(bool), min_size=39, max_size=39).map(lambda c: CSequence.explicit([1, 1, *c])),
+    ).map(GPSpec.from_c),
+    "phiq": st.builds(GPSpec.phiq, phis, bases),
+    "fractal": st.builds(GPSpec.fractal, phis, bases),
+    "qumbral": st.builds(GPSpec.qumbral, umbral_qs),
+    "qumbral-inverse": umbral_qs.map(lambda q: GPSpec("qumbral-inverse", q=q)),
+    "zero-overlay": bases.map(lambda q: GPSpec("zero-overlay", q=q)),
+    "tmatrix": st.builds(GPSpec.tmatrix, bases),
+}
+SPECS["hadamard"] = st.lists(st.one_of(*SPECS.values()), max_size=5).map(GPSpec.hadamard)
 
 
-@pytest.mark.parametrize("spec", CASES, ids=[c.kind + str(i) for i, c in enumerate(CASES)])
-def test_entry_matches_materialized(spec):
-    size = 12
-    built = spec.materialize(size)
+def test_strategies_cover_every_family():
+    assert SPECS.keys() == set(FAMILIES)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_family_differential(kind, data):
+    spec = data.draw(SPECS[kind], label="spec")
+    q = spec.q if FAMILIES[kind][2].get("q") == 2 else None  # a digit base
+    # 0, 1, 40 and the base q and q*q + 1 (for other kinds those of q = 2, 3, 5), or any size up to 24
+    fixed = {0, 1, 40} | ({q, q * q + 1} if q else {2, 3, 5, 10, 26})
+    size = data.draw(st.sampled_from(sorted(fixed)) | st.integers(min_value=0, max_value=24), label="size")
+    matrix = spec.materialize(size)
+
+    # the truncation is the per-entry form, exactly, and 0 off the triangle
+    rows = [[spec.entry(n, m) for m in range(n + 1)] for n in range(size)]
+    assert matrix.rows == tuple(map(tuple, rows))
+    assert all(type(e) is Fraction for row in (*rows, *matrix.rows) for e in row)
     for n in range(size):
-        for m in range(n + 1):
-            value = spec.entry(n, m)
-            assert type(value) is Fraction
-            assert value == built.entry(n, m)
-    assert spec.entry(2, 5) == 0
+        assert spec.entry(n, -1) == spec.entry(n, n + 1) == matrix.entry(n, -1) == matrix.entry(n, n + 1) == 0
+
+    # the writers read the integer view; the text formatted entry by entry is the oracle
+    texts = [[format_rational(e) for e in row] for row in rows]
+    phi = None if spec.phi is None else format_rational(spec.phi)
+    json_text = matrix_to_json(matrix, kind, q, spec.phi)
+    assert json_text == json.dumps({"kind": kind, "q": q, "phi": phi, "size": size, "rows": texts}, indent=1)
+    csv_text = matrix_to_csv(matrix)
+    assert csv_text == "\n".join(map(",".join, texts)) + "\n"
+    bits = ["".join("1" if spec.entry(n, m) != 0 else "0" for m in range(size)) for n in range(size)]
+    assert matrix_to_pbm(matrix) == "\n".join(["P1", f"{size} {size}", *bits]) + "\n"
+    assert matrix_from_json(json_text) == matrix_from_csv(csv_text) == matrix
+
+    # a nonzero generalized Pascal matrix is the Hadamard product of the masks its coordinates weigh
+    if identity_check(matrix).passed and all(row[1] for row in rows[1:]):
+        coordinates = phi_coordinates(matrix, size - 1)
+        assert coordinates.recompose(size) == matrix
+        if kind in ("fractal", "phiq"):  # the paper's coordinates: phi at q (phiq) or at every q**k (fractal)
+            marked = {spec.q**k for k in range(1, size)} if kind == "fractal" else {spec.q}
+            assert coordinates.betas == {j: spec.phi if j in marked else 1 for j in range(2, size)}
 
 
 def test_hadamard_spec_streams():
     factors = [GPSpec.fractal(Fraction(p), p) for p in (2, 3, 5, 7)]
     spec = GPSpec.hadamard(factors)
     assert spec.materialize(11) == materialize_hadamard(spec, 11)
-
-
-@pytest.mark.parametrize("spec", EXAMPLES, ids=[spec.kind for spec in EXAMPLES])
-def test_materialized_entries_are_exactly_fractions(spec):
-    built = spec.materialize(12)
-    assert all(type(e) is Fraction for row in built.rows for e in row)
-
-
-@pytest.mark.parametrize("spec", EXAMPLES, ids=[spec.kind for spec in EXAMPLES])
-def test_entry_is_zero_outside_the_triangle(spec):
-    # the per-entry form and the materialized matrix agree off the triangle too
-    size = 12
-    built = spec.materialize(size)
-    for n in range(size):
-        for m in (-1, n + 1):
-            assert spec.entry(n, m) == 0
-            assert built.entry(n, m) == 0
-
-
-def test_examples_cover_every_family():
-    assert sorted(spec.kind for spec in EXAMPLES) == sorted(FAMILIES)
 
 
 def test_unknown_kind():

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 import golden_matrices as gold
-from fraction_oracles import FractionPolynomial, from_fn
+from fraction_oracles import FractionPolynomial, block_oracle, from_fn, sierpinski_oracle
 from genpascal import zeroalg
 from genpascal.errors import NotFractal, SizeMismatch
 from genpascal.matrices import TriangularMatrix, identity_matrix, matmul
 from genpascal.polynomials import Polynomial
-from genpascal.specs import GPSpec
 from genpascal.verify import suite_kron
 from genpascal.zeroalg import (
     block_matrix,
@@ -37,30 +36,6 @@ ONES16 = [Fraction(1)] * 16
 DELTA16 = [Fraction(1)] + [Fraction(0)] * 15
 # ints, zeros and fractions, long enough for size q**3 + 2 at q = 6
 SERIES = [1, Fraction(-2, 3), 0, 5] + [Fraction(3 * t - 7, t + 1) for t in range(4, 6**3 + 2)]
-
-
-def sierpinski_oracle(q, size):
-    return from_fn(size, lambda n, m: digit_binom(q, n, m))
-
-
-def masked_oracle(a, q, size):
-    return from_fn(size, GPSpec.masked(a, q).entry)
-
-
-def block_oracle(a, b, q, k, size):
-    """The per-entry form of block_matrix:
-    (Q n + i, Q m + j) -> a_{n-m} dom(n,m) b_{i-j} dom(i,j), Q = q**k."""
-    block = q**k
-    coeff = lambda s, d: Fraction(s[d]) if d < len(s) else Fraction(0)
-
-    def fn(row, col):
-        n, i = divmod(row, block)
-        m, j = divmod(col, block)
-        if i < j or not digit_binom(q, n, m) or not digit_binom(q, i, j):
-            return Fraction(0)
-        return coeff(a, n - m) * coeff(b, i - j)
-
-    return from_fn(size, fn)
 
 
 def test_digit_binom_values():
@@ -320,17 +295,16 @@ def test_t_matrix_matches_coefficients(q):
 def test_t_matrix_huge_q_costs_only_size():
     # size <= q: every row is its own last digit, so only size digits occur
     q, size = 10**6, 5
-    oracle = from_fn(size, lambda n, m: t_coefficient(q, n, m))
-    assert t_matrix(q, size) == oracle
+    assert t_matrix(q, size) == from_fn(size, lambda n, m: t_coefficient(q, n, m))
     assert sierpinski_matrix(q, size) == sierpinski_oracle(q, size)
-    assert masked_matrix(SERIES, q, size) == masked_oracle(SERIES, q, size)
+    assert masked_matrix(SERIES, q, size) == oracle.masked_matrix(SERIES, q, size)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
 def test_digit_pattern_builders_match_their_entry_forms(q):
     sizes = [0, 1, q, q * q + 1, q**3 + 2]
     sierpinski = sierpinski_oracle(q, sizes[-1])
-    masked = masked_oracle(SERIES, q, sizes[-1])
+    masked = oracle.masked_matrix(SERIES, q, sizes[-1])
     for size in sizes:
         assert sierpinski_matrix(q, size) == sierpinski.truncate(size)
         assert masked_matrix(SERIES, q, size) == masked.truncate(size)
