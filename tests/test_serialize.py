@@ -22,7 +22,8 @@ from genpascal.serialize import (
     matrix_to_json,
     matrix_to_pbm,
 )
-from genpascal.specs import FAMILIES
+from genpascal.special import phi_q_series
+from genpascal.specs import FAMILIES, GPSpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -259,3 +260,46 @@ def view_matrices(draw):
 @example(TriangularMatrix([]), "pascal", None, None)
 def test_json_writer_is_json_dumps(matrix, kind, q, phi):
     assert matrix_to_json(matrix, kind, q, phi) == json.dumps(matrix_to_doc(matrix, kind, q, phi), indent=1)
+
+
+def pinned_writer_specs():
+    """(kind, spec, q) at the fixed parameters phi in {0, 3/2, -3/2} and q in {2, 3, 5}:
+    the cases test_specs.test_family_differential draws at random, run every time."""
+    phis = (Fraction(0), Fraction(3, 2), Fraction(-3, 2))
+    yield "pascal", GPSpec("pascal"), None
+    yield "ones", GPSpec("ones"), None
+    for qv in (*phis, 2, 3, 5):
+        yield "qumbral", GPSpec.qumbral(qv), None
+        yield "qumbral-inverse", GPSpec("qumbral-inverse", q=Fraction(qv)), None
+    for q in (2, 3, 5):
+        for phi in phis:
+            yield "phiq", GPSpec.phiq(phi, q), q
+            yield "fractal", GPSpec.fractal(phi, q), q
+            if phi:
+                yield "from-c", GPSpec.from_c(phi_q_series(phi, q)), q
+        yield "zero-overlay", GPSpec("zero-overlay", q=q), q
+        yield "tmatrix", GPSpec.tmatrix(q), q
+        factors = [GPSpec.phiq(Fraction(3, 2), q), GPSpec.fractal(Fraction(-3, 2), q)]
+        yield "hadamard", GPSpec.hadamard(factors), q
+
+
+def case_id(kind, spec, q):
+    if kind == "from-c":
+        return f"from-c-{spec.c.kind}"
+    return f"{kind}-q={spec.q if q is None else q}-phi={spec.phi}"
+
+
+@pytest.mark.parametrize(
+    "kind, spec, q", [pytest.param(*case, id=case_id(*case)) for case in pinned_writer_specs()]
+)
+def test_writers_match_the_per_entry_text(kind, spec, q):
+    # the writers read the integer view; the oracle formats each exact entry
+    sizes = {0, 1, 40} | ({q, q * q + 1} if q else {2, 3, 5, 10, 26})
+    for size in sorted(sizes):
+        matrix = spec.materialize(size)
+        texts = [[format_rational(spec.entry(n, m)) for m in range(n + 1)] for n in range(size)]
+        doc = {"kind": kind, "q": q, "phi": None, "size": size, "rows": texts}
+        assert matrix_to_json(matrix, kind, q) == json.dumps(doc, indent=1)
+        assert matrix_to_csv(matrix) == "\n".join(map(",".join, texts)) + "\n"
+        bits = ["".join("1" if spec.entry(n, m) != 0 else "0" for m in range(size)) for n in range(size)]
+        assert matrix_to_pbm(matrix) == "\n".join(["P1", f"{size} {size}", *bits]) + "\n"
