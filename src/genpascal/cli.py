@@ -19,7 +19,7 @@ from . import fractal, special, zeroalg
 from .errors import ZeroEntry, ZeroFactor
 from .matrices import TriangularMatrix
 from .matrices import build_from_c  # noqa: F401  unused here; perfbench/tests checks the tracer patches it
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, format_series, parse_rational
 from .serialize import matrix_from_json, matrix_to_csv, matrix_to_json, matrix_to_pbm
 from .specs import FAMILIES, GPSpec
 from .verify import SUITES, run_suite
@@ -122,16 +122,11 @@ def cmd_convolve(args) -> int:
     q, degree = _require_q(args), args.degree
     if degree < 0:
         raise ValueError("--degree must be >= 0")
-    a = _parse_series(args.a, q, degree)
-    b = _parse_series(args.b, q, degree)
-    if len(a) == len(b) == q <= degree:
-        # two base blocks: the product's base block is their carryless product
-        # below q, and its series is that block extended once
-        result = zeroalg.fractal_series(zeroalg.carryless_convolve(a, b, q, q - 1), q, degree)
-    else:
-        a, b = (x if len(x) > degree else zeroalg.fractal_series(x, q, degree) for x in (a, b))
-        result = zeroalg.carryless_convolve(a, b, q, degree)
-    print(",".join(format_rational(x) for x in result))
+    series = [_parse_series(args.a, q, degree), _parse_series(args.b, q, degree)]
+    # a base block (q coefficients, q <= degree) stands for its fractal series, which
+    # passes the check through every degree once a_0 = 1, so it is checked below q only
+    a, b = (zeroalg.check_fractal(x, q, degree if len(x) > degree else q - 1) for x in series)
+    print(format_series(*zeroalg.carryless_view(a, b, q, degree)))
     return 0
 
 

@@ -90,17 +90,27 @@ def format_rational(value: Fraction | int) -> str:
         raise ValueError(_too_long_to_print()) from None
 
 
+def _text(x: int, den: int) -> str:
+    """The wire text of x / den for den >= 1, read off one gcd."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def format_rows(den: int, rows: Iterable[Iterable[int]]) -> list[list[str]]:
     """The wire text of each entry x / den of an integer view, equal to
     ``format_rational`` of the exact value and built without a Fraction."""
-
-    @cache  # each distinct numerator is reduced once
-    def text(x: int) -> str:
-        g = gcd(x, den)
-        return str(x // g) if g == den else f"{x // g}/{den // g}"
-
+    text = cache(lambda x: _text(x, den))  # each distinct numerator is reduced once
     try:
         return [list(map(str if den == 1 else text, row)) for row in rows]
+    except ValueError:  # CPython's cap on int-to-text conversion
+        raise ValueError(_too_long_to_print()) from None
+
+
+def format_series(nums: Iterable[int], dens: Iterable[int]) -> str:
+    """The values nums[n] / dens[n] (dens >= 1) as comma-separated wire text, equal
+    to joining ``format_rational`` of each and built without a Fraction."""
+    try:
+        return ",".join(map(_text, nums, dens))
     except ValueError:  # CPython's cap on int-to-text conversion
         raise ValueError(_too_long_to_print()) from None
 

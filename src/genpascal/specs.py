@@ -7,7 +7,10 @@ and the spec fields it requires, each with its least value where there is one,
 checked when a spec is made. ``entry`` gives one coefficient, ``materialize``
 the truncation. A Hadamard spec materializes its factors one at a time and
 multiplies their integer views, so at most the running product and one factor
-are alive; its entry multiplies the factors' entries as ints.
+are alive. Its entry multiplies the factors' entries as ints: a ``fractal``
+factor of weight a/d gives a**k and d**k, with k its carry count, and is
+skipped when its base exceeds n, where k = 0; the other kinds give their
+per-entry forms. One Fraction is built per entry.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, prod
 
-from .fractal import fractal_entry, fractal_matrix
+from .fractal import carry_count, fractal_entry, fractal_matrix
 from .matrices import TriangularMatrix, all_ones, build_from_c, hadamard, pascal_rows
 from .rationals import ONE, ZERO, ratio
 from .sequences import CSequence
@@ -82,12 +85,19 @@ def _from_c_entry(spec: GPSpec, n: int, m: int) -> Fraction:
 
 
 def _hadamard_entry(spec: GPSpec, n: int, m: int) -> Fraction:
-    # the outer GPSpec.entry has checked the triangle, so each factor's form is called directly
+    # the outer GPSpec.entry has checked the triangle, so each factor's form is called directly;
+    # a fractal factor is phi**k with k = carry_count(q, n, m), and 1 when q > n leaves no
+    # modulus to borrow at (also at phi = 0, as 0**0 = 1)
     num = den = 1
     for f in spec.factors:
-        x = FAMILIES[f.kind][1](f, n, m)
-        num, den = num * x.numerator, den * x.denominator
-    return Fraction(num, den)
+        if f.kind == "fractal":
+            if f.q <= n:
+                k = carry_count(f.q, n, m)
+                num, den = num * f.phi.numerator**k, den * f.phi.denominator**k
+        else:
+            x = FAMILIES[f.kind][1](f, n, m)
+            num, den = num * x.numerator, den * x.denominator
+    return ratio(num, den)
 
 
 def _q_binomial(q: Fraction | int, n: int, m: int, inverse: bool = False) -> Fraction:

@@ -114,19 +114,20 @@ def check_fractal(a: Series, q: int, degree: int) -> tuple[int, list[int]]:
     return den, x
 
 
-def _extend(den: int, nums: list[int], q: int, degree: int) -> list[Fraction]:
-    """``fractal_series`` of the base block nums / den, extending nums in place."""
+def _extend(den: int, nums: list[int], q: int, degree: int) -> tuple[list[int], list[int]]:
+    """The integer view (nums, dens) of ``fractal_series`` of the base block
+    nums / den: coefficient n is nums[n] / dens[n]. Extends nums in place."""
     dens = [den] * len(nums)
     for n in range(q, degree + 1):
         nums.append(nums[n // q] * nums[n % q])
         dens.append(dens[n // q] * den)
-    return list(map(Fraction, nums, dens))
+    return nums, dens
 
 
 def fractal_series(base: Series, q: int, degree: int) -> list[Fraction]:
     """The digit-multiplicative series a_n = a_{n div q} * a_{n mod q} through
     ``degree``, extended from its base block a_0 = 1, a_1, ..., a_{q-1}."""
-    return _extend(*_numerators(base, min(len(base), degree + 1)), q, degree)
+    return list(map(Fraction, *_extend(*_numerators(base, min(len(base), degree + 1)), q, degree)))
 
 
 def masked_matrix(a: Series, q: int, size: int) -> TriangularMatrix:
@@ -164,8 +165,17 @@ def carryless_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fracti
     Raises NotFractal when either input fails the digit-multiplicative
     precondition through ``degree``.
     """
-    da, xa = check_fractal(a, q, degree)
-    db, xb = check_fractal(b, q, degree)
+    return list(map(Fraction, *carryless_view(check_fractal(a, q, degree), check_fractal(b, q, degree), q, degree)))
+
+
+def carryless_view(
+    a: tuple[int, list[int]], b: tuple[int, list[int]], q: int, degree: int
+) -> tuple[list[int], list[int]]:
+    """The integer view (nums, dens) of the carryless product through ``degree``
+    of two checked views (D, x) (``check_fractal``): its base block is the
+    ordinary product's coefficients below q over da * db, which ``_extend``
+    extends. A view needs only its coefficients below q."""
+    (da, xa), (db, xb) = a, b
     window = [sum(map(mul, xa[: d + 1], reversed(xb[: d + 1]))) for d in range(min(q, degree + 1))]
     return _extend(da * db, window, q, degree)
 

@@ -35,7 +35,10 @@ the Fraction quotient c_m c_{n-m} / c_n and the Fraction product of the
 factors' entries. ``qumbral_entry`` is the ``qumbral`` per-entry form as it
 was before the Gaussian binomial replaced it: entry (n, m) is coefficient
 n - m of the series 1 / prod_{i=0..m} (1 - q**i x), divided out one linear
-factor at a time by ``divide_linear``, which ``genpascal.polynomials`` held.
+factor at a time by ``divide_linear``, which ``genpascal.polynomials`` held. ``fraction_q_umbral_matrix``
+and ``fraction_q_umbral_inverse`` are the q-umbral builders as Fraction loops:
+the columns of the matrix divide the series by 1 - q**c x one at a time, and
+row n + 1 of the inverse is row n times x - q**n.
 
 ``digit_product_rows`` and ``carry_count_rows`` are the digit kernels of
 ``genpascal.digits`` as they were when they spent one interpreter step per
@@ -465,6 +468,37 @@ def qumbral_entry(s, n: int, m: int) -> Fraction:
         divide_linear(series, ratio)
         ratio *= s.q
     return series[n - m]
+
+
+def fraction_q_umbral_matrix(q, size):
+    """The Fraction form of q_umbral_matrix: column c divides the series by 1 - q**c x."""
+    q = Fraction(q)
+    rows = [[] for _ in range(size)]
+    series = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    ratio = Fraction(1)
+    for col in range(size):
+        divide_linear(series, ratio)
+        for row, value in enumerate(series, col):
+            rows[row].append(value)
+        series.pop()
+        ratio *= q
+    return TriangularMatrix(rows)
+
+
+def fraction_q_umbral_inverse(q, size):
+    """The Fraction form of q_umbral_inverse: row n + 1 is row n times x - q**n."""
+    q = Fraction(q)
+    rows = []
+    current = [Fraction(1)]
+    for n in range(size):
+        rows.append(current[:])
+        nxt = [Fraction(0)] * (len(current) + 1)
+        ratio = q**n
+        for i, c in enumerate(current):
+            nxt[i + 1] += c
+            nxt[i] -= c * ratio
+        current = nxt
+    return TriangularMatrix(rows)
 
 
 def dominance_row(q: int, n: int) -> list[int]:

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_oracles as oracle
 from genpascal.cli import main
+from genpascal.errors import NotFractal
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import all_ones
+from genpascal.rationals import format_rational
 from genpascal.serialize import matrix_from_csv, matrix_from_json
 from genpascal.zeroalg import fractal_series
 
@@ -323,6 +326,56 @@ def test_convolve_base_blocks_print_what_their_full_series_print(q, offset, a_ta
     want = output(*argv, *(",".join(map(str, fractal_series(block, q, degree))) for block in blocks))
     assert got == want
     assert got[0] == (0 if heads == (1, 1) else 2)
+
+
+coefficient = st.sampled_from([Fraction(0), Fraction(-1), Fraction(-5, 3)]) | st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=200), st.data())
+def test_convolve_prints_the_fraction_series(q, degree, data):
+    # each input is a base block or a full series (the extension of a block, now and then with one
+    # coefficient changed, so that the check fails); a leading "-" would read as an option
+    inputs = []
+    for name in "ab":
+        head = data.draw(st.sampled_from([1] * 4 + [0, 2]), label=f"{name} head")
+        block = [Fraction(head), *data.draw(st.lists(coefficient, min_size=q - 1, max_size=q - 1), label=name)]
+        if q <= degree and data.draw(st.booleans(), label=f"{name} as a block"):
+            inputs.append(block)
+            continue
+        series = oracle.fractal_series(block, q, degree)
+        if data.draw(st.booleans(), label=f"{name} changed"):
+            series[data.draw(st.integers(min_value=1, max_value=degree), label="at") if degree else 0] += 1
+        inputs.append(series)
+    got = output("convolve", "--q", str(q), "--degree", str(degree), *(",".join(map(str, x)) for x in inputs))
+    # the parent routes: two base blocks extend their carryless product once, else both are full series
+    try:
+        if all(len(x) == q <= degree for x in inputs):
+            want = oracle.fractal_series(oracle.carryless_convolve(*inputs, q, q - 1), q, degree)
+        else:
+            full = [x if len(x) > degree else oracle.fractal_series(x, q, degree) for x in inputs]
+            want = oracle.carryless_convolve(*full, q, degree)
+    except NotFractal as exc:
+        assert got == (2, "", f"error: {exc}\n")
+    else:
+        assert got == (0, ",".join(map(format_rational, want)) + "\n", "")
+
+
+@pytest.mark.skipif(INT_TEXT_LIMIT != 4300, reason="needs CPython's default cap on int-to-text conversion")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--degree", "1", "1,1e4300", "1,1"],  # full series: coefficient 1 is 10**4300 + 1
+        ["--degree", "3", "1,1e2200", "1,1"],  # base blocks: coefficient 3 is (10**2200 + 1)**2
+    ],
+    ids=["full-series", "base-blocks"],
+)
+def test_convolve_past_the_int_text_limit_is_a_config_error(capsys, argv):
+    code, out, err = run(capsys, "convolve", "--q", "2", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: an entry has more than 4300 digits, more than the JSON/CSV writers can print\n"
 
 
 def test_export_pbm(capsys, tmp_path):

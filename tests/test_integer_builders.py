@@ -5,20 +5,25 @@ Each builder and series function is compared with its Fraction oracle in
 Fraction rows with every entry an exact Fraction, and the same error text.
 The per-entry kernels and the ``from-c`` and ``hadamard`` per-entry forms,
 which compute on ints and build one Fraction, are compared with their
-Fraction oracles the same way, on the value and on its type.
+Fraction oracles the same way, on the value and on its type. The Hadamard
+entry of the prime fractal matrices is C(n, m) at every n < 128, and each of
+its fractal factors costs one carry count, none when its base exceeds n.
 The readers' split of wire fractions is checked against parse_rational.
 The base-2 forms of ``carry_count``, ``digit_binom`` and ``t_coefficient`` are
 compared with the digit loops they replaced there, and ``gbinom`` and the ``from-c`` entry,
 which take an exact quotient when there is one, with ``Fraction(top, bottom)``.
 """
 
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as oracle
+from genpascal import specs
 from genpascal.errors import NotFractal, ZeroEntry
 from genpascal.fractal import carry_count, fractal_entry
 from genpascal.matrices import TriangularMatrix, build_from_c, gbinom, hadamard_inverse
@@ -194,10 +199,60 @@ def test_from_c_entry_of_a_zero_c_n_raises_like_the_oracle():
 @example(GPSpec.hadamard([]), 5, 2)
 @example(GPSpec.hadamard([GPSpec.fractal(0, 2), GPSpec.phiq(Fraction(-3, 2), 3)]), 5, 2)  # a zero factor
 @example(GPSpec.hadamard([GPSpec.fractal(Fraction(-2, 3), 2), GPSpec.fractal(-5, 3)]), 5, 2)  # negative weights
+# a fractal factor of base p at n = p - 1 (skipped: no modulus to borrow at), n = p and n = p + 1
+@example(GPSpec.hadamard([GPSpec.fractal(Fraction(-3, 2), 7), GPSpec.fractal(5, 5)]), 6, 4)
+@example(GPSpec.hadamard([GPSpec.fractal(Fraction(-3, 2), 7), GPSpec.fractal(5, 5)]), 7, 4)
+@example(GPSpec.hadamard([GPSpec.fractal(Fraction(-3, 2), 7), GPSpec.fractal(5, 5)]), 8, 4)
+@example(GPSpec.hadamard([GPSpec.fractal(0, 11), GPSpec.phiq(Fraction(5, 3), 2)]), 5, 2)  # phi = 0 above n: 0**0
+@example(
+    GPSpec.hadamard(
+        [
+            GPSpec.fractal(Fraction(-3, 2), 2),
+            GPSpec.tmatrix(3),
+            GPSpec.fractal(-5, 3),
+            GPSpec.qumbral(-2),
+            GPSpec.phiq(Fraction(-7, 4), 3),
+        ]
+    ),
+    11,
+    5,
+)  # negative weights mixed with factors of other kinds
 def test_hadamard_entry_matches_the_oracle(spec, n, m):
     # the family's per-entry form, and so its oracle, is reached only inside the triangle
     m = m % (n + 1)
     assert_same_entry(spec.entry(n, m), oracle.hadamard_entry(spec, n, m))
+
+
+PRIMES_BELOW_128 = [p for p in range(2, 128) if all(p % d for d in range(2, p))]
+
+
+def test_prime_fractal_hadamard_entry_is_pascal_below_128():
+    # the paper's statement, C(n, m) = prod_p p**(borrows of n - m in base p), at every entry
+    spec = GPSpec.hadamard([GPSpec.fractal(p, p) for p in PRIMES_BELOW_128])
+    for n in range(128):
+        for m in range(n + 1):
+            got = spec.entry(n, m)
+            assert got == comb(n, m)
+            assert_same_entry(got, oracle.hadamard_entry(spec, n, m))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 12, 127])
+def test_hadamard_entry_multiplies_fractal_factors_as_int_powers(monkeypatch, n):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name, args[0]] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(specs, name, wrapper)
+
+    counted("carry_count", specs.carry_count)
+    counted("fractal_entry", specs.fractal_entry)
+    factors = [GPSpec.fractal(p, p) for p in PRIMES_BELOW_128] + [GPSpec.fractal(0, 200), GPSpec("ones")]
+    assert GPSpec.hadamard(factors).entry(n, n // 2) == comb(n, n // 2)
+    # one carry count per fractal factor whose base is at most n, and no fractal_entry
+    assert calls == Counter({("carry_count", p): 1 for p in PRIMES_BELOW_128 if p <= n})
 
 
 @SETTINGS

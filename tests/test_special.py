@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden_matrices as gold
-from fraction_oracles import _mobius, divide_linear, geometric
+from fraction_oracles import _mobius, fraction_q_umbral_inverse, fraction_q_umbral_matrix, geometric
 from genpascal.errors import ZeroEntry, ZeroPhi
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import (
@@ -346,37 +346,6 @@ def test_overlay_unmasked_branch():
                 assert base.entry(row, col) == comb(n, mm)
             else:
                 assert base.entry(row, col) == n * comb(n - 1, mm)
-
-
-def fraction_q_umbral_matrix(q, size):
-    """The Fraction form of q_umbral_matrix: column c divides the series by 1 - q**c x."""
-    q = Fraction(q)
-    rows = [[] for _ in range(size)]
-    series = [Fraction(1)] + [Fraction(0)] * (size - 1)
-    ratio = Fraction(1)
-    for col in range(size):
-        divide_linear(series, ratio)
-        for row, value in enumerate(series, col):
-            rows[row].append(value)
-        series.pop()
-        ratio *= q
-    return TriangularMatrix(rows)
-
-
-def fraction_q_umbral_inverse(q, size):
-    """The Fraction form of q_umbral_inverse: row n + 1 is row n times x - q**n."""
-    q = Fraction(q)
-    rows = []
-    current = [Fraction(1)]
-    for n in range(size):
-        rows.append(current[:])
-        nxt = [Fraction(0)] * (len(current) + 1)
-        ratio = q**n
-        for i, c in enumerate(current):
-            nxt[i + 1] += c
-            nxt[i] -= c * ratio
-        current = nxt
-    return TriangularMatrix(rows)
 
 
 @pytest.mark.parametrize("qv", [-1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
