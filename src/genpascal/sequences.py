@@ -5,7 +5,9 @@ A BSequence is the weight sequence of a generalized binomial coefficient
 is the coefficient sequence of the series defining a generalized Pascal matrix
 (c_0 = c_1 = 1, all c_n nonzero). Both are rule-described and memoized; caches
 are fill-once and observationally pure, so concurrent reads and idempotent
-concurrent fills are safe.
+concurrent fills are safe. A value that is exactly a ``Fraction`` is kept as
+that object; any other value (an int, a bool, ``"3/2"``, a Fraction subclass)
+goes through ``Fraction()`` once.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class BSequence:
 
     @classmethod
     def explicit(cls, values: Sequence[Fraction | int]) -> "BSequence":
-        vals = [Fraction(v) for v in values]
+        vals = [v if type(v) is Fraction else Fraction(v) for v in values]
         if vals and vals[0] != 0:
             raise ValueError("b_0 must be 0")
 
@@ -61,7 +63,10 @@ class BSequence:
             raise IndexError("negative index")
         got = self._values.get(n)
         if got is None:
-            got = self._values[n] = Fraction(self._fn(n))
+            got = self._fn(n)
+            if type(got) is not Fraction:
+                got = Fraction(got)
+            self._values[n] = got
         return got
 
     def factorial(self, n: int) -> Fraction:
@@ -121,7 +126,7 @@ class CSequence:
 
     @classmethod
     def explicit(cls, values: Sequence[Fraction | int]) -> "CSequence":
-        vals = [Fraction(v) for v in values]
+        vals = [v if type(v) is Fraction else Fraction(v) for v in values]
         if not vals or vals[0] != 1:
             raise ValueError("c_0 must be 1")
         if len(vals) > 1 and vals[1] != 1:
@@ -141,5 +146,8 @@ class CSequence:
             raise IndexError("negative index")
         got = self._values.get(n)
         if got is None:
-            got = self._values[n] = Fraction(self._fn(n))
+            got = self._fn(n)
+            if type(got) is not Fraction:
+                got = Fraction(got)
+            self._values[n] = got
         return got

@@ -66,6 +66,11 @@ class PhiCoordinates:
         take the a_q branch; the moduli above n give the factor prod_{q > n} d_q.
         So coordinates through q = size are enough to rebuild the size x size
         truncation exactly.
+
+        Each row is a palindrome: n mod q < m mod q exactly when
+        n mod q < (n - m) mod q (both say the subtraction n - m borrows at the
+        last base-q digit), so columns m and n - m take the same branch at
+        every q. Only the columns m <= n/2 are computed; the rest are mirrored.
         """
         weights = [(q, beta.numerator, beta.denominator) for q, beta in sorted(self.betas.items())]
         den = prod(d for _, _, d in weights)
@@ -76,11 +81,12 @@ class PhiCoordinates:
             while cut < len(weights) and weights[cut][0] <= n:
                 above //= weights[cut][2]
                 cut += 1
-            row = [above] * (n + 1)
+            half = n // 2 + 1
+            row = [above] * half
             for q, a, d in weights[:cut]:
                 r = n % q
                 row = [x * (a if r < m % q else d) for m, x in enumerate(row)]
-            rows.append(row)
+            rows.append(row + row[: n + 1 - half][::-1])
         return TriangularMatrix.from_view(den, rows)
 
     def is_involution(self) -> bool:

@@ -8,17 +8,19 @@ checked when a spec is made. ``entry`` gives one coefficient, ``materialize``
 the truncation. A Hadamard spec materializes its factors one at a time and
 multiplies their integer views, so at most the running product and one factor
 are alive. Its entry multiplies the factors' entries as ints: a ``fractal``
-factor of weight a/d gives a**k and d**k, with k its carry count, and is
-skipped when its base exceeds n, where k = 0; the other kinds give their
-per-entry forms. One Fraction is built per entry.
+factor of weight a/d gives a**k and d**k, with k its carry count; the fractal
+factors are resolved once per spec into a table sorted by base, which the
+entry walks up to the first base above n, where k = 0 for the rest; the other
+kinds give their per-entry forms. One Fraction is built per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import comb, prod
+from operator import itemgetter
 
 from .fractal import carry_count, fractal_entry, fractal_matrix
 from .matrices import TriangularMatrix, all_ones, build_from_c, hadamard, pascal_rows
@@ -78,6 +80,16 @@ class GPSpec:
     def materialize(self, size: int) -> TriangularMatrix:
         return FAMILIES[self.kind][0](self, size)
 
+    @cached_property
+    def _hadamard_parts(self) -> tuple[list[tuple[int, int, int]], list["GPSpec"]]:
+        """A Hadamard spec's factors, resolved on its first entry: the fractal ones
+        as (q, a, d) for the weight a/d, sorted by q, and the others in order."""
+        fractals = sorted(
+            ((f.q, f.phi.numerator, f.phi.denominator) for f in self.factors if f.kind == "fractal"),
+            key=itemgetter(0),
+        )
+        return fractals, [f for f in self.factors if f.kind != "fractal"]
+
 
 def _from_c_entry(spec: GPSpec, n: int, m: int) -> Fraction:
     a, b, c = spec.c[m], spec.c[n - m], spec.c[n]
@@ -86,17 +98,19 @@ def _from_c_entry(spec: GPSpec, n: int, m: int) -> Fraction:
 
 def _hadamard_entry(spec: GPSpec, n: int, m: int) -> Fraction:
     # the outer GPSpec.entry has checked the triangle, so each factor's form is called directly;
-    # a fractal factor is phi**k with k = carry_count(q, n, m), and 1 when q > n leaves no
-    # modulus to borrow at (also at phi = 0, as 0**0 = 1)
+    # a fractal factor is phi**k with k = carry_count(q, n, m), and 1 from the first q > n on,
+    # which leaves no modulus to borrow at (also at phi = 0, as 0**0 = 1)
+    fractals, others = spec._hadamard_parts
     num = den = 1
-    for f in spec.factors:
-        if f.kind == "fractal":
-            if f.q <= n:
-                k = carry_count(f.q, n, m)
-                num, den = num * f.phi.numerator**k, den * f.phi.denominator**k
-        else:
-            x = FAMILIES[f.kind][1](f, n, m)
-            num, den = num * x.numerator, den * x.denominator
+    for q, a, d in fractals:
+        if q > n:
+            break
+        k = carry_count(q, n, m)
+        if k:
+            num, den = num * a**k, den * d**k
+    for f in others:
+        x = FAMILIES[f.kind][1](f, n, m)
+        num, den = num * x.numerator, den * x.denominator
     return ratio(num, den)
 
 

@@ -135,10 +135,7 @@ def masked_matrix(a: Series, q: int, size: int) -> TriangularMatrix:
     Sierpinski pattern times the series, on its numerators."""
     if len(a) < size:
         raise SizeMismatch(f"need {size} series coefficients, got {len(a)}")
-    den, x = _numerators(a, size)
-    x.reverse()  # x[size - 1 - n + m] = D a_{n-m}
-    rows = [list(map(mul, row, x[size - 1 - n :])) for n, row in enumerate(digit_product_rows(q, size, ge))]
-    return TriangularMatrix.from_view(den, rows)
+    return _masked_view(digit_product_rows(q, size, ge), _numerators(a, size))
 
 
 def masked_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fraction]:
@@ -148,13 +145,26 @@ def masked_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fraction]
     Runs on the numerators over the common denominators of a and b, with the
     dominance mask built by the digit recursion: one Fraction per coefficient."""
     size = degree + 1
-    (da, nums), (db, rev) = _numerators(a, size), _numerators(b, size)
-    rev.reverse()
+    return _convolve_views(digit_product_rows(q, size, ge), _numerators(a, size), _numerators(b, size))
+
+
+def _masked_view(pattern: list[list[int]], view: tuple[int, list[int]]) -> TriangularMatrix:
+    """``masked_matrix`` on a given dominance pattern (``digit_product_rows(q, size, ge)``)
+    and the view (D, x) of at least size = len(pattern) coefficients; x is not changed."""
+    den, x = view
+    size = len(pattern)
+    rev = x[size - 1 :: -1]  # rev[size - 1 - n + m] = D a_{n-m}
+    return TriangularMatrix.from_view(den, [list(map(mul, row, rev[size - 1 - n :])) for n, row in enumerate(pattern)])
+
+
+def _convolve_views(pattern: list[list[int]], a: tuple[int, list[int]], b: tuple[int, list[int]]) -> list[Fraction]:
+    """``masked_convolve`` through degree len(pattern) - 1 on a given dominance
+    pattern and the views of a and b; neither view is changed."""
+    (da, nums), (db, x) = a, b
+    degree = len(pattern) - 1
+    rev = x[degree::-1]
     # coefficient n pairs a_m with b_{n-m}, that is with rev[degree - n + m]
-    return [
-        Fraction(sum(compress(map(mul, nums, rev[degree - n :]), row)), da * db)
-        for n, row in enumerate(digit_product_rows(q, size, ge))
-    ]
+    return [Fraction(sum(compress(map(mul, nums, rev[degree - n :]), row)), da * db) for n, row in enumerate(pattern)]
 
 
 def carryless_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fraction]:

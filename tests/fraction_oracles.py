@@ -72,11 +72,18 @@ constructors coerce through ``Fraction()``.
 readers as they were when they parsed each distinct entry to a Fraction and
 used the value constructor; ``_mobius`` is the Moebius function by trial
 division, for the explicit Moebius inversion of the first column.
+
+``recompose`` is ``PhiCoordinates.recompose`` as it was when it computed
+every column of each row, before it computed the first half and mirrored it.
+``random_c_sequence`` and ``random_fractal_series`` are the verify suites'
+random draws (``genpascal.verify``) as they were when they built a fresh
+list of candidate numerators for every value drawn.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from itertools import repeat
 from math import comb, lcm, prod
@@ -90,7 +97,7 @@ from genpascal.fractal import fast_gbinom_fractal
 from genpascal.matrices import TriangularMatrix, _columns, _first_difference
 from genpascal.rationals import ONE, ZERO, parse_rational
 from genpascal.report import Report
-from genpascal.sequences import BSequence
+from genpascal.sequences import BSequence, CSequence
 from genpascal.zeroalg import Series, _numerators
 
 
@@ -705,3 +712,36 @@ def _mobius(n: int) -> int:
     if n > 1:
         result = -result
     return result
+
+
+def recompose(coords, size: int) -> TriangularMatrix:
+    weights = [(q, beta.numerator, beta.denominator) for q, beta in sorted(coords.betas.items())]
+    den = prod(d for _, _, d in weights)
+    above = den  # prod of d_q over the moduli q > n
+    cut = 0  # weights[:cut] are the moduli q <= n
+    rows = []
+    for n in range(size):
+        while cut < len(weights) and weights[cut][0] <= n:
+            above //= weights[cut][2]
+            cut += 1
+        row = [above] * (n + 1)
+        for q, a, d in weights[:cut]:
+            r = n % q
+            row = [x * (a if r < m % q else d) for m, x in enumerate(row)]
+        rows.append(row)
+    return TriangularMatrix.from_view(den, rows)
+
+
+def random_fractal_series(rng: random.Random, q: int, degree: int) -> list[Fraction]:
+    base = [ONE] + [
+        Fraction(rng.choice([x for x in range(-6, 7) if x]), rng.randint(1, 6)) for _ in range(q - 1)
+    ]
+    return zeroalg.fractal_series(base, q, degree)
+
+
+def random_c_sequence(rng: random.Random, size: int) -> CSequence:
+    values = [ONE, ONE] + [
+        Fraction(rng.choice([x for x in range(-9, 10) if x]), rng.randint(1, 9))
+        for _ in range(size - 2)
+    ]
+    return CSequence.explicit(values)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fraction_oracles import b_from_c
+from fraction_oracles import FractionSubclass, b_from_c
 from genpascal.errors import ZeroFactor
 from genpascal.sequences import BSequence, CSequence, fractal_b
 from genpascal.special import phi_q_series
@@ -127,3 +127,44 @@ def test_phi_q_rule():
     c = phi_q_series(2, 2)
     assert c[5] == Fraction(1, 4)
     assert c[0] == c[1] == 1
+
+
+# (input, value) pairs: an int, a bool, a text and a Fraction subclass, each read through Fraction()
+COERCED = [(3, Fraction(3)), (True, Fraction(1)), ("3/2", Fraction(3, 2)), (FractionSubclass(-5, 4), Fraction(-5, 4))]
+
+
+@pytest.mark.parametrize("given_value, value", COERCED, ids=["int", "bool", "text", "subclass"])
+def test_explicit_and_getitem_return_exact_fractions(given_value, value):
+    c = CSequence.explicit([1, True, given_value])
+    b = BSequence.explicit([0, given_value])
+    for got in (c[2], b[1], CSequence("rule", lambda n: given_value)[7], BSequence("rule", lambda n: given_value)[7]):
+        assert type(got) is Fraction and got == value
+    assert type(c[1]) is Fraction and c[1] == 1
+
+
+def test_explicit_and_getitem_keep_a_given_fraction():
+    given_value = Fraction(7, 3)
+    assert CSequence.explicit([1, 1, given_value])[2] is given_value
+    assert BSequence.explicit([0, given_value])[1] is given_value
+    assert CSequence("rule", lambda n: given_value)[4] is given_value
+    assert BSequence("rule", lambda n: given_value)[4] is given_value
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([], "c_0 must be 1"),
+        ([Fraction(2), 1], "c_0 must be 1"),
+        ([1, "2"], "c_1 must be 1"),
+        ([1, 1, Fraction(0)], "c_n must be nonzero"),
+        ([1, 1, False], "c_n must be nonzero"),
+    ],
+)
+def test_c_explicit_errors_keep_their_messages(values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CSequence.explicit(values)
+
+
+def test_b_explicit_error_keeps_its_message():
+    with pytest.raises(ValueError, match="^b_0 must be 0$"):
+        BSequence.explicit([Fraction(1), 2])

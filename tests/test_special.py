@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import golden_matrices as gold
 from fraction_oracles import _mobius, fraction_q_umbral_inverse, fraction_q_umbral_matrix, geometric
+from fraction_oracles import recompose as oracle_recompose
 from genpascal.errors import ZeroEntry, ZeroPhi
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import (
@@ -95,6 +96,23 @@ def test_recompose_matches_the_streamed_mask_product(betas, size):
     got = PhiCoordinates(betas).recompose(size)
     assert got == GPSpec.hadamard(masks).materialize(size)
     assert all(type(e) is Fraction for row in got.rows for e in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(min_value=2, max_value=60), weights, max_size=8), st.integers(0, 40))
+@example({}, 0)
+@example({}, 1)
+@example({2: Fraction(-1)}, 0)
+@example({2: Fraction(-3, 2)}, 1)
+@example({5: Fraction(0), 41: Fraction(-(10**40), 7)}, 40)
+@example({q: Fraction(-q, q + 1) for q in range(2, 8)}, 12)
+def test_recompose_mirrors_the_full_row_loop(betas, size):
+    # the moduli reach past size, where only their denominators enter; every row reads the same backwards
+    coords = PhiCoordinates(betas)
+    got = coords.recompose(size)
+    assert got == oracle_recompose(coords, size)
+    for row in got.int_view()[1]:
+        assert list(row) == list(row)[::-1]
 
 
 def test_coordinates_displayed_factors():
