@@ -19,7 +19,7 @@ from . import fractal, special, zeroalg
 from .errors import ZeroEntry, ZeroFactor
 from .matrices import TriangularMatrix
 from .matrices import build_from_c  # noqa: F401  unused here; perfbench/tests checks the tracer patches it
-from .rationals import format_rational, format_series, parse_rational
+from .rationals import format_rational, format_rows, parse_rational
 from .serialize import matrix_from_json, matrix_to_csv, matrix_to_json, matrix_to_pbm
 from .specs import FAMILIES, GPSpec
 from .verify import SUITES, run_suite
@@ -126,7 +126,8 @@ def cmd_convolve(args) -> int:
     # a base block (q coefficients, q <= degree) stands for its fractal series, which
     # passes the check through every degree once a_0 = 1, so it is checked below q only
     a, b = (zeroalg.check_fractal(x, q, degree if len(x) > degree else q - 1) for x in series)
-    print(format_series(*zeroalg.carryless_view(a, b, q, degree)))
+    den, ints = zeroalg.carryless_view(a, b, q, degree)
+    print(",".join(*format_rows(den, [ints])))
     return 0
 
 

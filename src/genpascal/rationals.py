@@ -106,15 +106,6 @@ def format_rows(den: int, rows: Iterable[Iterable[int]]) -> list[list[str]]:
         raise ValueError(_too_long_to_print()) from None
 
 
-def format_series(nums: Iterable[int], dens: Iterable[int]) -> str:
-    """The values nums[n] / dens[n] (dens >= 1) as comma-separated wire text, equal
-    to joining ``format_rational`` of each and built without a Fraction."""
-    try:
-        return ",".join(map(_text, nums, dens))
-    except ValueError:  # CPython's cap on int-to-text conversion
-        raise ValueError(_too_long_to_print()) from None
-
-
 def _too_long_to_print() -> str:
     limit = sys.get_int_max_str_digits()
     return f"an entry has more than {limit} digits, more than the JSON/CSV writers can print"

@@ -114,8 +114,8 @@ def _random_fractal_series(rng: random.Random, q: int, degree: int) -> list[Frac
 def convolution_check(q: int, size: int) -> Report:
     """Masked-matrix product against the carryless digit product.
 
-    The dominance pattern is built once and every masked matrix and masked
-    product of the check is read off it and the series' integer views."""
+    The dominance pattern and each case's two views (``check_fractal``) are built
+    once; every masked matrix and product is read off them and the product's view."""
     rng = random.Random(20240801)
     reports = []
     cases = [([ONE] * size, [ONE] * size)]
@@ -125,13 +125,12 @@ def convolution_check(q: int, size: int) -> Report:
         )
     pattern = digit_product_rows(q, size, ge)
     for a, b in cases:
-        va, vb = zeroalg._numerators(a, size), zeroalg._numerators(b, size)
+        va, vb = zeroalg.check_fractal(a, q, size - 1), zeroalg.check_fractal(b, q, size - 1)
         product = matmul(zeroalg._masked_view(pattern, va), zeroalg._masked_view(pattern, vb))
-        convolved = zeroalg.carryless_convolve(a, b, q, size - 1)
-        direct = zeroalg._masked_view(pattern, zeroalg._numerators(convolved, size))
-        reports.append(check_equal("convolution", product, direct, q=q))
-        general = zeroalg._convolve_views(pattern, va, vb)
-        reports.append(check_equal("convolution-direct", general, convolved, q=q))
+        convolved = zeroalg.carryless_view(va, vb, q, size - 1)
+        reports.append(check_equal("convolution", product, zeroalg._masked_view(pattern, convolved), q=q))
+        general = zeroalg._fractions(zeroalg._convolve_views(pattern, va, vb))
+        reports.append(check_equal("convolution-direct", general, zeroalg._fractions(convolved), q=q))
     return merge_reports("convolution", reports)
 
 

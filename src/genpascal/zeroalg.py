@@ -7,7 +7,7 @@ algebra (a(x)|q) with its carryless convolution, the block matrices, and the
 digit-product matrices built from the first q rows of the Pascal matrix.
 The patterns and digit products are built from row n div q by
 ``digits.digit_product_rows``; ``digit_binom`` and ``t_coefficient`` are
-their per-entry oracles.
+their per-entry oracles. Series run on their integer ``View``, as matrices do.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from typing import Sequence
 from .digits import digit_product_rows
 from .errors import NotFractal, SizeMismatch
 from .matrices import TriangularMatrix, build_from_c, hadamard, matmul
-from .rationals import ONE, ZERO, to_view
+from .rationals import ONE, ZERO, SharedFractions, to_view
 from .report import Report, check_equal, merge_reports
 from .sequences import CSequence
 
 Series = Sequence[Fraction | int]
+View = tuple[int, list[int]]  # (D, x): coefficient n is x[n] / D
 
 
 def digit_binom(q: int, n: int, m: int) -> int:
@@ -96,17 +97,18 @@ def sierpinski_selfsim_check(q: int, k: int) -> Report:
     ])
 
 
-def _numerators(a: Series, size: int) -> tuple[int, list[int]]:
+def _numerators(a: Series, size: int) -> View:
     """(D, x) = to_view of a_0..a_{size-1}, with a_n = 0 past the end of a."""
     return to_view([*a[:size], *repeat(0, size - len(a))])
 
 
-def check_fractal(a: Series, q: int, degree: int) -> tuple[int, list[int]]:
+def check_fractal(a: Series, q: int, degree: int) -> View:
     """Raise NotFractal unless a_d = a_{d mod q} * a_{d div q} through ``degree``
     (the coefficientwise form of a(x) = (sum_{n<q} a_n x^n) a(x^q)) with a_0 = 1,
-    as x_d D = x_{d mod q} x_{d div q} on (D, x) = ``_numerators``, which it returns."""
-    den, x = _numerators(a, max(degree, 0) + 1)
-    if x[0] != den:
+    as x_d D = x_{d mod q} x_{d div q} on (D, x) = ``_numerators``, which it returns
+    (empty at degree -1)."""
+    den, x = _numerators(a, max(degree, -1) + 1)
+    if x and x[0] != den:
         raise NotFractal("a_0 must be 1")
     for d in range(q, degree + 1):
         if x[d] * den != x[d % q] * x[d // q]:
@@ -114,20 +116,28 @@ def check_fractal(a: Series, q: int, degree: int) -> tuple[int, list[int]]:
     return den, x
 
 
-def _extend(den: int, nums: list[int], q: int, degree: int) -> tuple[list[int], list[int]]:
-    """The integer view (nums, dens) of ``fractal_series`` of the base block
-    nums / den: coefficient n is nums[n] / dens[n]. Extends nums in place."""
-    dens = [den] * len(nums)
+def _extend(den: int, x: list[int], q: int, degree: int) -> View:
+    """``fractal_series`` of the base block x / den (at most q entries) over den**L, L the number
+    of base-q digits of ``degree``: coefficient q n' + i is out[n'] // den * x[i]; x is kept."""
+    scale, top = 1, degree  # scale becomes den**(L - 1), and stays 1 at degree -1
+    while top >= q:
+        top, scale = top // q, scale * den
+    out = [v * scale for v in x]
     for n in range(q, degree + 1):
-        nums.append(nums[n // q] * nums[n % q])
-        dens.append(dens[n // q] * den)
-    return nums, dens
+        out.append(out[n // q] // den * x[n % q])
+    return den * scale, out
+
+
+def _fractions(view: View) -> list[Fraction]:
+    """The coefficients x[n] / D of a series view (D, x), one Fraction per distinct numerator."""
+    den, x = view
+    return list(map(SharedFractions(den).__getitem__, x))
 
 
 def fractal_series(base: Series, q: int, degree: int) -> list[Fraction]:
     """The digit-multiplicative series a_n = a_{n div q} * a_{n mod q} through
     ``degree``, extended from its base block a_0 = 1, a_1, ..., a_{q-1}."""
-    return list(map(Fraction, *_extend(*_numerators(base, min(len(base), degree + 1)), q, degree)))
+    return _fractions(_extend(*_numerators(base, min(q, degree + 1)), q, degree))
 
 
 def masked_matrix(a: Series, q: int, size: int) -> TriangularMatrix:
@@ -142,13 +152,13 @@ def masked_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fraction]
     """Product in the masked algebra: coefficient n is
     sum_m dominance(n,m) a_m b_{n-m}. Valid for arbitrary series.
 
-    Runs on the numerators over the common denominators of a and b, with the
-    dominance mask built by the digit recursion: one Fraction per coefficient."""
+    Runs on the views of a and b with the dominance mask built by the digit
+    recursion: one view over Da * Db, one Fraction per distinct numerator."""
     size = degree + 1
-    return _convolve_views(digit_product_rows(q, size, ge), _numerators(a, size), _numerators(b, size))
+    return _fractions(_convolve_views(digit_product_rows(q, size, ge), _numerators(a, size), _numerators(b, size)))
 
 
-def _masked_view(pattern: list[list[int]], view: tuple[int, list[int]]) -> TriangularMatrix:
+def _masked_view(pattern: list[list[int]], view: View) -> TriangularMatrix:
     """``masked_matrix`` on a given dominance pattern (``digit_product_rows(q, size, ge)``)
     and the view (D, x) of at least size = len(pattern) coefficients; x is not changed."""
     den, x = view
@@ -157,14 +167,14 @@ def _masked_view(pattern: list[list[int]], view: tuple[int, list[int]]) -> Trian
     return TriangularMatrix.from_view(den, [list(map(mul, row, rev[size - 1 - n :])) for n, row in enumerate(pattern)])
 
 
-def _convolve_views(pattern: list[list[int]], a: tuple[int, list[int]], b: tuple[int, list[int]]) -> list[Fraction]:
-    """``masked_convolve`` through degree len(pattern) - 1 on a given dominance
-    pattern and the views of a and b; neither view is changed."""
+def _convolve_views(pattern: list[list[int]], a: View, b: View) -> View:
+    """The view over Da * Db of ``masked_convolve`` through degree len(pattern) - 1
+    on a given dominance pattern and the views of a and b; neither is changed."""
     (da, nums), (db, x) = a, b
     degree = len(pattern) - 1
     rev = x[degree::-1]
     # coefficient n pairs a_m with b_{n-m}, that is with rev[degree - n + m]
-    return [Fraction(sum(compress(map(mul, nums, rev[degree - n :]), row)), da * db) for n, row in enumerate(pattern)]
+    return da * db, [sum(compress(map(mul, nums, rev[degree - n :]), row)) for n, row in enumerate(pattern)]
 
 
 def carryless_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fraction]:
@@ -175,16 +185,14 @@ def carryless_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fracti
     Raises NotFractal when either input fails the digit-multiplicative
     precondition through ``degree``.
     """
-    return list(map(Fraction, *carryless_view(check_fractal(a, q, degree), check_fractal(b, q, degree), q, degree)))
+    return _fractions(carryless_view(check_fractal(a, q, degree), check_fractal(b, q, degree), q, degree))
 
 
-def carryless_view(
-    a: tuple[int, list[int]], b: tuple[int, list[int]], q: int, degree: int
-) -> tuple[list[int], list[int]]:
-    """The integer view (nums, dens) of the carryless product through ``degree``
-    of two checked views (D, x) (``check_fractal``): its base block is the
-    ordinary product's coefficients below q over da * db, which ``_extend``
-    extends. A view needs only its coefficients below q."""
+def carryless_view(a: View, b: View, q: int, degree: int) -> View:
+    """The view of the carryless product through ``degree`` of two checked
+    views (D, x) (``check_fractal``): its base block is the ordinary product's
+    coefficients below q over da * db, which ``_extend`` extends. A view needs
+    only its coefficients below q."""
     (da, xa), (db, xb) = a, b
     window = [sum(map(mul, xa[: d + 1], reversed(xb[: d + 1]))) for d in range(min(q, degree + 1))]
     return _extend(da * db, window, q, degree)
@@ -252,7 +260,7 @@ def t_matrix_via_overlay(q: int, size: int) -> TriangularMatrix:
     """Dominance mask applied to the matrix of the digit-factorial series
     c_n = prod_i 1/(n_i!)."""
     coeffs = fractal_series([Fraction(1, factorial(d)) for d in range(q)], q, size - 1)
-    base = build_from_c(CSequence.explicit(coeffs), size)
+    base = build_from_c(CSequence("digit-factorial", coeffs.__getitem__), size)
     return hadamard(sierpinski_matrix(q, size), base)
 
 

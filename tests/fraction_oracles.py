@@ -78,6 +78,12 @@ every column of each row, before it computed the first half and mirrored it.
 ``random_c_sequence`` and ``random_fractal_series`` are the verify suites'
 random draws (``genpascal.verify``) as they were when they built a fresh
 list of candidate numerators for every value drawn.
+
+``_extend`` and ``format_series`` are the series' per-coefficient integer
+form as ``genpascal.zeroalg`` and ``genpascal.rationals`` held it before a
+series became one view over a common denominator: ``_extend`` returns
+(nums, dens) with coefficient n equal to nums[n] / dens[n], and
+``format_series`` writes those values as comma-separated wire text.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ from genpascal.digits import digits, valuation
 from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
 from genpascal.fractal import fast_gbinom_fractal
 from genpascal.matrices import TriangularMatrix, _columns, _first_difference
-from genpascal.rationals import ONE, ZERO, parse_rational
+from genpascal.rationals import ONE, ZERO, _text, _too_long_to_print, parse_rational
 from genpascal.report import Report
 from genpascal.sequences import BSequence, CSequence
 from genpascal.zeroalg import Series, _numerators
@@ -328,6 +334,25 @@ def fractal_series(base, q: int, degree: int) -> list[Fraction]:
     for n in range(q, degree + 1):
         out.append(out[n // q] * out[n % q])
     return out
+
+
+def _extend(den: int, nums: list[int], q: int, degree: int) -> tuple[list[int], list[int]]:
+    """The integer view (nums, dens) of ``fractal_series`` of the base block
+    nums / den: coefficient n is nums[n] / dens[n]. Extends nums in place."""
+    dens = [den] * len(nums)
+    for n in range(q, degree + 1):
+        nums.append(nums[n // q] * nums[n % q])
+        dens.append(dens[n // q] * den)
+    return nums, dens
+
+
+def format_series(nums: Iterable[int], dens: Iterable[int]) -> str:
+    """The values nums[n] / dens[n] (dens >= 1) as comma-separated wire text, equal
+    to joining ``format_rational`` of each and built without a Fraction."""
+    try:
+        return ",".join(map(_text, nums, dens))
+    except ValueError:  # CPython's cap on int-to-text conversion
+        raise ValueError(_too_long_to_print()) from None
 
 
 def masked_matrix(a, q: int, size: int) -> TriangularMatrix:

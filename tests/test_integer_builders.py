@@ -9,6 +9,8 @@ Fraction oracles the same way, on the value and on its type. The Hadamard
 entry of the prime fractal matrices is C(n, m) at every n < 128, and each of
 its fractal factors costs one carry count, none when its base exceeds n.
 The readers' split of wire fractions is checked against parse_rational.
+A series' view over one common denominator gives the values and the wire
+text of the per-coefficient (nums, dens) form it replaced.
 The base-2 forms of ``carry_count``, ``digit_binom`` and ``t_coefficient`` are
 compared with the digit loops they replaced there, and ``gbinom`` and the ``from-c`` entry,
 which take an exact quotient when there is one, with ``Fraction(top, bottom)``.
@@ -27,11 +29,12 @@ from genpascal import specs
 from genpascal.errors import NotFractal, ZeroEntry
 from genpascal.fractal import carry_count, fractal_entry
 from genpascal.matrices import TriangularMatrix, build_from_c, gbinom, hadamard_inverse
-from genpascal.rationals import parse_rational
+from genpascal.rationals import format_rows, parse_rational, to_view
 from genpascal.sequences import BSequence, CSequence
 from genpascal.serialize import matrix_from_csv
 from genpascal.specs import GPSpec
 from genpascal.zeroalg import (
+    _extend,
     carryless_convolve,
     check_fractal,
     digit_binom,
@@ -266,6 +269,29 @@ def test_hadamard_entry_multiplies_fractal_factors_as_int_powers(monkeypatch, n)
 def test_fractal_series_matches_the_oracle(q, tail, degree):
     base = [1, *tail[: q - 1]]
     assert_same_series(fractal_series(base, q, degree), oracle.fractal_series(base, q, degree))
+
+
+# zero and negative entries, and denominators up to 10**12 so that den**L is large
+block_entry = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.builds(Fraction, st.integers(min_value=-(10**6), max_value=10**6), st.integers(min_value=1, max_value=10**12)),
+)
+
+
+@SETTINGS
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=3), st.data())
+def test_extend_matches_the_per_coefficient_form(q, k, data):
+    # each degree pair around q**k adds a base-q digit, so the view's den**L gains a factor
+    degree = data.draw(st.sampled_from([-1, 0, q - 1, q, q**k - 1, q**k]))
+    block = data.draw(st.lists(block_entry, min_size=q, max_size=q))
+    den, x = to_view(block[: min(q, degree + 1)])
+    kept = list(x)
+    view_den, ints = _extend(den, x, q, degree)
+    nums, dens = oracle._extend(den, list(x), q, degree)
+    assert x == kept and len(ints) == degree + 1
+    assert [Fraction(v, view_den) for v in ints] == list(map(Fraction, nums, dens))
+    assert ",".join(*format_rows(view_den, [ints])) == oracle.format_series(nums, dens)
 
 
 def fractal_inputs(q, tail, degree):
