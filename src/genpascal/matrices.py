@@ -133,7 +133,7 @@ def all_ones(size: int) -> TriangularMatrix:
 
 def pascal_rows(size: int) -> list[list[int]]:
     """Rows 0..size-1 of the Pascal matrix by the addition rule."""
-    rows = [[1]] if size else []
+    rows = [[1]] if size > 0 else []
     for _ in range(1, size):
         prev = rows[-1]
         rows.append([1, *map(add, prev, prev[1:]), 1])

@@ -27,33 +27,25 @@ def fractal_b(q: int, phi: Fraction | int, n: int) -> Fraction:
     return Fraction(phi) ** valuation(n, q)
 
 
-class BSequence:
-    """Memoized weight sequence b_n with b_0 = 0."""
+class _Memo:
+    """A sequence described by a rule n -> value, memoized in ``_values``;
+    ``explicit`` takes the values as a list, checked by the subclass's ``_check``."""
+
+    letter: str  # names the sequence in the explicit list's IndexError
 
     def __init__(self, kind: str, fn: Callable[[int], Fraction]):
         self.kind = kind
         self._fn = fn
-        self._values: dict[int, Fraction] = {0: ZERO}
-        self._factorials: dict[int, tuple[int, int]] = {0: (1, 1)}
+        self._values: dict[int, Fraction] = {}
 
     @classmethod
-    def naturals(cls) -> "BSequence":
-        return cls("naturals", lambda n: Fraction(n))
-
-    @classmethod
-    def fractal(cls, q: int, phi: Fraction | int) -> "BSequence":
-        phi = Fraction(phi)
-        return cls(f"fractal({q},{phi})", lambda n: fractal_b(q, phi, n))
-
-    @classmethod
-    def explicit(cls, values: Sequence[Fraction | int]) -> "BSequence":
+    def explicit(cls, values: Sequence[Fraction | int]):
         vals = [v if type(v) is Fraction else Fraction(v) for v in values]
-        if vals and vals[0] != 0:
-            raise ValueError("b_0 must be 0")
+        cls._check(vals)
 
         def fn(n: int) -> Fraction:
             if n >= len(vals):
-                raise IndexError(f"explicit b-sequence has no index {n}")
+                raise IndexError(f"explicit {cls.letter}-sequence has no index {n}")
             return vals[n]
 
         return cls("explicit", fn)
@@ -68,6 +60,31 @@ class BSequence:
                 got = Fraction(got)
             self._values[n] = got
         return got
+
+
+class BSequence(_Memo):
+    """Memoized weight sequence b_n with b_0 = 0."""
+
+    letter = "b"
+
+    def __init__(self, kind: str, fn: Callable[[int], Fraction]):
+        super().__init__(kind, fn)
+        self._values[0] = ZERO
+        self._factorials: dict[int, tuple[int, int]] = {0: (1, 1)}
+
+    @classmethod
+    def naturals(cls) -> "BSequence":
+        return cls("naturals", lambda n: Fraction(n))
+
+    @classmethod
+    def fractal(cls, q: int, phi: Fraction | int) -> "BSequence":
+        phi = Fraction(phi)
+        return cls(f"fractal({q},{phi})", lambda n: fractal_b(q, phi, n))
+
+    @staticmethod
+    def _check(vals: list[Fraction]) -> None:
+        if vals and vals[0] != 0:
+            raise ValueError("b_0 must be 0")
 
     def factorial(self, n: int) -> Fraction:
         """prod_{m=1}^{n} b_m, with the empty product 1 for n = 0.
@@ -98,13 +115,10 @@ class BSequence:
         return num, den
 
 
-class CSequence:
+class CSequence(_Memo):
     """Memoized series coefficients c_n with c_0 = c_1 = 1 and c_n != 0."""
 
-    def __init__(self, kind: str, fn: Callable[[int], Fraction]):
-        self.kind = kind
-        self._fn = fn
-        self._values: dict[int, Fraction] = {}
+    letter = "c"
 
     @classmethod
     def exponential(cls) -> "CSequence":
@@ -124,30 +138,11 @@ class CSequence:
         seq.kind = f"fractal({q})"
         return seq
 
-    @classmethod
-    def explicit(cls, values: Sequence[Fraction | int]) -> "CSequence":
-        vals = [v if type(v) is Fraction else Fraction(v) for v in values]
+    @staticmethod
+    def _check(vals: list[Fraction]) -> None:
         if not vals or vals[0] != 1:
             raise ValueError("c_0 must be 1")
         if len(vals) > 1 and vals[1] != 1:
             raise ValueError("c_1 must be 1")
         if any(v == 0 for v in vals):
             raise ValueError("c_n must be nonzero")
-
-        def fn(n: int) -> Fraction:
-            if n >= len(vals):
-                raise IndexError(f"explicit c-sequence has no index {n}")
-            return vals[n]
-
-        return cls("explicit", fn)
-
-    def __getitem__(self, n: int) -> Fraction:
-        if n < 0:
-            raise IndexError("negative index")
-        got = self._values.get(n)
-        if got is None:
-            got = self._fn(n)
-            if type(got) is not Fraction:
-                got = Fraction(got)
-            self._values[n] = got
-        return got

@@ -1,8 +1,11 @@
-"""Named verification suites, each returning a Report.
+"""Named verification suites: ``SUITES`` is the one table of them.
 
-Suites are deterministic: randomized ones draw from a seeded generator so a
-run is reproducible. ``--size`` scales the truncation (and for the digit
-suites the index range).
+Each row maps a size to the suite's list of sub-reports, and ``run_suite``
+merges that list into one Report named after the suite, so a failing suite's
+counterexample names its sub-suite. Suites are deterministic: randomized ones
+draw from a seeded generator so a run is reproducible. The size scales the
+truncation (and for the digit suites the index range); a negative size is
+refused.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import random
 from fractions import Fraction
 from math import comb
 from operator import ge
+from typing import Callable
 
 from . import fractal, special, zeroalg
 from .digits import digit_product_rows
@@ -40,35 +44,10 @@ def golden_family(size: int) -> list[tuple[str, TriangularMatrix]]:
     return [(name, spec.materialize(size)) for name, spec in specs]
 
 
-def suite_identities(size: int) -> Report:
-    reports = []
-    for name, matrix in golden_family(size):
-        sub = identity_check(matrix, suite=f"identities[{name}]")
-        reports.append(sub)
-    return merge_reports("identities", reports)
-
-
 def lucas_check(limit: int) -> Report:
     """Digit dominance against the parity of ordinary binomials."""
     parity = TriangularMatrix.from_view(1, [[comb(n, m) % 2 for m in range(n + 1)] for n in range(limit)])
     return check_equal("lucas", zeroalg.sierpinski_matrix(2, limit), parity)
-
-
-def suite_lucas(size: int) -> Report:
-    reports = [lucas_check(size)]
-    for q in (2, 3):
-        reports.append(zeroalg.t_threeway_check(q, size))
-    return merge_reports("lucas", reports)
-
-
-def suite_kron(size: int) -> Report:
-    reports = []
-    for q in (2, 3):
-        k = 1
-        while q ** (k + 1) <= size:
-            reports.append(zeroalg.sierpinski_selfsim_check(q, k))
-            k += 1
-    return merge_reports("kron", reports)
 
 
 def recurrence_check(q: int, size: int) -> Report:
@@ -87,22 +66,6 @@ def recurrence_check(q: int, size: int) -> Report:
         check_equal("recurrence-rows", got_rows, [matrix.row_poly(n) for n in range(size)], q=q),
         check_equal("recurrence-columns", got_columns, [matrix.column_poly(n) for n in range(size)], q=q),
     ])
-
-
-def suite_recurrences(size: int) -> Report:
-    return merge_reports("recurrences", [recurrence_check(q, size) for q in (2, 3, 5)])
-
-
-def suite_umbral(size: int) -> Report:
-    reports = []
-    ident = identity_matrix(size)
-    for qv in (-1, 0, 1, 2, 3):
-        product = matmul(special.q_umbral_matrix(qv, size), special.q_umbral_inverse(qv, size))
-        reports.append(check_equal("umbral", product, ident, q=qv))
-    # the q = -1 member coincides with the modulus-2 overlay
-    overlay = special.zero_overlay_matrix(2, size)
-    reports.append(check_equal("umbral-overlay", special.q_umbral_matrix(-1, size), overlay, q=-1))
-    return merge_reports("umbral", reports)
 
 
 def _random_fractal_series(rng: random.Random, q: int, degree: int) -> list[Fraction]:
@@ -134,10 +97,6 @@ def convolution_check(q: int, size: int) -> Report:
     return merge_reports("convolution", reports)
 
 
-def suite_convolution(size: int) -> Report:
-    return merge_reports("convolution", [convolution_check(q, size) for q in (2, 3)])
-
-
 def random_c_sequence(rng: random.Random, size: int) -> CSequence:
     numerators = [x for x in range(-9, 10) if x]
     values = [ONE, ONE] + [Fraction(rng.choice(numerators), rng.randint(1, 9)) for _ in range(size - 2)]
@@ -157,23 +116,47 @@ def decompose_roundtrip_check(size: int) -> Report:
     return merge_reports("decompose-roundtrip", reports)
 
 
-SUITES = {
-    "identities": suite_identities,
-    "lucas": suite_lucas,
-    # looked up on each call, so a wrapper put on the module's function sees the suite
-    "primes": lambda size: fractal.pascal_prime_factorization(size),
-    "primes-check": lambda size: fractal.pascal_prime_factorization(size),  # historical alias
-    "kron": suite_kron,
-    "recurrences": suite_recurrences,
-    "umbral": suite_umbral,
-    "convolution": suite_convolution,
-    "decompose-roundtrip": decompose_roundtrip_check,
+def _umbral_reports(size: int) -> list[Report]:
+    """Each q-umbral matrix times its inverse is the identity."""
+    reports = []
+    ident = identity_matrix(size)
+    for qv in (-1, 0, 1, 2, 3):
+        product = matmul(special.q_umbral_matrix(qv, size), special.q_umbral_inverse(qv, size))
+        reports.append(check_equal("umbral", product, ident, q=qv))
+    # the q = -1 member coincides with the modulus-2 overlay
+    overlay = special.zero_overlay_matrix(2, size)
+    reports.append(check_equal("umbral-overlay", special.q_umbral_matrix(-1, size), overlay, q=-1))
+    return reports
+
+
+# suite -> its sub-reports at a size; names are looked up on each call, so a
+# wrapper put on a module's function sees the suite
+SUITES: dict[str, Callable[[int], list[Report]]] = {
+    "identities": lambda size: [
+        identity_check(matrix, suite=f"identities[{name}]") for name, matrix in golden_family(size)
+    ],
+    "lucas": lambda size: [lucas_check(size), *(zeroalg.t_threeway_check(q, size) for q in (2, 3))],
+    "primes": lambda size: [fractal.pascal_prime_factorization(size)],
+    "primes-check": lambda size: [fractal.pascal_prime_factorization(size)],  # historical alias
+    # every block q**(k+1) <= size, so k + 1 < size.bit_length() as q >= 2
+    "kron": lambda size: [
+        zeroalg.sierpinski_selfsim_check(q, k)
+        for q in (2, 3) for k in range(1, size.bit_length()) if q ** (k + 1) <= size
+    ],
+    "recurrences": lambda size: [recurrence_check(q, size) for q in (2, 3, 5)],
+    "umbral": _umbral_reports,
+    "convolution": lambda size: [convolution_check(q, size) for q in (2, 3)],
+    "decompose-roundtrip": lambda size: [decompose_roundtrip_check(size)],
 }
 
 
 def run_suite(name: str, size: int) -> Report:
+    """The named suite's sub-reports at ``size`` merged into one report named
+    after the suite; the alias ``primes-check`` reports as ``primes``."""
     try:
-        fn = SUITES[name]
+        reports = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
-    return fn(size)
+    if size < 0:
+        raise ValueError(f"suite size must be >= 0, got {size}")
+    return merge_reports("primes" if name == "primes-check" else name, reports(size))

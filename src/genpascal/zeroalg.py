@@ -137,7 +137,7 @@ def _fractions(view: View) -> list[Fraction]:
 def fractal_series(base: Series, q: int, degree: int) -> list[Fraction]:
     """The digit-multiplicative series a_n = a_{n div q} * a_{n mod q} through
     ``degree``, extended from its base block a_0 = 1, a_1, ..., a_{q-1}."""
-    return _fractions(_extend(*_numerators(base, min(q, degree + 1)), q, degree))
+    return _fractions(_extend(*_numerators(base, min(q, max(degree, -1) + 1)), q, degree))
 
 
 def masked_matrix(a: Series, q: int, size: int) -> TriangularMatrix:

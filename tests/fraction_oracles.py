@@ -84,6 +84,13 @@ form as ``genpascal.zeroalg`` and ``genpascal.rationals`` held it before a
 series became one view over a common denominator: ``_extend`` returns
 (nums, dens) with coefficient n equal to nums[n] / dens[n], and
 ``format_series`` writes those values as comma-separated wire text.
+
+``suite_identities``, ``suite_lucas``, ``suite_kron``, ``suite_recurrences``,
+``suite_umbral`` and ``suite_convolution`` are the suite functions of
+``genpascal.verify`` as they were before a suite became a row of
+``verify.SUITES``: each merges its own sub-reports under its name. They call
+the library's checks, but for ``identity_check``, which here is the oracle
+above; it gives the library's reports.
 """
 
 from __future__ import annotations
@@ -96,14 +103,15 @@ from math import comb, lcm, prod
 from operator import ge, mul
 from typing import Callable, Iterable, Sequence
 
-from genpascal import zeroalg
+from genpascal import special, zeroalg
 from genpascal.digits import digits, valuation
 from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
 from genpascal.fractal import fast_gbinom_fractal
-from genpascal.matrices import TriangularMatrix, _columns, _first_difference
+from genpascal.matrices import TriangularMatrix, _columns, _first_difference, identity_matrix, matmul
 from genpascal.rationals import ONE, ZERO, _text, _too_long_to_print, parse_rational
-from genpascal.report import Report
+from genpascal.report import Report, check_equal, merge_reports
 from genpascal.sequences import BSequence, CSequence
+from genpascal.verify import convolution_check, golden_family, lucas_check, recurrence_check
 from genpascal.zeroalg import Series, _numerators
 
 
@@ -770,3 +778,48 @@ def random_c_sequence(rng: random.Random, size: int) -> CSequence:
         for _ in range(size - 2)
     ]
     return CSequence.explicit(values)
+
+
+def suite_identities(size: int) -> Report:
+    reports = []
+    for name, matrix in golden_family(size):
+        sub = identity_check(matrix, suite=f"identities[{name}]")
+        reports.append(sub)
+    return merge_reports("identities", reports)
+
+
+def suite_lucas(size: int) -> Report:
+    reports = [lucas_check(size)]
+    for q in (2, 3):
+        reports.append(zeroalg.t_threeway_check(q, size))
+    return merge_reports("lucas", reports)
+
+
+def suite_kron(size: int) -> Report:
+    reports = []
+    for q in (2, 3):
+        k = 1
+        while q ** (k + 1) <= size:
+            reports.append(zeroalg.sierpinski_selfsim_check(q, k))
+            k += 1
+    return merge_reports("kron", reports)
+
+
+def suite_recurrences(size: int) -> Report:
+    return merge_reports("recurrences", [recurrence_check(q, size) for q in (2, 3, 5)])
+
+
+def suite_umbral(size: int) -> Report:
+    reports = []
+    ident = identity_matrix(size)
+    for qv in (-1, 0, 1, 2, 3):
+        product = matmul(special.q_umbral_matrix(qv, size), special.q_umbral_inverse(qv, size))
+        reports.append(check_equal("umbral", product, ident, q=qv))
+    # the q = -1 member coincides with the modulus-2 overlay
+    overlay = special.zero_overlay_matrix(2, size)
+    reports.append(check_equal("umbral-overlay", special.q_umbral_matrix(-1, size), overlay, q=-1))
+    return merge_reports("umbral", reports)
+
+
+def suite_convolution(size: int) -> Report:
+    return merge_reports("convolution", [convolution_check(q, size) for q in (2, 3)])

@@ -168,3 +168,18 @@ def test_c_explicit_errors_keep_their_messages(values, message):
 def test_b_explicit_error_keeps_its_message():
     with pytest.raises(ValueError, match="^b_0 must be 0$"):
         BSequence.explicit([Fraction(1), 2])
+
+
+@pytest.mark.parametrize("cls, letter", [(BSequence, "b"), (CSequence, "c")])
+def test_explicit_index_errors_keep_their_messages(cls, letter):
+    seq = cls.explicit([0 if letter == "b" else 1, 1, 2])
+    assert seq[2] == 2 and seq._values[2] == 2  # the memo the benchmark's tracer reads
+    with pytest.raises(IndexError, match=f"^explicit {letter}-sequence has no index 3$"):
+        seq[3]
+    with pytest.raises(IndexError, match="^negative index$"):
+        seq[-1]
+
+
+def test_both_sequences_share_one_memoized_getitem():
+    # the tracer wraps both targets of sequences.getitem, and they are one function
+    assert BSequence.__getitem__ is CSequence.__getitem__

@@ -82,6 +82,15 @@ def test_family_differential(kind, data):
             assert coordinates.betas == {j: spec.phi if j in marked else 1 for j in range(2, size)}
 
 
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_negative_size_is_the_empty_matrix(kind, data):
+    spec = data.draw(SPECS[kind], label="spec")
+    empty = spec.materialize(0)
+    assert empty.size == 0 and spec.materialize(-1) == empty
+
+
 def test_hadamard_spec_streams():
     factors = [GPSpec.fractal(Fraction(p), p) for p in (2, 3, 5, 7)]
     spec = GPSpec.hadamard(factors)

@@ -12,7 +12,7 @@ from genpascal import zeroalg
 from genpascal.errors import NotFractal, SizeMismatch
 from genpascal.matrices import TriangularMatrix, identity_matrix, matmul
 from genpascal.polynomials import Polynomial
-from genpascal.verify import suite_kron
+from genpascal.verify import run_suite
 from genpascal.zeroalg import (
     block_matrix,
     block_product_check,
@@ -101,7 +101,7 @@ def test_kron_names_a_flipped_kronecker_entry(monkeypatch):
         return TriangularMatrix.from_view(den, rows)
 
     monkeypatch.setattr(zeroalg, "kronecker", flipped)
-    report = suite_kron(70)
+    report = run_suite("kron", 70)
     assert not report.passed
     ce = report.counterexample
     assert (ce["q"], ce["k"], ce["order"], ce["n"], ce["m"]) == (2, 4, "coarse-first", 20, 9)
@@ -149,6 +149,14 @@ def test_fractal_series_is_the_digit_product(q):
             expected *= base[d]
         assert value == expected
     assert fractal_series(base, q, q - 2) == base[: q - 1]
+
+
+@pytest.mark.parametrize("degree", range(-5, 0))
+def test_series_below_degree_zero_are_empty(degree):
+    # a negative degree is not a slice from the end of the base
+    base = [Fraction(1), Fraction(2), Fraction(3)]
+    assert fractal_series(base, 3, degree) == []
+    assert masked_convolve(base, base, 3, degree) == carryless_convolve(base, base, 3, degree) == []
 
 
 def test_carryless_rejects_non_fractal():
