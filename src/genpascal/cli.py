@@ -54,15 +54,15 @@ def build_matrix(args) -> tuple[TriangularMatrix, Fraction | None]:
         raise ValueError("--kind phiq requires --phi")
     required = FAMILIES[kind][2]
     q = _require_q(args, required["q"]) if "q" in required else None
-    spec_phi = Fraction(q) if kind == "fractal" and phi is None else phi
+    spec_phi = q if kind == "fractal" and phi is None else phi
     return GPSpec(kind, phi=spec_phi, q=q).materialize(args.size), phi
 
 
 def _write(text: str, path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="ascii") as handle:
             handle.write(text)

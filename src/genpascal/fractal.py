@@ -28,12 +28,12 @@ a table of what is built and add the inner ones they build, so rows 0..N-1
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt, prod
 from operator import mul
 
 from .digits import carry_count_rows, valuation
 from .matrices import TriangularMatrix, pascal_rows
-from .polynomials import P_ONE, P_ZERO, Polynomial, mul_trunc, w_poly
+from .polynomials import P_ONE, P_ZERO, Polynomial, w_poly
 from .rationals import ONE, ZERO
 from .report import Report, check_equal, merge_reports
 from .sequences import BSequence, fractal_b
@@ -176,7 +176,7 @@ def _primes_upto(n: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
+    for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
     return [p for p in range(2, n + 1) if sieve[p]]
@@ -204,42 +204,28 @@ def pascal_prime_factorization(size: int) -> Report:
     return check_equal("primes", TriangularMatrix.from_view(1, rows), pascal)
 
 
-def _w_factor_coeffs(q: int, level: int, degree: int) -> list[Fraction]:
-    """Coefficients of w_{q-1}(x**(q**level) / q**((q**level - 1)/(q - 1)))."""
-    step = q**level
-    scale = ONE / Fraction(q) ** ((step - 1) // (q - 1))
-    out = [ZERO] * (degree + 1)
-    power = ONE
-    for t in range(q):
-        if t * step > degree:
-            break
-        out[t * step] = power
-        power *= scale
-    return out
-
-
 def fractal_c_check(q: int, degree: int) -> Report:
     """Two series identities for the coefficient sequence 1/b_n!:
 
-    (a) the partial product of the w-factors through q**level <= degree equals
-        sum x**n/b_n! coefficientwise (later factors start above the cut);
+    (a) the product of the w-factors w_{q-1}(x**(q**k) / s_k) with
+        s_k = q**((q**k - 1)/(q - 1)), over q**k <= degree, equals
+        sum x**n/b_n! coefficientwise through ``degree`` (later factors start
+        above the cut);
     (b) the coefficientwise product over primes p <= degree of the weight-p
         sequences is the exponential series 1/n!.
     """
     b = BSequence.fractal(q, q)
     target = [ONE / b.factorial(n) for n in range(degree + 1)]
-    product = [ONE] + [ZERO] * degree
-    level = 0
-    while q**level <= degree:
-        product = mul_trunc(product, _w_factor_coeffs(q, level, degree), degree)
-        level += 1
+    steps = [q**k for k in range(degree.bit_length()) if q**k <= degree]  # q >= 2: k < bit_length
+    scales = [q ** ((step - 1) // (q - 1)) for step in steps]
+    # w_{q-1}(y / s) is sum_t s**(q-1-t) y**t over s**(q-1), at y = x**step
+    factors = [
+        Polynomial.from_view(s ** (q - 1), [s ** (q - 1 - t) for t in range(q)]).substitute_power(step)
+        for step, s in zip(steps, scales)
+    ]
+    product = list(prod(factors, start=P_ONE).coeffs[: degree + 1])
     prime_seqs = [BSequence.fractal(p, p) for p in _primes_upto(degree)]
-    hadamard = []
-    for n in range(degree + 1):
-        value = ONE
-        for seq in prime_seqs:
-            value *= ONE / seq.factorial(n)
-        hadamard.append(value)
+    hadamard = [ONE / prod(seq.factorial(n) for seq in prime_seqs) for n in range(degree + 1)]
     exponential = [Fraction(1, factorial(n)) for n in range(degree + 1)]
     return merge_reports("series-product", [
         check_equal("series-product", product, target, q=q),
@@ -251,13 +237,7 @@ def b_functional_equation_check(q: int, degree: int) -> Report:
     """b(x) = w_{q-2}(x) x / (1 - x**q) + q b(x**q), coefficientwise through
     ``degree``, with both sides expanded independently."""
     lhs = [ZERO] + [fractal_b(q, q, n) for n in range(1, degree + 1)]
-    rhs = [ZERO] * (degree + 1)
-    w = w_poly(q - 2).coeffs
-    for s in range(0, degree // q + 1):  # expansion of 1/(1 - x**q)
-        for t, cw in enumerate(w):
-            d = q * s + t + 1  # the extra x shift
-            if d <= degree:
-                rhs[d] += cw
-    for n in range(q, degree + 1, q):
-        rhs[n] += q * lhs[n // q]
+    # w_{q-2}(x) / (1 - x**q) through degree - 1 is w_{q-2}(x) w_{degree div q}(x**q), shifted by x
+    rhs = [ZERO, *(w_poly(q - 2) * w_poly(degree // q).substitute_power(q)).coeffs[:degree]]
+    rhs[::q] = [x + q * y for x, y in zip(rhs[::q], lhs)]
     return check_equal("b-functional", lhs, rhs, q=q)

@@ -6,8 +6,12 @@ times the coefficient of x**k, with trailing zeros stripped, so the view is
 unique and equal polynomials have equal views. The library builds them from
 int views (``from_view``) and compares them; ``coeffs`` makes the exact
 Fractions on first read, one per distinct numerator. A polynomial built from
-values stores only their view, too. Products and ``x -> x**q`` run on the
-ints; ``mul_trunc`` multiplies coefficient lists as truncated power series.
+values stores only their view, too. ``x -> x**q`` is a strided copy of the
+ints. Every product of two coefficient lists is ``mul_ints``, the first
+``size`` coefficients of the product of two int lists: ``Polynomial.__mul__``
+takes all of them over the product of the denominators, ``mul_trunc`` the
+ones through a degree of two truncated power series, and the carryless
+convolution its base block.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .rationals import ONE, ZERO, SharedFractions, lowest_view, to_view
+from .rationals import ONE, SharedFractions, lowest_view, to_view
 
 
 class Polynomial:
@@ -73,14 +77,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return Polynomial.from_view(da * other.denominator, [x * other.numerator for x in a])
         db, b = other._view
-        if not a or not b:
-            return P_ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        width = len(b)
-        for i, x in enumerate(a):
-            if x:
-                out[i : i + width] = map(add, out[i : i + width], map(mul, b, repeat(x)))
-        return Polynomial.from_view(da * db, out)
+        return Polynomial.from_view(da * db, mul_ints(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -115,11 +112,19 @@ def w_poly(m: int) -> Polynomial:
     return _stored(1, (1,) * (m + 1))
 
 
-def mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], degree: int) -> list[Fraction]:
-    """Coefficient list of a*b through ``degree``."""
-    out = [ZERO] * (degree + 1)
-    for i, x in enumerate(a[: degree + 1]):
+def mul_ints(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
+    """The first ``size`` coefficients of the product of the int lists a and b
+    (none for size <= 0): b times each nonzero a[i], added at shift i."""
+    out = [0] * size
+    width = len(b)
+    for i, x in enumerate(a[: max(size, 0)]):
         if x:
-            for j, y in enumerate(b[: degree + 1 - i]):
-                out[i + j] += x * y
+            out[i : i + width] = map(add, out[i : i + width], map(mul, b, repeat(x)))
     return out
+
+
+def mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], degree: int) -> list[Fraction]:
+    """Coefficient list of a*b through ``degree``, on the integer views of a and b."""
+    size = max(degree + 1, 0)
+    (da, xa), (db, xb) = to_view(a[:size]), to_view(b[:size])
+    return list(map(SharedFractions(da * db).__getitem__, mul_ints(xa, xb, size)))

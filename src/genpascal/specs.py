@@ -34,13 +34,17 @@ from .zeroalg import t_coefficient, t_matrix
 class GPSpec:
     kind: str  # a key of FAMILIES
     c: CSequence | None = None
-    phi: Fraction | None = None
-    q: int | None = None  # the q-umbral families also take a rational q
+    phi: Fraction | None = None  # stored as a Fraction
+    q: int | None = None  # the q-umbral families take a rational q, stored as a Fraction
     factors: tuple["GPSpec", ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise ValueError(f"unknown spec kind {self.kind!r}")
+        if self.phi is not None:
+            object.__setattr__(self, "phi", Fraction(self.phi))
+        if self.kind in ("qumbral", "qumbral-inverse") and self.q is not None:
+            object.__setattr__(self, "q", Fraction(self.q))
         for name, least in FAMILIES[self.kind][2].items():
             value = getattr(self, name)
             if value is None:
@@ -54,15 +58,15 @@ class GPSpec:
 
     @classmethod
     def phiq(cls, phi: Fraction | int, q: int) -> "GPSpec":
-        return cls("phiq", phi=Fraction(phi), q=q)
+        return cls("phiq", phi=phi, q=q)
 
     @classmethod
     def fractal(cls, phi: Fraction | int, q: int) -> "GPSpec":
-        return cls("fractal", phi=Fraction(phi), q=q)
+        return cls("fractal", phi=phi, q=q)
 
     @classmethod
     def qumbral(cls, q: Fraction | int) -> "GPSpec":
-        return cls("qumbral", q=Fraction(q))
+        return cls("qumbral", q=q)
 
     @classmethod
     def tmatrix(cls, q: int) -> "GPSpec":

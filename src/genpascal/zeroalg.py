@@ -21,6 +21,7 @@ from typing import Sequence
 from .digits import digit_product_rows
 from .errors import NotFractal, SizeMismatch
 from .matrices import TriangularMatrix, build_from_c, hadamard, matmul
+from .polynomials import mul_ints
 from .rationals import ONE, ZERO, SharedFractions, to_view
 from .report import Report, check_equal, merge_reports
 from .sequences import CSequence
@@ -107,6 +108,8 @@ def check_fractal(a: Series, q: int, degree: int) -> View:
     (the coefficientwise form of a(x) = (sum_{n<q} a_n x^n) a(x^q)) with a_0 = 1,
     as x_d D = x_{d mod q} x_{d div q} on (D, x) = ``_numerators``, which it returns
     (empty at degree -1)."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
     den, x = _numerators(a, max(degree, -1) + 1)
     if x and x[0] != den:
         raise NotFractal("a_0 must be 1")
@@ -119,6 +122,8 @@ def check_fractal(a: Series, q: int, degree: int) -> View:
 def _extend(den: int, x: list[int], q: int, degree: int) -> View:
     """``fractal_series`` of the base block x / den (at most q entries) over den**L, L the number
     of base-q digits of ``degree``: coefficient q n' + i is out[n'] // den * x[i]; x is kept."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
     scale, top = 1, degree  # scale becomes den**(L - 1), and stays 1 at degree -1
     while top >= q:
         top, scale = top // q, scale * den
@@ -191,11 +196,10 @@ def carryless_convolve(a: Series, b: Series, q: int, degree: int) -> list[Fracti
 def carryless_view(a: View, b: View, q: int, degree: int) -> View:
     """The view of the carryless product through ``degree`` of two checked
     views (D, x) (``check_fractal``): its base block is the ordinary product's
-    coefficients below q over da * db, which ``_extend`` extends. A view needs
-    only its coefficients below q."""
+    coefficients below q over da * db (``mul_ints``), which ``_extend`` extends.
+    A view needs only its coefficients below q."""
     (da, xa), (db, xb) = a, b
-    window = [sum(map(mul, xa[: d + 1], reversed(xb[: d + 1]))) for d in range(min(q, degree + 1))]
-    return _extend(da * db, window, q, degree)
+    return _extend(da * db, mul_ints(xa, xb, min(q, degree + 1)), q, degree)
 
 
 def block_matrix(a: Series, b: Series, q: int, k: int, size: int) -> TriangularMatrix:

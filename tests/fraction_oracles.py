@@ -91,11 +91,22 @@ series became one view over a common denominator: ``_extend`` returns
 ``verify.SUITES``: each merges its own sub-reports under its name. They call
 the library's checks, but for ``identity_check``, which here is the oracle
 above; it gives the library's reports.
+
+``mul_trunc``, ``carryless_view``, ``fractal_c_check`` (with its
+``_w_factor_coeffs``) and ``b_functional_equation_check`` are the library
+functions of those names as they were before every product of two
+coefficient lists went through ``polynomials.mul_ints``: ``mul_trunc`` is
+the per-coefficient Fraction loop, ``carryless_view`` sums its base block
+degree by degree, and the two series checks build their factors and the
+expansion of x w_{q-2}(x) / (1 - x**q) coefficient by coefficient. They are
+unchanged but for ``math.factorial``, which is spelled out here because
+``factorial`` above is the generalized one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import repeat
@@ -106,11 +117,11 @@ from typing import Callable, Iterable, Sequence
 from genpascal import special, zeroalg
 from genpascal.digits import digits, valuation
 from genpascal.errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
-from genpascal.fractal import fast_gbinom_fractal
+from genpascal.fractal import _primes_upto, fast_gbinom_fractal
 from genpascal.matrices import TriangularMatrix, _columns, _first_difference, identity_matrix, matmul
 from genpascal.rationals import ONE, ZERO, _text, _too_long_to_print, parse_rational
 from genpascal.report import Report, check_equal, merge_reports
-from genpascal.sequences import BSequence, CSequence
+from genpascal.sequences import BSequence, CSequence, fractal_b
 from genpascal.verify import convolution_check, golden_family, lucas_check, recurrence_check
 from genpascal.zeroalg import Series, _numerators
 
@@ -823,3 +834,82 @@ def suite_umbral(size: int) -> Report:
 
 def suite_convolution(size: int) -> Report:
     return merge_reports("convolution", [convolution_check(q, size) for q in (2, 3)])
+
+
+def mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], degree: int) -> list[Fraction]:
+    """Coefficient list of a*b through ``degree``."""
+    out = [ZERO] * (degree + 1)
+    for i, x in enumerate(a[: degree + 1]):
+        if x:
+            for j, y in enumerate(b[: degree + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def carryless_view(a, b, q: int, degree: int):
+    """The view of the carryless product through ``degree`` of two checked
+    views (D, x) (``check_fractal``): its base block is the ordinary product's
+    coefficients below q over da * db, which ``_extend`` extends. A view needs
+    only its coefficients below q."""
+    (da, xa), (db, xb) = a, b
+    window = [sum(map(mul, xa[: d + 1], reversed(xb[: d + 1]))) for d in range(min(q, degree + 1))]
+    return zeroalg._extend(da * db, window, q, degree)
+
+
+def _w_factor_coeffs(q: int, level: int, degree: int) -> list[Fraction]:
+    """Coefficients of w_{q-1}(x**(q**level) / q**((q**level - 1)/(q - 1)))."""
+    step = q**level
+    scale = ONE / Fraction(q) ** ((step - 1) // (q - 1))
+    out = [ZERO] * (degree + 1)
+    power = ONE
+    for t in range(q):
+        if t * step > degree:
+            break
+        out[t * step] = power
+        power *= scale
+    return out
+
+
+def fractal_c_check(q: int, degree: int) -> Report:
+    """Two series identities for the coefficient sequence 1/b_n!:
+
+    (a) the partial product of the w-factors through q**level <= degree equals
+        sum x**n/b_n! coefficientwise (later factors start above the cut);
+    (b) the coefficientwise product over primes p <= degree of the weight-p
+        sequences is the exponential series 1/n!.
+    """
+    b = BSequence.fractal(q, q)
+    target = [ONE / b.factorial(n) for n in range(degree + 1)]
+    product = [ONE] + [ZERO] * degree
+    level = 0
+    while q**level <= degree:
+        product = mul_trunc(product, _w_factor_coeffs(q, level, degree), degree)
+        level += 1
+    prime_seqs = [BSequence.fractal(p, p) for p in _primes_upto(degree)]
+    hadamard = []
+    for n in range(degree + 1):
+        value = ONE
+        for seq in prime_seqs:
+            value *= ONE / seq.factorial(n)
+        hadamard.append(value)
+    exponential = [Fraction(1, math.factorial(n)) for n in range(degree + 1)]
+    return merge_reports("series-product", [
+        check_equal("series-product", product, target, q=q),
+        check_equal("series-hadamard", hadamard, exponential),
+    ])
+
+
+def b_functional_equation_check(q: int, degree: int) -> Report:
+    """b(x) = w_{q-2}(x) x / (1 - x**q) + q b(x**q), coefficientwise through
+    ``degree``, with both sides expanded independently."""
+    lhs = [ZERO] + [fractal_b(q, q, n) for n in range(1, degree + 1)]
+    rhs = [ZERO] * (degree + 1)
+    w = w_poly(q - 2).coeffs
+    for s in range(0, degree // q + 1):  # expansion of 1/(1 - x**q)
+        for t, cw in enumerate(w):
+            d = q * s + t + 1  # the extra x shift
+            if d <= degree:
+                rhs[d] += cw
+    for n in range(q, degree + 1, q):
+        rhs[n] += q * lhs[n // q]
+    return check_equal("b-functional", lhs, rhs, q=q)

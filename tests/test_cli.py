@@ -393,3 +393,20 @@ def test_export_rejects_other_formats(capsys):
     with pytest.raises(SystemExit) as err:
         run(capsys, "export", "--kind", "pascal", "--size", "4", "--format", "json")
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "pascal", "--size", "2"],
+        ["gen", "--kind", "fractal", "--q", "3", "--phi=-3/2", "--size", "7", "--format", "csv"],
+        ["export", "--kind", "phiq", "--q", "2", "--phi", "0", "--size", "5"],
+    ],
+)
+def test_output_file_is_what_stdout_prints(capsys, tmp_path, argv):
+    # before, the file lacked the final newline that stdout gets
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("\n")
+    path = tmp_path / "out"
+    assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode("ascii")

@@ -410,6 +410,23 @@ def test_b_functional_equation(q):
     assert report.passed
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 63))
+@example(2, 0)
+@example(7, 63)
+@example(3, 63)
+def test_series_checks_match_the_fraction_loops(q, degree):
+    assert fractal_c_check(q, degree).to_dict() == oracle.fractal_c_check(q, degree).to_dict()
+    got = b_functional_equation_check(q, degree).to_dict()
+    assert got == oracle.b_functional_equation_check(q, degree).to_dict()
+
+
+def test_primes_upto_is_trial_division():
+    # the sieve stops at isqrt(n), so the squares of primes are the edge cases
+    for n in range(-1, 170):
+        assert fractal._primes_upto(n) == [p for p in range(2, n + 1) if all(p % d for d in range(2, p))], n
+
+
 def test_b_golden_series():
     b2 = BSequence.fractal(2, 2)
     assert [b2[n] for n in range(24)] == gold.B_SERIES_2_23

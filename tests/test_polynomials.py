@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracles as oracle
 from fraction_oracles import FractionPolynomial, FractionSubclass, geometric, value_form
 from genpascal.matrices import TriangularMatrix, build_from_c
-from genpascal.polynomials import Polynomial, mul_trunc, w_poly
+from genpascal.polynomials import Polynomial, mul_ints, mul_trunc, w_poly
 from genpascal.sequences import CSequence
 from genpascal.verify import golden_family
 
@@ -60,6 +61,32 @@ def test_ring_laws(a, b, c):
 def test_helpers():
     assert geometric(Fraction(2), 3) == [1, 2, 4, 8]
     assert mul_trunc([1, 1], [1, 1], 1) == [1, 2]
+    assert mul_ints([1, 1], [1, 1], 3) == [1, 2, 1]
+    assert mul_ints([1, 1], [1, 1], 5) == [1, 2, 1, 0, 0]
+    assert mul_ints([1, 2], [3], 0) == [] == mul_ints([], [], -1)
+    assert Polynomial.__rmul__ is Polynomial.__mul__
+
+
+@given(
+    st.lists(st.one_of(coeff, fraction_coeff), max_size=15),
+    st.lists(st.one_of(coeff, fraction_coeff), max_size=15),
+    st.integers(-1, 12),
+    st.booleans(),
+)
+def test_mul_trunc_matches_the_fraction_loop(xs, ys, degree, ints_only):
+    if ints_only:
+        xs, ys = [x for x in xs if type(x) is int], [y for y in ys if type(y) is int]
+    got = mul_trunc(xs, ys, degree)
+    assert got == oracle.mul_trunc(xs, ys, degree)
+    assert len(got) == degree + 1 and all(type(c) is Fraction for c in got)
+
+
+@given(st.integers(0, 12), st.data())
+def test_mul_ints_is_the_window_of_sums(size, data):
+    # the old carryless base block: a modulus above the degree leaves the window as it is
+    ints = st.lists(st.integers(-50, 50), min_size=size, max_size=size + 3)
+    a, b = data.draw(ints), data.draw(ints)
+    assert oracle.carryless_view((1, a), (1, b), size + 2, size - 1) == (1, mul_ints(a, b, size))
 
 
 @given(mixed_polys, mixed_polys)

@@ -1,7 +1,10 @@
 """README's examples run as written: the library example block, and each CLI
 command documented with its output (``# -> out`` on its line, or ``# out`` on
-the next line) prints that output and exits 0."""
+the next line) prints that output and exits 0. Its "no floating point
+anywhere" holds for the source: no module has a float literal or calls
+``float``."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -10,7 +13,8 @@ import pytest
 
 from genpascal.cli import main
 
-README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def code_blocks(lang: str) -> list[str]:
@@ -45,3 +49,15 @@ def test_every_documented_output_is_found():
 def test_documented_cli_output(capsys, argv, want):
     assert main(argv) == 0
     assert capsys.readouterr().out.strip() == want
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "genpascal").glob("*.py")), ids=lambda p: p.name)
+def test_no_floats_in_the_source(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    floats = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+    ]
+    assert floats == [], f"{path.name}: float at lines {floats}"

@@ -141,3 +141,25 @@ def test_qumbral_entry_forms_match_the_builders(q, size):
                 assert value == built.entry(n, m)
                 if kind == "qumbral":
                     assert value == qumbral_entry(spec, n, m)
+
+
+def test_weights_and_umbral_qs_are_stored_as_fractions():
+    # before, the spec kept phi as passed: entry gave the int 2 or the str '2', and a
+    # Hadamard factor's str weight raised AttributeError on .numerator
+    for phi in (2, "2", Fraction(2), True + 1):
+        spec = GPSpec("phiq", phi=phi, q=3)
+        assert type(spec.phi) is Fraction and type(spec.entry(4, 2)) is Fraction
+        assert spec.entry(4, 2) == 2
+    assert GPSpec("phiq", phi="-3/2", q=2).entry(1, 0) == 1
+    assert GPSpec("phiq", phi="-3/2", q=2).entry(2, 1) == Fraction(-3, 2)
+    fractal = GPSpec("fractal", phi="2", q=2)
+    assert GPSpec.hadamard([fractal]).entry(3, 1) == fractal.entry(3, 1) == 1
+    assert GPSpec.hadamard([fractal]).entry(4, 1) == fractal.entry(4, 1) == 4
+    assert GPSpec.hadamard([fractal]).materialize(6) == GPSpec.fractal(2, 2).materialize(6)
+    for kind in ("qumbral", "qumbral-inverse"):
+        spec = GPSpec(kind, q="1/2")
+        assert type(spec.q) is Fraction and spec.materialize(5) == GPSpec(kind, q=Fraction(1, 2)).materialize(5)
+    assert type(GPSpec.qumbral(2).q) is Fraction
+    # a digit base stays an int, and a spec with no weight has none
+    assert type(GPSpec.fractal(2, 3).q) is int and type(GPSpec.tmatrix(3).q) is int
+    assert GPSpec("pascal").phi is None and GPSpec("pascal").q is None

@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
@@ -17,6 +19,7 @@ from genpascal.zeroalg import (
     block_matrix,
     block_product_check,
     carryless_convolve,
+    carryless_view,
     check_fractal,
     digit_binom,
     fractal_series,
@@ -408,3 +411,34 @@ def test_masked_entry_block_split():
                     mm, j = divmod(col, block)
                     assert m.entry(row, col) == m.entry(n, mm) * m.entry(i, j)
             block *= q
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail with TimeoutError instead of hanging when the body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("q", [-2, 0, 1])
+def test_series_refuse_a_base_below_two(q):
+    # before, q = 1 and q = -2 looped forever in the digit count and q = 0 divided by zero;
+    # check_fractal accepted any series with a_0 = 1 at q = 1
+    calls = [
+        lambda: fractal_series([1], q, 3),
+        lambda: fractal_series([1, 2], q, 3),
+        lambda: check_fractal([1, 1, 1, 1], q, 3),
+        lambda: carryless_view((1, [1, 1, 1]), (1, [1, 1, 1]), q, 2),
+        lambda: carryless_convolve([1, 1, 1], [1, 1, 1], q, 2),
+    ]
+    for call in calls:
+        with time_limit(5), pytest.raises(ValueError, match=r"^q must be >= 2$"):
+            call()
