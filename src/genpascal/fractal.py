@@ -15,7 +15,9 @@ row n of the family follows from row n div q by one strided slice per
 digit, with the per-entry work done in C. A single entry needs no
 recursion: it is phi ** carry_count(q, n, m) for every weight (0 ** 0 = 1
 makes the zero weight the digit dominance mask), and the weight-q entry is
-q ** carry_count(q, n, m).
+q ** carry_count(q, n, m). Inside the triangle the count is a difference of
+base-q digit sums divided by q - 1, read a chunk of digits at a time for
+small bases.
 
 The weight-q rows and columns also follow polynomial recurrences: row
 qn+m from rows n and n-1, column qn+m from columns n and n+1 at the inner
@@ -39,19 +41,53 @@ from .report import Report, check_equal, merge_reports
 from .sequences import BSequence, fractal_b
 
 
+# carry_count reads the digit sums of bases up to TABLE_BASES off a table of one chunk of k digits,
+# q**k <= CHUNK, built on a base's first call. 16 is the largest base whose chunk holds three digits;
+# from 17 on a chunk holds two, and below n = 10**12 the digit walk was faster there.
+TABLE_BASES = 16
+CHUNK = 4096
+_digit_sums: dict[int, list[int]] = {}
+
+
+def _chunk_digit_sums(q: int) -> list[int]:
+    """The base-q digit sums of 0..Q-1, Q the largest power of q <= CHUNK."""
+    size = q
+    while size * q <= CHUNK:
+        size *= q
+    sums = [0] * size
+    for i in range(1, size):
+        sums[i] = sums[i // q] + i % q
+    _digit_sums[q] = sums
+    return sums
+
+
 def carry_count(q: int, n: int, m: int) -> int:
     """Number of moduli q**k (k >= 1) with n mod q**k < m mod q**k; the base
     check of the per-entry forms.
 
-    Inside the triangle this is the number of borrows in n - m in base q. At
-    q = 2 it is s(m) + s(n - m) - s(n), s the binary digit sum (Legendre's
-    formula for the 2-adic valuation of C(n, m), which Kummer's theorem makes
-    the borrow count), read off three ``int.bit_count`` calls; every other
-    base, and q = 2 outside the triangle, walks the digits."""
+    Inside the triangle this is the number of borrows in n - m in base q, and
+    each borrow (a carry in m + (n - m)) lowers the digit sum by q - 1, so it
+    is (s(m) + s(n - m) - s(n)) / (q - 1), s the base-q digit sum (Legendre's
+    formula for the valuation of C(n, m) when q is prime). At q = 2 the sums
+    are three ``int.bit_count`` calls; at the other bases up to TABLE_BASES
+    they are read off a table of one chunk of digits, one divmod of n, m and
+    n - m per chunk. Larger bases, and every base outside the triangle, walk
+    the digits."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    if q == 2 and 0 <= m <= n:
-        return m.bit_count() + (n - m).bit_count() - n.bit_count()
+    if 0 <= m <= n and q <= TABLE_BASES:
+        if q == 2:
+            return m.bit_count() + (n - m).bit_count() - n.bit_count()
+        sums = _digit_sums.get(q) or _chunk_digit_sums(q)
+        size = len(sums)
+        r = n - m
+        total = 0
+        while n:  # n >= m and n >= r, so all three run out together
+            n, a = divmod(n, size)
+            m, b = divmod(m, size)
+            r, c = divmod(r, size)
+            total += sums[b] + sums[c] - sums[a]
+        return total // (q - 1)
     count = 0
     power = q
     while power <= n:
@@ -93,9 +129,10 @@ def fractal_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
 
 def fast_gbinom_fractal(q: int, n: int, m: int) -> Fraction:
     """Entry (n,m) of the weight-q fractal matrix: q ** carry_count(q, n, m)
-    in O(digit count) steps (three bit counts at q = 2), 0 outside the
-    triangle. By Kummer's theorem, for prime q this is the q-part of C(n, m);
-    it equals the factorial ratio for every q."""
+    (three bit counts at q = 2, one step per chunk of digits up to
+    TABLE_BASES, one per digit above), 0 outside the triangle. By Kummer's
+    theorem, for prime q this is the q-part of C(n, m); it equals the
+    factorial ratio for every q."""
     k = carry_count(q, n, m)
     return Fraction(q**k) if 0 <= m <= n else ZERO
 

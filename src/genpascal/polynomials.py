@@ -82,7 +82,9 @@ class Polynomial:
     __rmul__ = __mul__
 
     def substitute_power(self, q: int) -> "Polynomial":
-        """p(x) -> p(x**q)."""
+        """p(x) -> p(x**q), for q >= 1."""
+        if q < 1:
+            raise ValueError(f"q must be >= 1, got {q}")
         den, ints = self._view
         if not ints:
             return self

@@ -10,8 +10,10 @@ multiplies their integer views, so at most the running product and one factor
 are alive. Its entry multiplies the factors' entries as ints: a ``fractal``
 factor of weight a/d gives a**k and d**k, with k its carry count; the fractal
 factors are resolved once per spec into a table sorted by base, which the
-entry walks up to the first base above n, where k = 0 for the rest; the other
-kinds give their per-entry forms. One Fraction is built per entry.
+entry walks up to the first base above n, where k = 0 for the rest. A base
+with q <= n < q**2 has the one modulus q, so its k is the comparison
+n mod q < m mod q, made inline; only bases with q**2 <= n call carry_count.
+The other kinds give their per-entry forms. One Fraction is built per entry.
 """
 
 from __future__ import annotations
@@ -103,13 +105,14 @@ def _from_c_entry(spec: GPSpec, n: int, m: int) -> Fraction:
 def _hadamard_entry(spec: GPSpec, n: int, m: int) -> Fraction:
     # the outer GPSpec.entry has checked the triangle, so each factor's form is called directly;
     # a fractal factor is phi**k with k = carry_count(q, n, m), and 1 from the first q > n on,
-    # which leaves no modulus to borrow at (also at phi = 0, as 0**0 = 1)
+    # which leaves no modulus to borrow at (also at phi = 0, as 0**0 = 1); below q**2 the one
+    # modulus q is the whole count, a bool that powers as 0 or 1
     fractals, others = spec._hadamard_parts
     num = den = 1
     for q, a, d in fractals:
         if q > n:
             break
-        k = carry_count(q, n, m)
+        k = carry_count(q, n, m) if q * q <= n else n % q < m % q
         if k:
             num, den = num * a**k, den * d**k
     for f in others:

@@ -253,6 +253,8 @@ def t_matrix(q: int, size: int) -> TriangularMatrix:
 
 def t_matrix_via_kronecker(q: int, size: int) -> TriangularMatrix:
     """Iterated Kronecker powers of the q-row Pascal block, truncated."""
+    if q < 2:
+        raise ValueError("q must be >= 2")  # a block of 1 or 0 rows never grows
     seed = TriangularMatrix.from_view(1, [[comb(n, m) for m in range(n + 1)] for n in range(q)])
     acc = seed
     while acc.size < size:

@@ -21,7 +21,7 @@ from genpascal.fractal import (
     fractal_row,
     pascal_prime_factorization,
 )
-from genpascal.digits import carry_count_rows, valuation
+from genpascal.digits import carry_count_rows, digits, valuation
 from genpascal.matrices import TriangularMatrix, build_from_c, gbinom, hadamard, pascal_rows, subtract
 from genpascal.polynomials import P_ZERO, Polynomial, w_poly
 from genpascal.report import Report
@@ -127,6 +127,22 @@ BASE_CALLS = {
     "fractal_matrix": lambda q: fractal_matrix(2, q, 4),
     "fractal_b": lambda q: fractal_b(q, 2, 4),
 }
+
+
+def test_digit_sum_tables_are_built_on_first_use(monkeypatch):
+    # one table per base from 3 to TABLE_BASES, made by its first call inside the triangle: the digit
+    # sums of one chunk q**k <= CHUNK < q**(k+1); none for q = 2 (bit counts) or the walking bases
+    monkeypatch.setattr(fractal, "_digit_sums", {})
+    carry_count(3, 5, 9)  # outside the triangle
+    assert fractal._digit_sums == {}
+    for q in range(2, 40):
+        carry_count(q, 10**6, 12345)
+        carry_count(q, 10**7, 10**6)
+    tables = fractal._digit_sums
+    assert sorted(tables) == list(range(3, fractal.TABLE_BASES + 1))
+    for q, sums in tables.items():
+        assert len(sums) <= fractal.CHUNK < len(sums) * q
+        assert sums == [sum(digits(i, q)) for i in range(len(sums))]
 
 
 @pytest.mark.parametrize("name", sorted(BASE_CALLS))

@@ -7,12 +7,14 @@ The per-entry kernels and the ``from-c`` and ``hadamard`` per-entry forms,
 which compute on ints and build one Fraction, are compared with their
 Fraction oracles the same way, on the value and on its type. The Hadamard
 entry of the prime fractal matrices is C(n, m) at every n < 128, and each of
-its fractal factors costs one carry count, none when its base exceeds n.
+its fractal factors costs one carry count when the square of its base is at
+most n, none below.
 The readers' split of wire fractions is checked against parse_rational.
 A series' view over one common denominator gives the values and the wire
 text of the per-coefficient (nums, dens) form it replaced.
 The base-2 forms of ``carry_count``, ``digit_binom`` and ``t_coefficient`` are
-compared with the digit loops they replaced there, and ``gbinom`` and the ``from-c`` entry,
+compared with the digit loops they replaced there, ``carry_count``'s digit-sum
+form with its digit loop at every base inside the triangle, and ``gbinom`` and the ``from-c`` entry,
 which take an exact quotient when there is one, with ``Fraction(top, bottom)``.
 """
 
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 import fraction_oracles as oracle
 from genpascal import specs
 from genpascal.errors import NotFractal, ZeroEntry
-from genpascal.fractal import carry_count, fractal_entry
+from genpascal.fractal import carry_count, fast_gbinom_fractal, fractal_entry
 from genpascal.matrices import TriangularMatrix, build_from_c, gbinom, hadamard_inverse
 from genpascal.rationals import format_rows, parse_rational, to_view
 from genpascal.sequences import BSequence, CSequence
@@ -239,7 +241,7 @@ def test_prime_fractal_hadamard_entry_is_pascal_below_128():
             assert_same_entry(got, oracle.hadamard_entry(spec, n, m))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 12, 127])
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 9, 12, 120, 121, 127])
 def test_hadamard_entry_multiplies_fractal_factors_as_int_powers(monkeypatch, n):
     calls = Counter()
 
@@ -254,8 +256,9 @@ def test_hadamard_entry_multiplies_fractal_factors_as_int_powers(monkeypatch, n)
     counted("fractal_entry", specs.fractal_entry)
     factors = [GPSpec.fractal(p, p) for p in PRIMES_BELOW_128] + [GPSpec.fractal(0, 200), GPSpec("ones")]
     assert GPSpec.hadamard(factors).entry(n, n // 2) == comb(n, n // 2)
-    # one carry count per fractal factor whose base is at most n, and no fractal_entry
-    assert calls == Counter({("carry_count", p): 1 for p in PRIMES_BELOW_128 if p <= n})
+    # one carry count per fractal factor whose base q has q * q <= n, none for q <= n < q * q (the one
+    # modulus q is a comparison) or q > n, and no fractal_entry
+    assert calls == Counter({("carry_count", p): 1 for p in PRIMES_BELOW_128 if p * p <= n})
 
 
 @SETTINGS
@@ -375,6 +378,37 @@ def test_base_2_t_coefficient_matches_the_digit_walk(n, m):
     # the bit mask against the product of digit binomials, inside and outside the triangle
     for n, m in [(n, m), (n, m % (n + 1)), (n, dominated(2, n, m)), (n, 0), (n, n), (n, -m - 1)]:
         assert_same_entry(t_coefficient(2, n, m), oracle.t_coefficient(2, n, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(min_value=2, max_value=70), st.sampled_from([10**20, 2**64 + 1, 3**40])),
+    st.integers(min_value=0, max_value=2**256),
+    st.integers(min_value=0, max_value=2**256),
+)
+# chunk edges n = Q**j - 1 and Q**j, Q = q**k the largest power <= 4096
+@example(3, 3**7 - 1, 0)
+@example(3, 3**7, 0)
+@example(3, 3**70 - 1, 0)
+@example(3, 3**70, 0)
+@example(5, 5**5 - 1, 0)
+@example(5, 5**10, 0)
+@example(16, 16**3 - 1, 0)
+@example(16, 16**3, 0)
+@example(16, 16**60, 0)
+@example(17, 17**40, 0)  # the first base that walks its digits
+@example(10**20, 10**100, 0)
+@example(3, 3**150, 3**149 + 1)
+@example(2, 2**256, 1)
+def test_carry_count_inside_the_triangle_is_the_digit_walk(q, n, m):
+    # the digit-sum form against the digit loop, and the entries it gives, at m, 0, 1 and n
+    for m in (m % (n + 1), 0, min(1, n), n):
+        k = oracle.carry_count(q, n, m)
+        assert carry_count(q, n, m) == k
+        assert type(carry_count(q, n, m)) is int
+        assert fast_gbinom_fractal(q, n, m) == q**k
+        for phi in (0, 2, Fraction(-3, 2)):
+            assert fractal_entry(phi, q, n, m) == Fraction(phi) ** k
 
 
 @settings(max_examples=200, deadline=None)

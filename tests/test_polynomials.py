@@ -46,6 +46,18 @@ def test_arithmetic():
     assert FractionPolynomial(p.coeffs).evaluate(Fraction(1, 2)) == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("q", [0, -1])
+def test_substitute_power_refuses_q_below_one(q):
+    # before, these were slicing errors: a zero step at q = 0, an extended slice of size 0 at q = -1
+    with pytest.raises(ValueError, match=rf"^q must be >= 1, got {q}$"):
+        Polynomial([1, 1]).substitute_power(q)
+
+
+def test_substitute_power_of_one_is_the_same_polynomial():
+    for p in (Polynomial([1, Fraction(-2, 3), 5]), Polynomial([7]), Polynomial([])):
+        assert p.substitute_power(1) == p
+
+
 def plus(a, b):
     """a + b, summed by the oracle."""
     return Polynomial((FractionPolynomial(a.coeffs) + FractionPolynomial(b.coeffs)).coeffs)

@@ -428,6 +428,13 @@ def time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize("q", [-1, 0, 1])
+def test_t_matrix_via_kronecker_refuses_a_base_below_two(q):
+    # before, its seed block of one row (none at q <= 0) never grew, and the loop never ended
+    with time_limit(5), pytest.raises(ValueError, match=r"^q must be >= 2$"):
+        t_matrix_via_kronecker(q, 3)
+
+
 @pytest.mark.parametrize("q", [-2, 0, 1])
 def test_series_refuse_a_base_below_two(q):
     # before, q = 1 and q = -2 looped forever in the digit count and q = 0 divided by zero;
