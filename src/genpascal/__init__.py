@@ -9,7 +9,7 @@ verification and export.
 """
 
 from .digits import digits, valuation
-from .errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor, ZeroPhi
+from .errors import NotFractal, SizeMismatch, ZeroEntry, ZeroFactor
 from .fractal import (
     b_functional_equation_check,
     carry_count,
@@ -27,7 +27,6 @@ from .matrices import (
     build_from_c,
     gbinom,
     hadamard,
-    hadamard_inverse,
     identity_check,
     identity_matrix,
     matmul,
@@ -42,7 +41,6 @@ from .special import (
     homomorphism_check,
     phi_coordinates,
     phi_q_matrix,
-    phi_q_series,
     q_umbral_inverse,
     q_umbral_matrix,
     zero_overlay_matrix,

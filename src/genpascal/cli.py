@@ -97,6 +97,8 @@ def cmd_decompose(args) -> int:
         matrix, _ = build_matrix(args)
     else:
         raise ValueError("decompose needs --kind or --input")
+    if args.max_q is None and matrix.size < 3:
+        raise ValueError(f"a matrix of size {matrix.size} is too small to decompose: it needs size >= 3")
     max_q = args.max_q if args.max_q is not None else matrix.size - 1
     if not 2 <= max_q < matrix.size:
         raise ValueError("--max-q must satisfy 2 <= max-q < size")

@@ -9,10 +9,6 @@ class ZeroEntry(ArithmeticError):
     """An operation that needs nonzero entries hit a zero (zero generalized Pascal matrix)."""
 
 
-class ZeroPhi(ValueError):
-    """The coefficient series of the mask family is not defined for phi = 0."""
-
-
 class SizeMismatch(ValueError):
     """Matrix or series sizes are incompatible."""
 

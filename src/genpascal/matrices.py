@@ -23,7 +23,7 @@ from math import lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .errors import SizeMismatch, ZeroEntry
+from .errors import SizeMismatch
 from .polynomials import Polynomial
 from .rationals import ZERO, SharedFractions, lowest_view, ratio, to_view
 from .report import Report
@@ -82,11 +82,15 @@ class TriangularMatrix:
 
     def row_poly(self, n: int) -> Polynomial:
         """Row generating polynomial, x**m weighted by column index m."""
+        if n < 0:
+            raise IndexError(f"negative row index {n}")
         den, ints = self.int_view()
         return Polynomial.from_view(den, ints[n])
 
     def column_poly(self, m: int) -> Polynomial:
-        """Column generating polynomial, x**n weighted by row index n."""
+        """Column generating polynomial, x**n weighted by row index n; zero for m >= size."""
+        if m < 0:
+            raise IndexError(f"negative column index {m}")
         den, ints = self.int_view()
         return Polynomial.from_view(den, [0] * m + [row[m] for row in ints[m:]])
 
@@ -179,17 +183,6 @@ def hadamard(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:
     da, ra = a.int_view()
     db, rb = b.int_view()
     return TriangularMatrix.from_view(da * db, [list(map(mul, xs, ys)) for xs, ys in zip(ra, rb)])
-
-
-def hadamard_inverse(a: TriangularMatrix) -> TriangularMatrix:
-    """Entrywise reciprocal on the lower triangle; the group inverse. Entry
-    x / den becomes den / x, put over the lcm of the numerators x."""
-    den, ints = a.int_view()
-    for n, row in enumerate(ints):
-        if 0 in row:
-            raise ZeroEntry(f"zero entry at ({n},{row.index(0)}): not invertible")
-    top = lcm(*chain.from_iterable(ints))
-    return TriangularMatrix.from_view(top, [[den * (top // x) for x in row] for row in ints])
 
 
 def subtract(a: TriangularMatrix, b: TriangularMatrix) -> TriangularMatrix:

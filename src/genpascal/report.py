@@ -61,10 +61,6 @@ def check_equal(suite: str, got, want, **context: Any) -> Report:
         pairs = (({"n": n}, x, y) for n, (x, y) in enumerate(zip_longest(got, want)))
     for where, x, y in pairs:
         if x != y:
-            ce = {**context, **where, "got": _text(x), "want": _text(y)}
+            ce = {**context, **where, "got": x if x is None else str(x), "want": y if y is None else str(y)}
             return Report(suite, False, ce, checked)
     return Report(suite, True, None, checked)  # equal entries in another container type
-
-
-def _text(value: Any) -> str | None:
-    return None if value is None else str(value)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .digits import valuation
 from .errors import ZeroFactor
-from .rationals import ONE, ZERO
+from .rationals import ZERO
 
 
 def fractal_b(q: int, phi: Fraction | int, n: int) -> Fraction:
@@ -96,10 +96,12 @@ class BSequence(_Memo):
 
     def factorial_pair(self, n: int) -> tuple[int, int]:
         """b_n! as (num, den) in lowest terms with den > 0, cached per n; raises
-        ZeroFactor like ``factorial``."""
+        ZeroFactor like ``factorial``, and ValueError for n < 0."""
         got = self._factorials.get(n)
         if got is not None:
             return got
+        if n < 0:  # checked on a cache miss only: no negative n is ever cached
+            raise ValueError(f"b_n! needs n >= 0, got n = {n}")
         start = n
         while start not in self._factorials:
             start -= 1
@@ -123,20 +125,6 @@ class CSequence(_Memo):
     @classmethod
     def exponential(cls) -> "CSequence":
         return cls("exponential", lambda n: Fraction(1, factorial(n)))
-
-    @classmethod
-    def geometric(cls) -> "CSequence":
-        return cls("geometric", lambda n: ONE)
-
-    @classmethod
-    def from_b(cls, b: BSequence) -> "CSequence":
-        return cls(f"from_b({b.kind})", lambda n: ONE / b.factorial(n))
-
-    @classmethod
-    def fractal(cls, q: int) -> "CSequence":
-        seq = cls.from_b(BSequence.fractal(q, q))
-        seq.kind = f"fractal({q})"
-        return seq
 
     @staticmethod
     def _check(vals: list[Fraction]) -> None:

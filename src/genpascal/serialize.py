@@ -6,7 +6,7 @@ JSON document layout:
 with row n holding n+1 entries. CSV writes one matrix row per line, entries
 as rational strings, lower triangle only. PBM marks nonzero entries with '1',
 zero-padded above the diagonal, one image row per matrix row. The writers
-read the integer view of the matrix and the JSON/CSV readers build it, so
+read the integer view of the matrix and the JSON reader builds it, so
 neither makes a Fraction per entry.
 """
 
@@ -73,10 +73,6 @@ def matrix_from_json(text: str) -> TriangularMatrix:
 
 def matrix_to_csv(matrix: TriangularMatrix) -> str:
     return "\n".join(map(",".join, format_rows(*matrix.int_view()))) + "\n"
-
-
-def matrix_from_csv(text: str) -> TriangularMatrix:
-    return _matrix_from_rows([line.split(",") for line in text.strip().splitlines() if line.strip()])
 
 
 def _matrix_from_rows(rows: list[list]) -> TriangularMatrix:

@@ -16,11 +16,9 @@ from math import prod
 from operator import ge
 
 from .digits import digit_product_rows
-from .errors import ZeroEntry, ZeroPhi
+from .errors import ZeroEntry
 from .matrices import TriangularMatrix, all_ones, hadamard, pascal_rows
-from .rationals import ONE
 from .report import Report, check_equal, merge_reports
-from .sequences import CSequence
 
 
 def phi_q_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
@@ -37,16 +35,6 @@ def phi_q_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
     k = min(q, size)
     blocks = [[d] * (i + 1) + [a] * (k - 1 - i) for i in range(k)]
     return TriangularMatrix.from_view(d, [(blocks[n % q] * (n // q + 1))[: n + 1] for n in range(size)])
-
-
-def phi_q_series(phi: Fraction | int, q: int) -> CSequence:
-    """Coefficient sequence of the mask matrix: c_{qn+i} = phi**(-n), 0 <= i < q."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    phi = Fraction(phi)
-    if phi == 0:
-        raise ZeroPhi("the coefficient series is not defined for phi = 0")
-    return CSequence(f"phi_q({phi},{q})", lambda n: ONE / phi ** (n // q))
 
 
 @dataclass(frozen=True)

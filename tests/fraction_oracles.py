@@ -26,6 +26,15 @@ convolution of a matrix, the addition-rule form of ``gbinom``, the geometric
 series, the first column of a c-sequence matrix as weights, and a matrix from
 its per-entry function.
 
+``c_geometric``, ``c_from_b``, ``c_fractal`` (the ``CSequence`` class
+methods ``geometric``, ``from_b`` and ``fractal``) and ``phi_q_series``
+(``genpascal.special.phi_q_series``) are library code that only tests
+reached, moved here unchanged but for ``phi_q_series``, which no longer
+refuses q < 2 or phi = 0: the geometric series,
+the coefficients c_n = 1 / b_n! of a weight sequence, those of the weight-q
+fractal family, and the coefficients c_{qn+i} = phi**(-n) of the mask
+matrix of modulus q and weight phi.
+
 ``fractal_entry`` and ``t_coefficient`` are the
 library's per-entry kernels as they were when they coerced phi and built
 their Fraction through ``Fraction(...)`` on every call (``t_coefficient``
@@ -422,6 +431,25 @@ def from_fn(size: int, fn: Callable[[int, int], Fraction | int]) -> TriangularMa
 def b_from_c(c) -> BSequence:
     # First column of the matrix built from c: b_n = c_1 c_{n-1} / c_n, c_1 = 1.
     return BSequence("from_c", lambda n: c[n - 1] / c[n])
+
+
+def c_geometric() -> CSequence:
+    return CSequence("geometric", lambda n: ONE)
+
+
+def c_from_b(b: BSequence) -> CSequence:
+    return CSequence(f"from_b({b.kind})", lambda n: ONE / b.factorial(n))
+
+
+def c_fractal(q: int) -> CSequence:
+    seq = c_from_b(BSequence.fractal(q, q))
+    seq.kind = f"fractal({q})"
+    return seq
+
+
+def phi_q_series(phi: Fraction | int, q: int) -> CSequence:
+    phi = Fraction(phi)
+    return CSequence(f"phi_q({phi},{q})", lambda n: ONE / phi ** (n // q))
 
 
 def geometric(ratio: Fraction, degree: int) -> list[Fraction]:

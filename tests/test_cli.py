@@ -15,7 +15,7 @@ from genpascal.errors import NotFractal
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import all_ones
 from genpascal.rationals import format_rational
-from genpascal.serialize import matrix_from_csv, matrix_from_json
+from genpascal.serialize import matrix_from_json
 from genpascal.zeroalg import fractal_series
 
 
@@ -69,7 +69,7 @@ def test_gen_csv(capsys):
     )
     assert code == 0
     assert out.splitlines()[4] == "1,4,6,4,1"
-    assert matrix_from_csv(out).size == 5
+    assert oracle.oracle_from_csv(out).size == 5
 
 
 def test_gen_rational_phi(capsys):
@@ -262,6 +262,19 @@ def test_decompose_zero_matrix_fails(capsys):
     )
     assert code == 2
     assert "zero" in err.lower()
+
+
+@pytest.mark.parametrize("rows", [[], [["1"]], [["1"], ["1", "1"]]], ids=["size-0", "size-1", "size-2"])
+def test_decompose_of_a_too_small_matrix_names_its_size(capsys, tmp_path, rows):
+    # without --max-q the refusal names the matrix's size, not the flag the user did not give
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": rows}))
+    want = (2, "", f"error: a matrix of size {len(rows)} is too small to decompose: it needs size >= 3\n")
+    assert run(capsys, "decompose", "--input", str(path)) == want
+    if rows:
+        assert run(capsys, "decompose", "--kind", "ones", "--size", str(len(rows))) == want
+        explicit = run(capsys, "decompose", "--input", str(path), "--max-q", "2")
+        assert explicit == (2, "", "error: --max-q must satisfy 2 <= max-q < size\n")
 
 
 def test_convolve_base_block(capsys):

@@ -84,6 +84,8 @@ ERROR_ARGS = [
     ["verify", "--suite", "primes", "--size", "0"],
     ["decompose", "--size", "5"],
     ["decompose", "--kind", "pascal", "--size", "8", "--max-q", "8"],
+    # without --max-q a matrix too small to decompose is refused by its size
+    ["decompose", "--kind", "pascal", "--size", "2"],
     ["convolve", "--q", "2", "--degree", "-1", "1,1", "1,1"],
     # convolve has no --kind, so its --q refusal names none
     ["convolve", "--q", "1", "--degree", "3", "1,1", "1,1"],

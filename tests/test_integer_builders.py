@@ -9,7 +9,7 @@ Fraction oracles the same way, on the value and on its type. The Hadamard
 entry of the prime fractal matrices is C(n, m) at every n < 128, and each of
 its fractal factors costs one carry count when the square of its base is at
 most n, none below.
-The readers' split of wire fractions is checked against parse_rational.
+The JSON reader's split of wire fractions is checked against parse_rational.
 A series' view over one common denominator gives the values and the wire
 text of the per-coefficient (nums, dens) form it replaced.
 The base-2 forms of ``carry_count``, ``digit_binom`` and ``t_coefficient`` are
@@ -30,10 +30,10 @@ import fraction_oracles as oracle
 from genpascal import specs
 from genpascal.errors import NotFractal, ZeroEntry
 from genpascal.fractal import carry_count, fast_gbinom_fractal, fractal_entry
-from genpascal.matrices import TriangularMatrix, build_from_c, gbinom, hadamard_inverse
+from genpascal.matrices import TriangularMatrix, build_from_c, gbinom
 from genpascal.rationals import format_rows, parse_rational, to_view
 from genpascal.sequences import BSequence, CSequence
-from genpascal.serialize import matrix_from_csv
+from genpascal.serialize import matrix_from_doc
 from genpascal.specs import GPSpec
 from genpascal.zeroalg import (
     _extend,
@@ -110,25 +110,6 @@ def test_build_from_c_zero_coefficient_raises_like_the_oracle(values, data):
                 build_from_c(c, size)
         else:
             assert_same_matrix(build_from_c(c, size), want)
-
-
-@SETTINGS
-@given(st.lists(nonzero, max_size=12), st.data())
-def test_hadamard_inverse_matches_the_oracle(values, data):
-    matrix = build_from_c(c_sequence(values), len(values))
-    if values and data.draw(st.booleans()):  # a zero entry makes both refuse
-        n = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
-        m = data.draw(st.integers(min_value=0, max_value=n))
-        den, ints = matrix.int_view()
-        rows = [list(row) for row in ints]
-        rows[n][m] = 0
-        matrix = TriangularMatrix.from_view(den, rows)
-    want = outcome(oracle.hadamard_inverse, matrix)
-    got = outcome(hadamard_inverse, matrix)
-    if isinstance(want, TriangularMatrix):
-        assert_same_matrix(got, want)
-    else:
-        assert got == want
 
 
 @SETTINGS
@@ -338,7 +319,7 @@ def test_series_functions_at_degrees_zero_and_one(degree):
 
 
 def test_reader_reduces_unreduced_wire_fractions():
-    m = matrix_from_csv("3/6\n-4/8,10/5\n0/7,6/4,-0/3\n")
+    m = matrix_from_doc({"rows": [["3/6"], ["-4/8", "10/5"], ["0/7", "6/4", "-0/3"]]})
     assert m.int_view() == (2, ((1,), (-1, 4), (0, 3, 0)))
     assert m.rows == ((Fraction(1, 2),), (Fraction(-1, 2), 2), (0, Fraction(3, 2), 0))
 
@@ -348,7 +329,7 @@ def test_reader_leaves_other_fraction_forms_to_parse_rational(entry):
     with pytest.raises(ValueError) as want:
         parse_rational(entry)
     with pytest.raises(ValueError) as got:
-        matrix_from_csv(f"{entry}\n")
+        matrix_from_doc({"rows": [[entry]]})
     assert str(got.value) == str(want.value)
 
 
@@ -434,7 +415,7 @@ b_sequences = st.one_of(
     st.lists(wide, min_size=60, max_size=60).map(lambda vs: BSequence.explicit([0, *vs])),
 )
 c_sequences = st.one_of(
-    st.sampled_from([CSequence.from_b(BSequence.naturals()), CSequence.fractal(2), CSequence.fractal(3)]),
+    st.sampled_from([oracle.c_from_b(BSequence.naturals()), oracle.c_fractal(2), oracle.c_fractal(3)]),
     st.lists(wide, min_size=59, max_size=59).map(lambda vs: CSequence.explicit([1, 1, *vs])),
 )
 index60 = st.integers(min_value=0, max_value=60)

@@ -28,6 +28,15 @@ def reference_product(a, b):
     return Polynomial(out)
 
 
+def test_polynomial_is_immutable():
+    p = Polynomial([1, Fraction(1, 2)])
+    view = p.int_view()
+    for name in ("_view", "_coeffs", "degree"):
+        with pytest.raises(AttributeError, match="^Polynomial is immutable$"):
+            setattr(p, name, None)
+    assert p.int_view() is view
+
+
 def test_normalization():
     assert Polynomial([1, 2, 0, 0]) == Polynomial([1, 2])
     assert Polynomial([0, 0]).coeffs == ()

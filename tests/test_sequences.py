@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fraction_oracles import FractionSubclass, b_from_c
+from fraction_oracles import FractionSubclass, b_from_c, c_from_b, c_fractal
 from genpascal.errors import ZeroFactor
+from genpascal.matrices import gbinom
 from genpascal.sequences import BSequence, CSequence, fractal_b
-from genpascal.special import phi_q_series
 
 
 def test_ordinary_factorial():
@@ -21,9 +21,9 @@ def test_fractal_factorial():
 
 
 def test_c_from_b():
-    assert CSequence.from_b(BSequence.fractal(2, 2))[20] == Fraction(1, 2**18)
-    assert CSequence.from_b(BSequence.naturals())[4] == Fraction(1, 24)
-    assert CSequence.from_b(BSequence.fractal(3, 3))[0] == 1
+    assert c_from_b(BSequence.fractal(2, 2))[20] == Fraction(1, 2**18)
+    assert c_from_b(BSequence.naturals())[4] == Fraction(1, 24)
+    assert c_from_b(BSequence.fractal(3, 3))[0] == 1
 
 
 def test_fractal_b_values():
@@ -39,6 +39,17 @@ def test_zero_kind_raises():
     assert b[3] == 1  # individual values still fine
     with pytest.raises(ZeroFactor):
         b.factorial(2)
+
+
+@pytest.mark.parametrize("n", [-1, -7])
+def test_factorial_refuses_a_negative_n(n):
+    # it used to walk down from n looking for a cached factorial, forever
+    b = BSequence.naturals()
+    for factorial in (b.factorial, b.factorial_pair):
+        with pytest.raises(ValueError, match=f"^b_n! needs n >= 0, got n = {n}$"):
+            factorial(n)
+    assert b.factorial(4) == 24
+    assert gbinom(b, 3, -1) == gbinom(b, -1, -1) == 0  # gbinom answers 0 before asking for b_n!
 
 
 def test_explicit_validation():
@@ -100,7 +111,7 @@ def test_periodicity(q):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_c_block_recurrence(q):
     # c_{qn+i} = c_n / q^n for 0 <= i < q
-    c = CSequence.fractal(q)
+    c = c_fractal(q)
     for n in range(20):
         for i in range(q):
             assert c[q * n + i] == c[n] / Fraction(q) ** n
@@ -121,12 +132,6 @@ def test_concurrent_fills_are_deterministic():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: b.factorial(300), range(32)))
     assert all(r == expected for r in results)
-
-
-def test_phi_q_rule():
-    c = phi_q_series(2, 2)
-    assert c[5] == Fraction(1, 4)
-    assert c[0] == c[1] == 1
 
 
 # (input, value) pairs: an int, a bool, a text and a Fraction subclass, each read through Fraction()

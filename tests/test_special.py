@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden_matrices as gold
-from fraction_oracles import _mobius, fraction_q_umbral_inverse, fraction_q_umbral_matrix, geometric
+from fraction_oracles import _mobius, fraction_q_umbral_inverse, fraction_q_umbral_matrix, geometric, phi_q_series
 from fraction_oracles import recompose as oracle_recompose
-from genpascal.errors import ZeroEntry, ZeroPhi
+from genpascal.errors import ZeroEntry
 from genpascal.fractal import fractal_matrix
 from genpascal.matrices import (
     TriangularMatrix,
@@ -28,7 +28,6 @@ from genpascal.special import (
     homomorphism_check,
     phi_coordinates,
     phi_q_matrix,
-    phi_q_series,
     q_umbral_inverse,
     q_umbral_matrix,
     zero_overlay_matrix,
@@ -50,14 +49,6 @@ def test_mask_entries():
     assert m2.entry(4, 2) == 1
     assert phi_q_matrix(phi, 3, 9).entry(3, 1) == phi
     assert phi_q_matrix(1, 4, 6) == all_ones(6)
-
-
-def test_series_values():
-    c = phi_q_series(2, 2)
-    assert c[5] == Fraction(1, 4)
-    assert c[0] == 1
-    with pytest.raises(ZeroPhi):
-        phi_q_series(0, 3)
 
 
 @pytest.mark.parametrize("phi", [Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2)])
