@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from . import fractal, special, zeroalg
 from .errors import ZeroEntry, ZeroFactor
 from .matrices import TriangularMatrix
 from .matrices import build_from_c  # noqa: F401  unused here; perfbench/tests checks the tracer patches it
-from .rationals import format_rational, format_rows, parse_rational
+from .rationals import format_pairs, format_rational, format_rows, parse_rational
 from .serialize import matrix_from_json, matrix_to_csv, matrix_to_json, matrix_to_pbm
 from .specs import FAMILIES, GPSpec
 from .verify import SUITES, run_suite
@@ -89,10 +90,28 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+# the largest document decompose --input reads: on a 2-core Xeon, one of this size with
+# one-character entries took 0.6 s and 130 MiB peak, and pascal at size 600 (16.7 MB) 0.4 s and 86 MiB
+MAX_INPUT_BYTES = 16 * 2**20
+
+
+def _read_document(path: str) -> str:
+    """The text of a matrix document of at most MAX_INPUT_BYTES: a file is
+    refused by its size before it is opened, a pipe once it sends more."""
+    limit = f"decompose --input reads at most {MAX_INPUT_BYTES:,} bytes"
+    size = os.stat(path).st_size
+    if size > MAX_INPUT_BYTES:
+        raise ValueError(f"the document has {size:,} bytes; {limit}")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read(MAX_INPUT_BYTES + 1)  # a pipe stats as 0 bytes
+    if len(text) > MAX_INPUT_BYTES:
+        raise ValueError(f"the document has more than {MAX_INPUT_BYTES:,} characters; {limit}")
+    return text
+
+
 def cmd_decompose(args) -> int:
     if args.input is not None:
-        with open(args.input, encoding="utf-8") as handle:
-            matrix = matrix_from_json(handle.read())
+        matrix = matrix_from_json(_read_document(args.input))
     elif args.kind is not None:
         matrix, _ = build_matrix(args)
     else:
@@ -104,8 +123,10 @@ def cmd_decompose(args) -> int:
         raise ValueError("--max-q must satisfy 2 <= max-q < size")
     # beta_q reads only the b_d with d | q, so the sieve over the whole first
     # column gives the same betas up to max_q and refuses a zero b_n past it
-    betas = special.phi_coordinates(matrix, matrix.size - 1).betas
-    print(json.dumps({str(q): format_rational(betas[q]) for q in range(2, max_q + 1)}))
+    pairs = special.phi_coordinates(matrix, matrix.size - 1).pairs
+    moduli = range(2, max_q + 1)
+    texts = format_pairs(pairs[q] for q in moduli)
+    print(json.dumps(dict(zip(map(str, moduli), texts))))
     return 0
 
 

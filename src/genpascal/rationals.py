@@ -90,6 +90,15 @@ def format_rational(value: Fraction | int) -> str:
         raise ValueError(_too_long_to_print()) from None
 
 
+def format_pairs(pairs: Iterable[tuple[int, int]]) -> list[str]:
+    """The wire text of each a / d given in lowest terms with d >= 1, equal
+    to ``format_rational`` of the exact value and built without a Fraction."""
+    try:
+        return [str(a) if d == 1 else f"{a}/{d}" for a, d in pairs]
+    except ValueError:  # CPython's cap on int-to-text conversion
+        raise ValueError(_too_long_to_print()) from None
+
+
 def _text(x: int, den: int) -> str:
     """The wire text of x / den for den >= 1, read off one gcd."""
     g = gcd(x, den)

@@ -13,15 +13,13 @@ neither makes a Fraction per entry.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
+from operator import floordiv, mul
 
 from .matrices import TriangularMatrix
-from .rationals import format_rational, format_rows, parse_rational
-
-_WIRE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+from .rationals import format_rational, format_rows, parse_rational, to_view
 
 
 def matrix_to_doc(
@@ -79,38 +77,53 @@ def _matrix_from_rows(rows: list[list]) -> TriangularMatrix:
     """The matrix of one document's entries, built as its integer view.
 
     The matrices repeat their values heavily (symmetry, powers of phi), so each
-    distinct entry is parsed once, in first-appearance order: the first bad
-    entry in row order is the one parse_rational names. Each side of a wire
-    form ``-?digits(/digits)?`` with a nonzero denominator is read with int();
-    every other entry goes to parse_rational, the only maker of a Fraction
-    here. The rows go to from_view over the lcm of the denominators, whose
-    gcd also reduces an unreduced ``3/6``.
+    distinct entry is read once, in first-appearance order. When every
+    distinct entry is a str in wire form ``-?digits(/digits)?`` (ASCII digits,
+    nonzero denominator), _wire_view checks their joined text in one pass and
+    reads them with int(); no Fraction is made. Otherwise every distinct
+    entry goes to parse_rational, one at a time in first-appearance order, so
+    the first bad entry in row order is the one it names; so does a wire
+    entry past CPython's int-text digit cap. The rows go to from_view over
+    the lcm of the denominators, whose gcd also reduces an unreduced ``3/6``.
     """
     try:
         entries = dict.fromkeys(chain.from_iterable(rows))
-    except TypeError:  # an unhashable entry: parse in row order, which stops at the first bad one
-        entries = chain.from_iterable(rows)
-    nums: dict[str, int] = {}
-    dens: dict[str, int] = {}  # the denominators of the entries that are not plain integers
-    for entry in entries:
-        try:  # int() refuses text past CPython's digit cap: parse_rational says so
-            if type(entry) is str and entry.isascii() and entry.isdigit():
-                nums[entry] = int(entry)
-                continue
-            if type(entry) is str and _WIRE.fullmatch(entry):
-                num, _, den = entry.partition("/")
-                if d := int(den or 1):  # a zero denominator is parse_rational's to name
-                    nums[entry], dens[entry] = int(num), d
-                    continue
-        except ValueError:
-            pass
-        value = parse_rational(entry)
-        nums[entry], dens[entry] = value.numerator, value.denominator
-    den = lcm(*dens.values())
-    if den > 1:
-        nums = {entry: n * (den // dens.get(entry, 1)) for entry, n in nums.items()}
+    except TypeError:  # an unhashable entry, which is no str: parse_rational refuses it or an earlier one
+        entries = list(chain.from_iterable(rows))
+    den, ints = _wire_view(entries) or to_view(map(parse_rational, entries))
+    entries.update(zip(entries, ints))  # each distinct entry to its numerator over den; no key is added
     # lists, not lazy maps: from_view's tuple() of a list is sized once, which keeps the peak RSS down
-    return TriangularMatrix.from_view(den, [list(map(nums.__getitem__, row)) for row in rows])
+    return TriangularMatrix.from_view(den, [list(map(entries.__getitem__, row)) for row in rows])
+
+
+def _wire_view(entries) -> tuple[int, list[int]] | None:
+    """(den, ints) with ints[k] = den * entries[k] over the lcm den of their
+    denominators, when every entry is wire text; else None.
+
+    One C-level pass over the entries joined by ',' drops the commas and the
+    digits and '-' of the entries; anything left but '/' is a character that
+    no wire entry has. Of the strings made of digits, '-', '/' and ',',
+    int() reads exactly ``-?digits``: each side of a '/' goes through it,
+    and a denominator must come out >= 1."""
+    try:
+        slashes = ",".join(entries).encode("ascii").translate(None, b"0123456789-,")
+    except (TypeError, UnicodeEncodeError):  # an entry that is not a str, or a character past ASCII
+        return None
+    if slashes.strip(b"/"):
+        return None
+    try:  # int() refuses text past CPython's digit cap too: parse_rational says so
+        if not slashes:
+            return 1, list(map(int, entries))
+        parts = [entry.partition("/") for entry in entries]
+        nums = list(map(int, [num for num, _, _ in parts]))
+        dens = [int(den) if slash else 1 for _, slash, den in parts]
+        del parts  # before the products below, so the two are never held at once
+    except ValueError:
+        return None
+    if min(dens) < 1:  # a zero or signed denominator
+        return None
+    den = lcm(*dens)
+    return den, list(map(mul, nums, map(floordiv, repeat(den), dens)))
 
 
 _BITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)  # a zero byte to '0', any other to '1'

@@ -10,9 +10,8 @@ weights of its proper divisors (Moebius inversion, done as a sieve).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import ge
 
 from .digits import digit_product_rows
@@ -37,11 +36,35 @@ def phi_q_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
     return TriangularMatrix.from_view(d, [(blocks[n % q] * (n // q + 1))[: n + 1] for n in range(size)])
 
 
-@dataclass(frozen=True)
 class PhiCoordinates:
-    """Weights beta_q per modulus, multiplicative stand-in for the log map."""
+    """Weights beta_q per modulus, multiplicative stand-in for the log map.
 
-    betas: dict[int, Fraction]
+    Stored as ``pairs``: q -> (a, d), beta_q = a / d in lowest terms with
+    d >= 1, as phi_coordinates finds them and recompose reads them.
+    ``betas`` is the same weights as a dict of Fractions, built on first
+    read. ``PhiCoordinates(betas)`` takes such a dict (Fraction or int
+    values); ``PhiCoordinates(pairs=...)`` takes the reduced pairs. Immutable.
+    """
+
+    __slots__ = ("pairs", "_betas")
+
+    def __init__(
+        self, betas: dict[int, Fraction | int] | None = None, *, pairs: dict[int, tuple[int, int]] | None = None
+    ):
+        if pairs is None:
+            betas = {q: Fraction(beta) for q, beta in betas.items()}
+            pairs = {q: (beta.numerator, beta.denominator) for q, beta in betas.items()}
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_betas", betas)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PhiCoordinates is immutable")
+
+    @property
+    def betas(self) -> dict[int, Fraction]:
+        if self._betas is None:
+            object.__setattr__(self, "_betas", {q: Fraction(a, d) for q, (a, d) in self.pairs.items()})
+        return self._betas
 
     def recompose(self, size: int) -> TriangularMatrix:
         """Hadamard product of the mask matrices over all stored moduli; with
@@ -60,7 +83,7 @@ class PhiCoordinates:
         last base-q digit), so columns m and n - m take the same branch at
         every q. Only the columns m <= n/2 are computed; the rest are mirrored.
         """
-        weights = [(q, beta.numerator, beta.denominator) for q, beta in sorted(self.betas.items())]
+        weights = [(q, a, d) for q, (a, d) in sorted(self.pairs.items())]
         den = prod(d for _, _, d in weights)
         above = den  # prod of d_q over the moduli q > n
         cut = 0  # weights[:cut] are the moduli q <= n
@@ -78,7 +101,7 @@ class PhiCoordinates:
         return TriangularMatrix.from_view(den, rows)
 
     def is_involution(self) -> bool:
-        return all(beta in (1, -1) for beta in self.betas.values())
+        return all(d == 1 and a in (1, -1) for a, d in self.pairs.values())
 
 
 def phi_coordinates(a: TriangularMatrix, max_q: int) -> PhiCoordinates:
@@ -86,28 +109,30 @@ def phi_coordinates(a: TriangularMatrix, max_q: int) -> PhiCoordinates:
 
     The first column b_n = (n, 1) satisfies b_n = prod_{d | n} beta_d with
     b_1 forced to 1, so beta_q = b_q / prod_{d | q, d < q} beta_d. A sieve
-    over q = 2..max_q finds each beta_q from ints: b_q is read off the
-    integer view, the divisor products are kept as numerator/denominator
-    pairs, and each beta_q is one reduced Fraction whose parts are multiplied
-    into the products of its multiples. That is O(max_q log max_q) products.
-    Needs max_q < size so b_{max_q} is available, and a matrix with no zero
-    first-column entries.
+    over q = 2..max_q finds each beta_q on ints, with no Fraction: b_q is
+    read off the integer view, the divisor products are kept as
+    numerator/denominator pairs, and each beta_q is reduced by one gcd to
+    the pair (a, d), d >= 1, whose parts are multiplied into the products of
+    its multiples. That is O(max_q log max_q) products. Needs max_q < size
+    so b_{max_q} is available, and a matrix with no zero first-column entries.
     """
     if max_q >= a.size:
         raise ValueError(f"max modulus {max_q} needs matrix size > {max_q}")
     den, rows = a.int_view()
     nums = [1] * (max_q + 1)  # nums[q] / dens[q]: the product of beta_d over the d | q found so far
     dens = [1] * (max_q + 1)
-    betas: dict[int, Fraction] = {}
+    pairs: dict[int, tuple[int, int]] = {}
     for q in range(2, max_q + 1):
         b = rows[q][1]
         if b == 0:
             raise ZeroEntry(f"b_{q} = 0: zero generalized Pascal matrix has no coordinates")
-        beta = betas[q] = Fraction(b * dens[q], den * nums[q])
+        x, y = b * dens[q], den * nums[q]
+        g = gcd(x, y) if y > 0 else -gcd(x, y)  # the sign goes to the numerator
+        pairs[q] = x, y = x // g, y // g
         for k in range(2 * q, max_q + 1, q):
-            nums[k] *= beta.numerator
-            dens[k] *= beta.denominator
-    return PhiCoordinates(betas)
+            nums[k] *= x
+            dens[k] *= y
+    return PhiCoordinates(pairs=pairs)
 
 
 def homomorphism_check(a: TriangularMatrix, b: TriangularMatrix, max_q: int) -> Report:

@@ -110,6 +110,10 @@ degree by degree, and the two series checks build their factors and the
 expansion of x w_{q-2}(x) / (1 - x**q) coefficient by coefficient. They are
 unchanged but for ``math.factorial``, which is spelled out here because
 ``factorial`` above is the generalized one.
+
+``fractions_made`` is no oracle: it counts the Fractions constructed while
+a call runs, by a profile hook on ``Fraction.__new__``, so a test can pin a
+path that builds none.
 """
 
 from __future__ import annotations
@@ -117,6 +121,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import repeat
 from math import comb, lcm, prod
@@ -941,3 +946,21 @@ def b_functional_equation_check(q: int, degree: int) -> Report:
     for n in range(q, degree + 1, q):
         rhs[n] += q * lhs[n // q]
     return check_equal("b-functional", lhs, rhs, q=q)
+
+
+def fractions_made(call: Callable[[], object]) -> int:
+    """The number of ``Fraction.__new__`` calls while ``call()`` runs."""
+    code = Fraction.__new__.__code__
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is code
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return count

@@ -1,5 +1,8 @@
 import io
 import json
+import math
+import os
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -10,12 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as oracle
-from genpascal.cli import main
+from genpascal import cli
+from genpascal.cli import MAX_INPUT_BYTES, main
 from genpascal.errors import NotFractal
 from genpascal.fractal import fractal_matrix
-from genpascal.matrices import all_ones
+from genpascal.matrices import all_ones, build_from_c
 from genpascal.rationals import format_rational
-from genpascal.serialize import matrix_from_json
+from genpascal.sequences import CSequence
+from genpascal.serialize import matrix_from_json, matrix_to_json
 from genpascal.zeroalg import fractal_series
 
 
@@ -275,6 +280,70 @@ def test_decompose_of_a_too_small_matrix_names_its_size(capsys, tmp_path, rows):
         assert run(capsys, "decompose", "--kind", "ones", "--size", str(len(rows))) == want
         explicit = run(capsys, "decompose", "--input", str(path), "--max-q", "2")
         assert explicit == (2, "", "error: --max-q must satisfy 2 <= max-q < size\n")
+
+
+def test_decompose_refuses_a_document_past_the_byte_bound_before_reading_it(capsys, tmp_path):
+    # a sparse file: truncate sets its size without writing a byte, and os.stat reads that size
+    path = tmp_path / "big.json"
+    with open(path, "wb") as handle:
+        handle.truncate(MAX_INPUT_BYTES + 1)
+    size, limit = f"{MAX_INPUT_BYTES + 1:,}", f"{MAX_INPUT_BYTES:,}"
+    want = f"error: the document has {size} bytes; decompose --input reads at most {limit} bytes\n"
+    assert run(capsys, "decompose", "--input", str(path)) == (2, "", want)
+    with open(path, "wb") as handle:  # at the bound the document is read, and its zero bytes are no JSON
+        handle.truncate(MAX_INPUT_BYTES)
+    code, out, err = run(capsys, "decompose", "--input", str(path))
+    assert code == 2 and out == "" and err.startswith("error: Expecting value")
+
+
+def test_decompose_reads_a_pipe_up_to_the_bound(capsys, monkeypatch):
+    # a pipe stats as 0 bytes, so the bound holds on the characters it sends (here with a bound of 12)
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 12)
+    for document, want in (
+        ('{"rows": []}', "error: a matrix of size 0 is too small to decompose: it needs size >= 3\n"),
+        ('{"rows": [] }', "error: the document has more than 12 characters; decompose --input reads at most 12 bytes\n"),
+    ):
+        read, write = os.pipe()
+        os.write(write, document.encode())
+        os.close(write)
+        try:
+            assert run(capsys, "decompose", "--input", f"/dev/fd/{read}") == (2, "", want)
+        finally:
+            os.close(read)
+
+
+def fraction_betas(matrix, max_q: int) -> dict[int, Fraction]:
+    """beta_q = b_q / prod of beta_d over the divisors 1 < d < q, in Fractions, with b_n = (n, 1)."""
+    betas = {}
+    for q in range(2, max_q + 1):
+        divisors = [betas[d] for d in range(2, q) if q % d == 0]
+        betas[q] = matrix.entry(q, 1) / math.prod(divisors, start=Fraction(1))
+    return betas
+
+
+def big_c_sequence(rng: random.Random, size: int) -> CSequence:
+    """c_0 = c_1 = 1 and signed c_n, some small, some with numerator and denominator of hundreds of digits."""
+    c = [Fraction(1), Fraction(1)]
+    for _ in range(size - 2):
+        digits = rng.choice([1, 1, 200, 400])
+        sign = rng.choice([1, -1])
+        c.append(Fraction(sign * rng.randrange(1, 10**digits), rng.randrange(1, 10 ** rng.choice([1, digits]))))
+    return CSequence.explicit(c)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_decompose_prints_the_fraction_betas_and_makes_no_fraction(capsys, tmp_path, seed):
+    # the betas printed from int pairs are format_rational of the Fraction betas, byte for byte, and
+    # reading the document, the coordinate sieve and the printing build no Fraction
+    rng = random.Random(seed)
+    size = rng.randint(3, 24)
+    matrix = build_from_c(big_c_sequence(rng, size), size)
+    path = tmp_path / "m.json"
+    path.write_text(matrix_to_json(matrix, "from-c"))
+    want = json.dumps({str(q): format_rational(beta) for q, beta in fraction_betas(matrix, size - 1).items()})
+    assert max(map(len, json.loads(want).values())) > 200  # each seed draws a beta of hundreds of digits
+    assert oracle.fractions_made(lambda: main(["decompose", "--input", str(path)])) == 0
+    assert capsys.readouterr() == (want + "\n", "")
 
 
 def test_convolve_base_block(capsys):

@@ -437,6 +437,15 @@ def test_series_checks_match_the_fraction_loops(q, degree):
     assert got == oracle.b_functional_equation_check(q, degree).to_dict()
 
 
+@pytest.mark.parametrize("degree", [-1, -2, -3])
+@pytest.mark.parametrize("q", [2, 3])
+def test_series_checks_pass_with_nothing_checked_below_degree_zero(q, degree):
+    # no coefficient exists below degree 0, so neither check compares one or refuses the degree
+    for check in (fractal_c_check, b_functional_equation_check):
+        report = check(q, degree)
+        assert report.passed and report.checked == 0 and report.counterexample is None
+
+
 def test_primes_upto_is_trial_division():
     # the sieve stops at isqrt(n), so the squares of primes are the edge cases
     for n in range(-1, 170):

@@ -52,6 +52,7 @@ UNREACHED = {
     "polynomials.mul_trunc": ("perfbench", "polynomials:mul_trunc"),
     "rationals._too_long_to_print": ("guard", "test_cli.py::test_entries_past_the_int_text_limit_are_a_config_error"),
     "sequences.BSequence._check": ("guard", "test_sequences.py::test_b_explicit_error_keeps_its_message"),
+    "special.PhiCoordinates.__setattr__": ("guard", "test_special.py::test_coordinates_hold_reduced_pairs_and_are_immutable"),
     "special.PhiCoordinates.is_involution": ("acceptance", "homomorphism_check"),
     "special.homomorphism_check": ("acceptance", "homomorphism_check"),
     "specs._q_binomial": ("family", "qumbral"),

@@ -128,12 +128,30 @@ def documents(draw):
     return rows
 
 
+def wire_texts(value: Fraction) -> list[str]:
+    """Spellings of one value in the wire grammar ``-?digits(/digits)?``: its text, unreduced and zero-padded."""
+    wire = format_rational(value)
+    n, d = value.numerator, value.denominator
+    sign = "-" if n < 0 else ""
+    texts = [wire, f"{3 * n}/{3 * d}", f"{sign}00{abs(n)}/0{d}", f"{sign}00{wire.lstrip('-')}"]
+    if n == 0:
+        texts += ["-0", "-0/7"]
+    return texts
+
+
+@st.composite
+def wire_documents(draw):
+    """The rows of a lower-triangular matrix whose entries are all wire text, so the reader's wire pass takes them."""
+    size = draw(st.integers(0, 7))
+    return [[draw(st.sampled_from(wire_texts(draw(values)))) for _ in range(n + 1)] for n in range(size)]
+
+
 def json_text(rows, size=None):
     return json.dumps({"kind": "from-c", "size": len(rows) if size is None else size, "rows": rows})
 
 
 @settings(max_examples=300, deadline=None)
-@given(documents())
+@given(st.one_of(documents(), wire_documents()))
 @example([["1"], ["3/6", " 2 "], ["1.5", "1e-3", "-0"], ["+7", "\u0661\u0662", "-3/2", "1"]])
 @example([["3/6"], ["-4/8", "10/5"], ["0/7", "6/4", "-0/3"]])  # unreduced wire fractions
 @example([])
@@ -141,14 +159,42 @@ def test_readers_match_the_fraction_oracle(rows):
     assert_reads_like_the_oracle(matrix_from_json, oracle_from_json, json_text(rows))
 
 
+@settings(max_examples=100, deadline=None)
+@given(wire_documents())
+@example([["1"], ["-0", "007"], ["0/7", "-9/6", "003/01"]])
+def test_wire_documents_are_read_without_a_fraction(rows):
+    # the wire pass takes every all-wire document, so parse_rational never runs
+    text = json_text(rows)
+    assert oracle.fractions_made(lambda: matrix_from_json(text)) == 0
+
+
 BAD_ENTRIES = ["x", "1/0", "1/2/3", "", "nan", "1e5000", "١/٠", "1" * 4400, "2²"]
 BAD_JSON_ENTRIES = [7, 1.5, float("nan"), None, True, [1], {"a": "1"}]
+# entries at the edge of the wire grammar -?digits(/digits)?: some are wire, some are read by
+# parse_rational only, some are refused; a 4,400-digit side is past CPython's int-text cap
+NEAR_WIRE = [
+    "3/-2", "1/+2", "3/ 2", "+3", " 3", "1_0", "-", "1-2", "--1", "/3", "3/", "1/0", "0/0", "-0", "007", "0/7",
+    "\u0663", "\u0661/\u0662", "1\n2", "1,2", "7" * 4400 + "/3", "3/" + "7" * 4400, "7" * 4400 + "/" + "3" * 4400,
+]
+
+
+@pytest.mark.parametrize("entry", NEAR_WIRE, ids=[f"{i}-{entry[:8]!r}" for i, entry in enumerate(NEAR_WIRE)])
+def test_near_wire_entries_read_like_the_oracle(entry):
+    # among wire entries, where the wire pass takes the document unless the entry makes it refuse,
+    # and as the first entry, the last one and the only one
+    for rows in (
+        [["1"], ["2/3", entry], ["1", "-5", "4/6"]],
+        [[entry], ["1", "1"], ["1", "2", "1"]],
+        [["1"], ["-1/2", "1"], ["1", "3", entry]],
+        [[entry]],
+    ):
+        assert_reads_like_the_oracle(matrix_from_json, oracle_from_json, json_text(rows))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    documents(),
-    st.lists(st.tuples(st.integers(0, 50), st.sampled_from(BAD_ENTRIES + BAD_JSON_ENTRIES)), max_size=3),
+    st.one_of(documents(), wire_documents()),
+    st.lists(st.tuples(st.integers(0, 50), st.sampled_from(BAD_ENTRIES + BAD_JSON_ENTRIES + NEAR_WIRE)), max_size=3),
     st.sampled_from(["none", "drop", "extra"]),
     st.integers(-1, 1),
 )

@@ -68,6 +68,19 @@ def test_recompose_without_moduli_is_all_ones():
     assert PhiCoordinates({}).recompose(3) == all_ones(3)
 
 
+def test_coordinates_hold_reduced_pairs_and_are_immutable():
+    # betas given as Fractions or ints are stored as lowest-terms pairs; pairs give back the same Fractions
+    from_betas = PhiCoordinates({2: Fraction(-6, 4), 3: 5, 4: Fraction(0)})
+    assert from_betas.pairs == {2: (-3, 2), 3: (5, 1), 4: (0, 1)}
+    from_pairs = PhiCoordinates(pairs=from_betas.pairs)
+    assert from_pairs.betas == {2: Fraction(-3, 2), 3: 5, 4: 0}
+    assert all(type(beta) is Fraction for beta in from_pairs.betas.values())
+    assert from_pairs.recompose(9) == from_betas.recompose(9)
+    assert PhiCoordinates({2: -1, 3: 1}).is_involution() and not PhiCoordinates({2: Fraction(-1, 2)}).is_involution()
+    with pytest.raises(AttributeError, match="immutable"):
+        from_pairs.pairs = {}
+
+
 weights = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)),
@@ -189,7 +202,9 @@ def assert_coordinates_match_the_oracle(matrix: TriangularMatrix) -> None:
                 with pytest.raises(ZeroEntry, match=f"^{re.escape(str(exc))}$"):
                     phi_coordinates(stored, max_q)
                 continue
-            got = phi_coordinates(stored, max_q).betas
+            coords = phi_coordinates(stored, max_q)
+            assert coords.pairs == {q: (beta.numerator, beta.denominator) for q, beta in want.items()}
+            got = coords.betas
             assert got == want and list(got) == list(want)
             assert all(type(beta) is Fraction for beta in got.values())
 
