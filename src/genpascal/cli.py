@@ -26,14 +26,14 @@ from .specs import FAMILIES, GPSpec
 from .verify import SUITES, run_suite
 
 # the kinds gen and export build; those whose FAMILIES row requires q read --q
-KINDS = ("pascal", "ones", "phiq", "fractal", "qumbral", "qumbral-inverse", "zero-overlay", "tmatrix")
+KINDS = tuple(kind for kind in FAMILIES if kind not in ("from-c", "hadamard"))
 
 # the gen usage as argparse wraps it at 80 columns on Python 3.10-3.12, written
 # out because 3.13 breaks the line before --kind instead and stderr is pinned
-GEN_USAGE = """\
+GEN_USAGE = f"""\
 %(prog)s [-h] --kind
-                     {pascal,ones,phiq,fractal,qumbral,qumbral-inverse,zero-overlay,tmatrix}
-                     [--q Q] [--phi PHI] [--size SIZE] [--format {json,csv}]
+                     {{{",".join(KINDS)}}}
+                     [--q Q] [--phi PHI] [--size SIZE] [--format {{json,csv}}]
                      [--output OUTPUT]"""
 
 

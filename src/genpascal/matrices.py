@@ -25,24 +25,20 @@ from typing import Iterable, Sequence
 
 from .errors import SizeMismatch
 from .polynomials import Polynomial
-from .rationals import ZERO, SharedFractions, lowest_view, ratio, to_view
+from .rationals import ZERO, SharedFractions, Value, lazy, lowest_view, ratio, to_view
 from .report import Report
 from .sequences import BSequence, CSequence
 
 
-class TriangularMatrix:
-    __slots__ = ("size", "_rows", "_view")
+class TriangularMatrix(Value):
+    __slots__ = ("size", "_view")
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
         rs = list(map(list, rows))
         den, ints = to_view(chain.from_iterable(rs))  # every entry is coerced before the shape check
         _check_shape(rs)
         it = iter(ints)
-        object.__setattr__(self, "_view", (den, tuple(tuple(islice(it, len(row))) for row in rs)))
-        object.__setattr__(self, "size", len(rs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TriangularMatrix is immutable")
+        super().__init__(len(rs), (den, tuple(tuple(islice(it, len(row))) for row in rs)))
 
     @classmethod
     def from_view(cls, den: int, rows: Iterable[Iterable[int]]) -> "TriangularMatrix":
@@ -52,23 +48,14 @@ class TriangularMatrix:
         of the entry denominators; no Fraction is built."""
         den, ints = lowest_view(den, tuple(map(tuple, rows)))
         _check_shape(ints)
-        self = object.__new__(cls)
-        object.__setattr__(self, "_view", (den, ints))
-        object.__setattr__(self, "size", len(ints))
-        return self
+        return cls._make(len(ints), (den, ints))
 
-    @property
+    @lazy
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as exact Fractions, built from the view on first read."""
-        try:
-            return self._rows
-        except AttributeError:
-            pass
         den, ints = self._view
         shared = SharedFractions(den)
-        rs = tuple(tuple(map(shared.__getitem__, row)) for row in ints)
-        object.__setattr__(self, "_rows", rs)
-        return rs
+        return tuple(tuple(map(shared.__getitem__, row)) for row in ints)
 
     def int_view(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, int_rows): den is the lcm of the entry denominators and
@@ -107,9 +94,6 @@ class TriangularMatrix:
 
     def __hash__(self):
         return hash(self._view)  # the view is unique, so equal matrices hash alike
-
-    def __repr__(self):
-        return f"TriangularMatrix(size={self.size})"
 
 
 def _check_shape(rows: Sequence[Sequence]) -> None:

@@ -21,23 +21,18 @@ from itertools import repeat
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .rationals import ONE, SharedFractions, lowest_view, to_view
+from .rationals import ONE, SharedFractions, Value, lazy, lowest_view, to_view
 
 
-class Polynomial:
+class Polynomial(Value):
     """Immutable polynomial with exact rational coefficients; coefficient
     index = degree. The zero polynomial has no coefficients."""
 
-    __slots__ = ("_view", "_coeffs")
+    __slots__ = ("_view",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        den, ints = to_view(coeffs)
-        while ints and not ints[-1]:  # a zero has denominator 1, so den stays the lcm
-            ints.pop()
-        object.__setattr__(self, "_view", (den, tuple(ints)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        den, ints = to_view(coeffs)  # den is the lcm, so from_view only strips the trailing zeros
+        super().__init__(Polynomial.from_view(den, ints)._view)
 
     @classmethod
     def from_view(cls, den: int, ints: Iterable[int]) -> "Polynomial":
@@ -48,29 +43,17 @@ class Polynomial:
         while ints and not ints[-1]:
             ints.pop()
         den, (ints,) = lowest_view(den, (ints,))
-        return _stored(den, ints)
+        return cls._make((den, tuple(ints)))
 
-    @property
+    @lazy
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as exact Fractions, built from the view on first read."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            pass
         den, ints = self._view
-        cs = tuple(map(SharedFractions(den).__getitem__, ints))
-        object.__setattr__(self, "_coeffs", cs)
-        return cs
+        return tuple(map(SharedFractions(den).__getitem__, ints))
 
     def int_view(self) -> tuple[int, tuple[int, ...]]:
         """(den, ints), ints[k] = den * [x**k], as ``TriangularMatrix.int_view``."""
         return self._view
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self._view == other._view
-
-    def __hash__(self):
-        return hash(self._view)
 
     def __mul__(self, other):
         da, a = self._view
@@ -90,17 +73,10 @@ class Polynomial:
             return self
         out = [0] * ((len(ints) - 1) * q + 1)
         out[::q] = ints
-        return _stored(den, tuple(out))
+        return Polynomial._make((den, tuple(out)))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
-
-
-def _stored(den: int, ints: Sequence[int]) -> Polynomial:
-    """The polynomial whose view is already (den, ints) in lowest terms."""
-    self = object.__new__(Polynomial)
-    object.__setattr__(self, "_view", (den, tuple(ints)))
-    return self
 
 
 P_ZERO = Polynomial()
@@ -111,7 +87,7 @@ def w_poly(m: int) -> Polynomial:
     """1 + x + ... + x**m, with the zero polynomial for m = -1."""
     if m < -1:
         raise ValueError("w_poly needs m >= -1")
-    return _stored(1, (1,) * (m + 1))
+    return Polynomial._make((1, (1,) * (m + 1)))
 
 
 def mul_ints(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Exact rational scalars and their text format.
+"""Exact rational scalars, their text format, and the base of the immutable values.
 
 Every scalar in the package is a ``fractions.Fraction``: automatically reduced,
 positive denominator, exact closed arithmetic. The wire format used by the JSON
@@ -12,13 +12,65 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, update_wrapper
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class Value:
+    """A matrix, polynomial, set of mask weights, spec or report. Its fields are its class's ``__slots__``, set
+    once by ``__init__``, or by ``_make`` with none of a subclass's checks; ``==``, ``hash``, ``repr`` (of the
+    public fields) and copying read them. The ``lazy`` caches live in the instance ``__dict__``."""
+
+    __slots__ = ("__dict__",)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _make(cls, *values):
+        self = object.__new__(cls)
+        Value.__init__(self, *values)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _state(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._state() == other._state() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._state())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self._make, self._state()
+
+
+class lazy:
+    """A ``Value`` attribute that ``build(value)`` makes on its first read, kept in the
+    value's ``__dict__``, where later reads find it as a plain attribute and call nothing."""
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+
+    def __get__(self, value, owner=None):
+        if value is None:
+            return self
+        return value.__dict__.setdefault(self.__name__, self.__wrapped__(value))
 
 
 def to_view(values: Iterable) -> tuple[int, list[int]]:

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Any
 
+from .rationals import Value
 
-@dataclass(frozen=True)
-class Report:
-    suite: str
-    passed: bool
-    counterexample: dict[str, Any] | None = None
-    checked: int = 0
+
+class Report(Value):
+    __slots__ = ("suite", "passed", "counterexample", "checked")
+
+    def __init__(self, suite: str, passed: bool, counterexample: dict[str, Any] | None = None, checked: int = 0):
+        super().__init__(suite, passed, counterexample, checked)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -79,7 +79,7 @@ def _matrix_from_rows(rows: list[list]) -> TriangularMatrix:
     The matrices repeat their values heavily (symmetry, powers of phi), so each
     distinct entry is read once, in first-appearance order. When every
     distinct entry is a str in wire form ``-?digits(/digits)?`` (ASCII digits,
-    nonzero denominator), _wire_view checks their joined text in one pass and
+    nonzero denominator), _wire_view checks their joined text a MiB at a time and
     reads them with int(); no Fraction is made. Otherwise every distinct
     entry goes to parse_rational, one at a time in first-appearance order, so
     the first bad entry in row order is the one it names; so does a wire
@@ -100,15 +100,20 @@ def _wire_view(entries) -> tuple[int, list[int]] | None:
     """(den, ints) with ints[k] = den * entries[k] over the lcm den of their
     denominators, when every entry is wire text; else None.
 
-    One C-level pass over the entries joined by ',' drops the commas and the
-    digits and '-' of the entries; anything left but '/' is a character that
-    no wire entry has. Of the strings made of digits, '-', '/' and ',',
-    int() reads exactly ``-?digits``: each side of a '/' goes through it,
-    and a denominator must come out >= 1."""
+    The entries joined by ',' must be ASCII. C-level passes over each MiB of
+    that text drop the commas and the digits and '-'; anything left but '/'
+    is a character that no wire entry has. Of the strings made of digits,
+    '-', '/' and ',', int() reads exactly ``-?digits``: each side of a '/'
+    goes through it, and a denominator must come out >= 1."""
     try:
-        slashes = ",".join(entries).encode("ascii").translate(None, b"0123456789-,")
-    except (TypeError, UnicodeEncodeError):  # an entry that is not a str, or a character past ASCII
+        text = ",".join(entries)
+    except TypeError:  # an entry that is not a str
         return None
+    if not text.isascii():
+        return None
+    mib = 1 << 20  # a slice of text at a time is encoded, so its bytes are never held whole next to it
+    slashes = b"".join(text[k : k + mib].encode().translate(None, b"0123456789-,") for k in range(0, len(text), mib))
+    del text  # before the ints below
     if slashes.strip(b"/"):
         return None
     try:  # int() refuses text past CPython's digit cap too: parse_rational says so

@@ -17,6 +17,7 @@ from operator import ge
 from .digits import digit_product_rows
 from .errors import ZeroEntry
 from .matrices import TriangularMatrix, all_ones, hadamard, pascal_rows
+from .rationals import Value, lazy
 from .report import Report, check_equal, merge_reports
 
 
@@ -36,35 +37,21 @@ def phi_q_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
     return TriangularMatrix.from_view(d, [(blocks[n % q] * (n // q + 1))[: n + 1] for n in range(size)])
 
 
-class PhiCoordinates:
+class PhiCoordinates(Value):
     """Weights beta_q per modulus, multiplicative stand-in for the log map.
 
-    Stored as ``pairs``: q -> (a, d), beta_q = a / d in lowest terms with
-    d >= 1, as phi_coordinates finds them and recompose reads them.
-    ``betas`` is the same weights as a dict of Fractions, built on first
-    read. ``PhiCoordinates(betas)`` takes such a dict (Fraction or int
-    values); ``PhiCoordinates(pairs=...)`` takes the reduced pairs. Immutable.
-    """
+    Stored as ``pairs``: q -> (a, d), beta_q = a / d in lowest terms with d >= 1, as
+    phi_coordinates finds them and recompose reads them; ``betas`` is the same
+    weights as a dict of Fractions, built on first read."""
 
-    __slots__ = ("pairs", "_betas")
+    __slots__ = ("pairs",)
 
-    def __init__(
-        self, betas: dict[int, Fraction | int] | None = None, *, pairs: dict[int, tuple[int, int]] | None = None
-    ):
-        if pairs is None:
-            betas = {q: Fraction(beta) for q, beta in betas.items()}
-            pairs = {q: (beta.numerator, beta.denominator) for q, beta in betas.items()}
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_betas", betas)
+    def __init__(self, pairs: dict[int, tuple[int, int]]):
+        super().__init__(pairs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PhiCoordinates is immutable")
-
-    @property
+    @lazy
     def betas(self) -> dict[int, Fraction]:
-        if self._betas is None:
-            object.__setattr__(self, "_betas", {q: Fraction(a, d) for q, (a, d) in self.pairs.items()})
-        return self._betas
+        return {q: Fraction(a, d) for q, (a, d) in self.pairs.items()}
 
     def recompose(self, size: int) -> TriangularMatrix:
         """Hadamard product of the mask matrices over all stored moduli; with
@@ -132,7 +119,7 @@ def phi_coordinates(a: TriangularMatrix, max_q: int) -> PhiCoordinates:
         for k in range(2 * q, max_q + 1, q):
             nums[k] *= x
             dens[k] *= y
-    return PhiCoordinates(pairs=pairs)
+    return PhiCoordinates(pairs)
 
 
 def homomorphism_check(a: TriangularMatrix, b: TriangularMatrix, max_q: int) -> Report:

@@ -18,39 +18,34 @@ The other kinds give their per-entry forms. One Fraction is built per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import comb, prod
 from operator import itemgetter
 
 from .fractal import carry_count, fractal_entry, fractal_matrix
 from .matrices import TriangularMatrix, all_ones, build_from_c, hadamard, pascal_rows
-from .rationals import ONE, ZERO, ratio
+from .rationals import ONE, ZERO, Value, lazy, ratio
 from .sequences import CSequence
 from .special import phi_q_matrix, q_umbral_inverse, q_umbral_matrix, zero_overlay_matrix
 from .zeroalg import t_coefficient, t_matrix
 
 
-@dataclass(frozen=True)
-class GPSpec:
-    kind: str  # a key of FAMILIES
-    c: CSequence | None = None
-    phi: Fraction | None = None  # stored as a Fraction
-    q: int | None = None  # the q-umbral families take a rational q, stored as a Fraction
-    factors: tuple["GPSpec", ...] = field(default_factory=tuple)
+class GPSpec(Value):
+    """A kind of FAMILIES and its parameters; phi, and the rational q of the q-umbral kinds, are stored as Fractions."""
 
-    def __post_init__(self):
-        if self.kind not in FAMILIES:
-            raise ValueError(f"unknown spec kind {self.kind!r}")
-        if self.phi is not None:
-            object.__setattr__(self, "phi", Fraction(self.phi))
-        if self.kind in ("qumbral", "qumbral-inverse") and self.q is not None:
-            object.__setattr__(self, "q", Fraction(self.q))
-        for name, least in FAMILIES[self.kind][2].items():
+    __slots__ = ("kind", "c", "phi", "q", "factors")
+
+    def __init__(self, kind: str, c: CSequence | None = None, phi=None, q=None, factors: tuple[GPSpec, ...] = ()):
+        if kind not in FAMILIES:
+            raise ValueError(f"unknown spec kind {kind!r}")
+        phi = phi if phi is None else Fraction(phi)
+        q = Fraction(q) if kind in ("qumbral", "qumbral-inverse") and q is not None else q
+        super().__init__(kind, c, phi, q, factors)
+        for name, least in FAMILIES[kind][2].items():
             value = getattr(self, name)
             if value is None:
-                raise ValueError(f"spec kind {self.kind!r} requires {name}")
+                raise ValueError(f"spec kind {kind!r} requires {name}")
             if least is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}")
 
@@ -86,7 +81,7 @@ class GPSpec:
     def materialize(self, size: int) -> TriangularMatrix:
         return FAMILIES[self.kind][0](self, size)
 
-    @cached_property
+    @lazy
     def _hadamard_parts(self) -> tuple[list[tuple[int, int, int]], list["GPSpec"]]:
         """A Hadamard spec's factors, resolved on its first entry: the fractal ones
         as (q, a, d) for the weight a/d, sorted by q, and the others in order."""

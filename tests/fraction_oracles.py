@@ -111,6 +111,12 @@ expansion of x w_{q-2}(x) / (1 - x**q) coefficient by coefficient. They are
 unchanged but for ``math.factorial``, which is spelled out here because
 ``factorial`` above is the generalized one.
 
+``ReportDataclass`` and ``GPSpecDataclass`` are ``genpascal.report.Report``
+and ``genpascal.specs.GPSpec`` as they were when they were frozen
+dataclasses: their fields and ``GPSpec``'s checks and conversions, renamed,
+without the methods, which the library classes keep. They pin the ``==``,
+``hash``, ``repr``, construction and immutability of ``rationals.Value``.
+
 ``fractions_made`` is no oracle: it counts the Fractions constructed while
 a call runs, by a profile hook on ``Fraction.__new__``, so a test can pin a
 path that builds none.
@@ -122,11 +128,12 @@ import json
 import math
 import random
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import comb, lcm, prod
 from operator import ge, mul
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from genpascal import special, zeroalg
 from genpascal.digits import digits, valuation
@@ -136,6 +143,7 @@ from genpascal.matrices import TriangularMatrix, _columns, _first_difference, id
 from genpascal.rationals import ONE, ZERO, _text, _too_long_to_print, parse_rational
 from genpascal.report import Report, check_equal, merge_reports
 from genpascal.sequences import BSequence, CSequence, fractal_b
+from genpascal.specs import FAMILIES
 from genpascal.verify import convolution_check, golden_family, lucas_check, recurrence_check
 from genpascal.zeroalg import Series, _numerators
 
@@ -964,3 +972,34 @@ def fractions_made(call: Callable[[], object]) -> int:
     finally:
         sys.setprofile(previous)
     return count
+
+
+@dataclass(frozen=True)
+class ReportDataclass:
+    suite: str
+    passed: bool
+    counterexample: dict[str, Any] | None = None
+    checked: int = 0
+
+
+@dataclass(frozen=True)
+class GPSpecDataclass:
+    kind: str  # a key of FAMILIES
+    c: CSequence | None = None
+    phi: Fraction | None = None  # stored as a Fraction
+    q: int | None = None  # the q-umbral families take a rational q, stored as a Fraction
+    factors: tuple["GPSpecDataclass", ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if self.kind not in FAMILIES:
+            raise ValueError(f"unknown spec kind {self.kind!r}")
+        if self.phi is not None:
+            object.__setattr__(self, "phi", Fraction(self.phi))
+        if self.kind in ("qumbral", "qumbral-inverse") and self.q is not None:
+            object.__setattr__(self, "q", Fraction(self.q))
+        for name, least in FAMILIES[self.kind][2].items():
+            value = getattr(self, name)
+            if value is None:
+                raise ValueError(f"spec kind {self.kind!r} requires {name}")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}")

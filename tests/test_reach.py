@@ -39,20 +39,18 @@ UNREACHED = {
     "fractal.fractal_c_check": ("acceptance", "fractal_c_check"),
     "matrices.TriangularMatrix.__hash__": ("dunder", None),
     "matrices.TriangularMatrix.__init__": ("acceptance", "TriangularMatrix"),
-    "matrices.TriangularMatrix.__repr__": ("dunder", None),
-    "matrices.TriangularMatrix.__setattr__": ("guard", "test_matrices.py::test_int_view_is_cached_on_an_immutable_matrix"),
     "matrices._first_difference": ("guard", "test_matrices.py::test_identity_check_catches_symmetry_break"),
     "matrices.subtract": ("acceptance", "subtract"),
-    "polynomials.Polynomial.__hash__": ("dunder", None),
     "polynomials.Polynomial.__mul__": ("perfbench", "polynomials:Polynomial.__mul__"),
     "polynomials.Polynomial.__repr__": ("dunder", None),
-    "polynomials.Polynomial.__setattr__": ("guard", "test_polynomials.py::test_polynomial_is_immutable"),
     "polynomials.Polynomial.coeffs": ("acceptance", "fractal_c_check"),
     "polynomials.Polynomial.substitute_power": ("perfbench", "polynomials:Polynomial.substitute_power"),
     "polynomials.mul_trunc": ("perfbench", "polynomials:mul_trunc"),
+    "rationals.Value.__hash__": ("dunder", None),
+    "rationals.Value.__repr__": ("dunder", None),
+    "rationals.Value.__setattr__": ("guard", "test_values.py::test_every_value_refuses_assignment"),
     "rationals._too_long_to_print": ("guard", "test_cli.py::test_entries_past_the_int_text_limit_are_a_config_error"),
     "sequences.BSequence._check": ("guard", "test_sequences.py::test_b_explicit_error_keeps_its_message"),
-    "special.PhiCoordinates.__setattr__": ("guard", "test_special.py::test_coordinates_hold_reduced_pairs_and_are_immutable"),
     "special.PhiCoordinates.is_involution": ("acceptance", "homomorphism_check"),
     "special.homomorphism_check": ("acceptance", "homomorphism_check"),
     "specs._q_binomial": ("family", "qumbral"),

@@ -14,6 +14,7 @@ from genpascal.matrices import TriangularMatrix, build_from_c
 from genpascal.rationals import format_rational
 from genpascal.sequences import CSequence
 from genpascal.serialize import (
+    _wire_view,
     matrix_from_doc,
     matrix_from_json,
     matrix_to_csv,
@@ -175,6 +176,7 @@ BAD_JSON_ENTRIES = [7, 1.5, float("nan"), None, True, [1], {"a": "1"}]
 NEAR_WIRE = [
     "3/-2", "1/+2", "3/ 2", "+3", " 3", "1_0", "-", "1-2", "--1", "/3", "3/", "1/0", "0/0", "-0", "007", "0/7",
     "\u0663", "\u0661/\u0662", "1\n2", "1,2", "7" * 4400 + "/3", "3/" + "7" * 4400, "7" * 4400 + "/" + "3" * 4400,
+    "\ud800",  # a lone surrogate, which JSON can escape and no UTF-8 encoder takes
 ]
 
 
@@ -189,6 +191,14 @@ def test_near_wire_entries_read_like_the_oracle(entry):
         [[entry]],
     ):
         assert_reads_like_the_oracle(matrix_from_json, oracle_from_json, json_text(rows))
+
+
+def test_the_wire_pass_reads_text_past_one_slice():
+    # 1.3 MB of joined entry text is checked in two slices; a refused entry in the last one is found
+    entries = [str(k) for k in range(200_000)] + ["-1/2"]
+    assert _wire_view(entries) == (2, [2 * k for k in range(200_000)] + [-1])
+    for bad in ("x", "\u0661", "\ud800", "1/0"):
+        assert _wire_view([*entries, bad]) is None
 
 
 @settings(max_examples=300, deadline=None)

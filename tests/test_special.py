@@ -64,21 +64,24 @@ def test_coordinates_of_pascal():
     assert coords.recompose(6) == m.truncate(6)
 
 
+def reduced_pairs(betas: dict[int, Fraction]) -> dict[int, tuple[int, int]]:
+    return {q: (beta.numerator, beta.denominator) for q, beta in betas.items()}
+
+
 def test_recompose_without_moduli_is_all_ones():
     assert PhiCoordinates({}).recompose(3) == all_ones(3)
 
 
 def test_coordinates_hold_reduced_pairs_and_are_immutable():
-    # betas given as Fractions or ints are stored as lowest-terms pairs; pairs give back the same Fractions
-    from_betas = PhiCoordinates({2: Fraction(-6, 4), 3: 5, 4: Fraction(0)})
-    assert from_betas.pairs == {2: (-3, 2), 3: (5, 1), 4: (0, 1)}
-    from_pairs = PhiCoordinates(pairs=from_betas.pairs)
-    assert from_pairs.betas == {2: Fraction(-3, 2), 3: 5, 4: 0}
-    assert all(type(beta) is Fraction for beta in from_pairs.betas.values())
-    assert from_pairs.recompose(9) == from_betas.recompose(9)
-    assert PhiCoordinates({2: -1, 3: 1}).is_involution() and not PhiCoordinates({2: Fraction(-1, 2)}).is_involution()
-    with pytest.raises(AttributeError, match="immutable"):
-        from_pairs.pairs = {}
+    # the reduced pairs give back their Fractions, positionally or by keyword
+    coords = PhiCoordinates({2: (-3, 2), 3: (5, 1), 4: (0, 1)})
+    assert coords == PhiCoordinates(pairs={2: (-3, 2), 3: (5, 1), 4: (0, 1)})
+    assert coords.betas == {2: Fraction(-3, 2), 3: 5, 4: 0}
+    assert all(type(beta) is Fraction for beta in coords.betas.values())
+    assert coords.recompose(9) == oracle_recompose(coords, 9)
+    assert PhiCoordinates({2: (-1, 1), 3: (1, 1)}).is_involution() and not PhiCoordinates({2: (-1, 2)}).is_involution()
+    with pytest.raises(AttributeError, match="^PhiCoordinates is immutable$"):
+        coords.pairs = {}
 
 
 weights = st.one_of(
@@ -97,7 +100,7 @@ weights = st.one_of(
 @example({3: Fraction(-2, 7), 7: Fraction(0), 16: Fraction(10**30, 3), 40: Fraction(5)}, 16)
 def test_recompose_matches_the_streamed_mask_product(betas, size):
     masks = [GPSpec.phiq(beta, q) for q, beta in sorted(betas.items())]
-    got = PhiCoordinates(betas).recompose(size)
+    got = PhiCoordinates(reduced_pairs(betas)).recompose(size)
     assert got == GPSpec.hadamard(masks).materialize(size)
     assert all(type(e) is Fraction for row in got.rows for e in row)
 
@@ -112,7 +115,7 @@ def test_recompose_matches_the_streamed_mask_product(betas, size):
 @example({q: Fraction(-q, q + 1) for q in range(2, 8)}, 12)
 def test_recompose_mirrors_the_full_row_loop(betas, size):
     # the moduli reach past size, where only their denominators enter; every row reads the same backwards
-    coords = PhiCoordinates(betas)
+    coords = PhiCoordinates(reduced_pairs(betas))
     got = coords.recompose(size)
     assert got == oracle_recompose(coords, size)
     for row in got.int_view()[1]:

@@ -14,8 +14,8 @@ calls made at import time count), it runs four drivers:
 
 It prints, sorted and one a line, ``module.qualname`` of each module-level
 function and class method whose code lies in a ``src/genpascal`` module and
-that no driver called. Code made elsewhere, such as the dunders a dataclass
-generates, is not counted. ``tests/test_reach.py`` compares the output with
+that no driver called. Code made elsewhere is not counted; a function under
+``functools.cache`` or ``rationals.lazy`` counts under its own name. ``tests/test_reach.py`` compares the output with
 its list of the names that are allowed to stay unreached, each with a reason.
 Only the standard library is used.
 """
@@ -44,7 +44,7 @@ def defined_functions(module) -> dict[str, object]:
 
     def add(value) -> None:
         value = getattr(value, "__func__", value)  # classmethod, staticmethod
-        value = getattr(value, "__wrapped__", value)  # functools.cache
+        value = getattr(value, "__wrapped__", value)  # functools.cache, rationals.lazy
         code = getattr(value, "__code__", None)
         if code is not None and code.co_filename == module.__file__:
             found[f"{module.__name__.removeprefix('genpascal.')}.{value.__qualname__}"] = code
