@@ -60,13 +60,15 @@ def build_matrix(args) -> tuple[TriangularMatrix, Fraction | None]:
 
 
 def _write(text: str, path: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+    """Write text and, when it does not end with one, a newline: a second write, not a copy of the text."""
+    end = "" if text.endswith("\n") else "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
+        sys.stdout.write(end)
     else:
         with open(path, "w", encoding="ascii") as handle:
             handle.write(text)
+            handle.write(end)
 
 
 def cmd_gen(args) -> int:

@@ -45,7 +45,8 @@ class TriangularMatrix(Value):
         """The matrix with entries rows[n][m] / den, stored as its view.
 
         One gcd of den and every entry is divided out, so den becomes the lcm
-        of the entry denominators; no Fraction is built."""
+        of the entry denominators; no Fraction is built. Tuple rows are kept
+        as the same objects when that gcd is 1; other rows are copied to tuples."""
         den, ints = lowest_view(den, tuple(map(tuple, rows)))
         _check_shape(ints)
         return cls._make(len(ints), (den, ints))
@@ -97,9 +98,11 @@ class TriangularMatrix(Value):
 
 
 def _check_shape(rows: Sequence[Sequence]) -> None:
-    for n, row in enumerate(rows):
-        if len(row) != n + 1:
-            raise SizeMismatch(f"row {n} must have {n + 1} entries, got {len(row)}")
+    """Row n must have n + 1 entries: the lengths are compared in one C pass, and
+    the rows are walked only to name the first bad one."""
+    if list(map(len, rows)) != list(range(1, len(rows) + 1)):
+        n, row = next((n, row) for n, row in enumerate(rows) if len(row) != n + 1)
+        raise SizeMismatch(f"row {n} must have {n + 1} entries, got {len(row)}")
 
 
 def _columns(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -119,12 +122,13 @@ def all_ones(size: int) -> TriangularMatrix:
     return TriangularMatrix.from_view(1, [(1,) * (n + 1) for n in range(size)])
 
 
-def pascal_rows(size: int) -> list[list[int]]:
-    """Rows 0..size-1 of the Pascal matrix by the addition rule."""
-    rows = [[1]] if size > 0 else []
+def pascal_rows(size: int) -> list[tuple[int, ...]]:
+    """Rows 0..size-1 of the Pascal matrix by the addition rule, as tuples,
+    which ``from_view`` keeps as they are."""
+    rows = [(1,)] if size > 0 else []
     for _ in range(1, size):
         prev = rows[-1]
-        rows.append([1, *map(add, prev, prev[1:]), 1])
+        rows.append((1, *map(add, prev, prev[1:]), 1))
     return rows
 
 

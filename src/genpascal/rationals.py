@@ -159,12 +159,26 @@ def _text(x: int, den: int) -> str:
 
 def format_rows(den: int, rows: Iterable[Iterable[int]]) -> list[list[str]]:
     """The wire text of each entry x / den of an integer view, equal to
-    ``format_rational`` of the exact value and built without a Fraction."""
-    text = cache(lambda x: _text(x, den))  # each distinct numerator is reduced once
+    ``format_rational`` of the exact value and built without a Fraction.
+
+    Each row is a sequence (a tuple or a list). A palindromic row, one with
+    ``row == row[::-1]`` as every row of a generalized Pascal matrix is by the
+    symmetry (n, m) = (n, n - m), gets text for its first (len + 1) // 2
+    entries, followed by the reverse of the first len // 2 texts. Any other
+    row (a q-umbral inverse row, a convolved series) is formatted in full.
+    The test is made on each row as it is read."""
+    text = str if den == 1 else cache(lambda x: _text(x, den))  # each distinct numerator is reduced once
+    texts = []
     try:
-        return [list(map(str if den == 1 else text, row)) for row in rows]
+        for row in rows:
+            if row == row[::-1]:
+                half = list(map(text, row[: (len(row) + 1) // 2]))
+                texts.append(half + half[-1 - len(row) % 2 :: -1])  # an odd row's middle text is not repeated
+            else:
+                texts.append(list(map(text, row)))
     except ValueError:  # CPython's cap on int-to-text conversion
         raise ValueError(_too_long_to_print()) from None
+    return texts
 
 
 def _too_long_to_print() -> str:

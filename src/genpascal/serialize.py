@@ -70,7 +70,10 @@ def matrix_from_json(text: str) -> TriangularMatrix:
 
 
 def matrix_to_csv(matrix: TriangularMatrix) -> str:
-    return "\n".join(map(",".join, format_rows(*matrix.int_view()))) + "\n"
+    if not matrix.size:
+        return "\n"
+    # the empty last element ends the text with "\n" in the one join, with no copy of the whole text
+    return "\n".join([*map(",".join, format_rows(*matrix.int_view())), ""])
 
 
 def _matrix_from_rows(rows: list[list]) -> TriangularMatrix:
@@ -137,15 +140,16 @@ _BITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)  # a zero byte to 
 def matrix_to_pbm(matrix: TriangularMatrix) -> str:
     """P1 bitmap of the nonzero pattern, row n padded with zeros beyond the
     diagonal to the full width. A row whose entries all lie in 0..255 is
-    read as bytes in C; any other row goes through bool once per entry."""
+    read as bytes in C. Of the other rows, one with no 0 in it is a run of
+    '1's, and only one with a 0 goes through bool once per entry."""
     size = matrix.size
     _, rows = matrix.int_view()
     pad = b"0" * size
     lines = [b"P1", b"%d %d" % (size, size)]
     for n, row in enumerate(rows):
         try:
-            bits = bytes(row)
-        except ValueError:  # an entry below 0 or above 255
-            bits = bytes(map(bool, row))
-        lines.append(bits.translate(_BITS) + pad[n + 1 :])
+            bits = bytes(row).translate(_BITS)
+        except ValueError:  # an entry below 0 or above 255; the 0 test is made only here, off the bytes path
+            bits = bytes(map(bool, row)).translate(_BITS) if 0 in row else b"1" * (n + 1)
+        lines.append(bits + pad[n + 1 :])
     return (b"\n".join(lines) + b"\n").decode("ascii")

@@ -33,7 +33,7 @@ def phi_q_matrix(phi: Fraction | int, q: int, size: int) -> TriangularMatrix:
     phi = Fraction(phi)
     a, d = phi.numerator, phi.denominator
     k = min(q, size)
-    blocks = [[d] * (i + 1) + [a] * (k - 1 - i) for i in range(k)]
+    blocks = [(d,) * (i + 1) + (a,) * (k - 1 - i) for i in range(k)]  # tuples, so the rows cut from them are too
     return TriangularMatrix.from_view(d, [(blocks[n % q] * (n // q + 1))[: n + 1] for n in range(size)])
 
 
@@ -170,8 +170,12 @@ def q_umbral_matrix(q: Fraction | int, size: int) -> TriangularMatrix:
     for c in range(size):
         for k in range(1, len(series)):
             series[k] = dk[k] * series[k] + ac * series[k - 1]
-        for k, value in enumerate(series):
-            rows[c + k].append(value * d ** (top - k * c))
+        if d == 1:  # every scale d**(top - kc) is 1
+            for row, value in zip(rows[c:], series):
+                row.append(value)
+        else:
+            for k, value in enumerate(series):
+                rows[c + k].append(value * d ** (top - k * c))
         series.pop()  # column c + 1 needs one term fewer
         ac *= a
     return TriangularMatrix.from_view(d**top, rows)
@@ -191,8 +195,11 @@ def q_umbral_inverse(q: Fraction | int, size: int) -> TriangularMatrix:
     current = [1]
     an = dn = 1  # a**n, d**n
     for n in range(size):
-        scale = d ** (top - n * (n - 1) // 2)
-        rows.append([c * scale for c in current])
+        if d == 1:  # every row scale is 1; current is rebound below, never changed in place
+            rows.append(current)
+        else:
+            scale = d ** (top - n * (n - 1) // 2)
+            rows.append([c * scale for c in current])
         # coefficient i of current * (d**n x - a**n)
         current = [x * dn - y * an for x, y in zip([0, *current], [*current, 0])]
         an *= a

@@ -93,6 +93,9 @@ form as ``genpascal.zeroalg`` and ``genpascal.rationals`` held it before a
 series became one view over a common denominator: ``_extend`` returns
 (nums, dens) with coefficient n equal to nums[n] / dens[n], and
 ``format_series`` writes those values as comma-separated wire text.
+``format_rows`` is ``genpascal.rationals.format_rows`` as it was before it
+formatted half of each palindromic row and mirrored it: every entry of every
+row goes through ``str`` (den 1) or the cached ``_text`` (den > 1).
 
 ``suite_identities``, ``suite_lucas``, ``suite_kron``, ``suite_recurrences``,
 ``suite_umbral`` and ``suite_convolution`` are the suite functions of
@@ -130,6 +133,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from math import comb, lcm, prod
 from operator import ge, mul
@@ -392,6 +396,16 @@ def format_series(nums: Iterable[int], dens: Iterable[int]) -> str:
     to joining ``format_rational`` of each and built without a Fraction."""
     try:
         return ",".join(map(_text, nums, dens))
+    except ValueError:  # CPython's cap on int-to-text conversion
+        raise ValueError(_too_long_to_print()) from None
+
+
+def format_rows(den: int, rows: Iterable[Iterable[int]]) -> list[list[str]]:
+    """The wire text of each entry x / den of an integer view, equal to
+    ``format_rational`` of the exact value and built without a Fraction."""
+    text = cache(lambda x: _text(x, den))  # each distinct numerator is reduced once
+    try:
+        return [list(map(str if den == 1 else text, row)) for row in rows]
     except ValueError:  # CPython's cap on int-to-text conversion
         raise ValueError(_too_long_to_print()) from None
 

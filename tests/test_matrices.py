@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
+from operator import is_
 
 import pytest
 from hypothesis import example, given, settings
@@ -588,6 +589,21 @@ def test_truncate_to_a_negative_size_is_refused():
         with pytest.raises(SizeMismatch):
             m.truncate(size)
     assert m.truncate(0).size == 0
+
+
+def test_from_view_keeps_tuple_rows_and_names_the_first_bad_row():
+    rows = pascal_rows(9)
+    _, kept = TriangularMatrix.from_view(1, rows).int_view()
+    assert all(map(is_, kept, rows))
+    for bad, message in [
+        ([(1,), (1, 1), (1, 1, 1, 1), (1,)], "row 2 must have 3 entries, got 4"),
+        ([(1,), (1, 1), (1, 1, 1), (1, 1)], "row 3 must have 4 entries, got 2"),
+        ([[1], [1, 1, 1], [1, 1]], "row 1 must have 2 entries, got 3"),
+    ]:
+        with pytest.raises(SizeMismatch, match=f"^{message}$"):
+            TriangularMatrix.from_view(1, bad)
+        with pytest.raises(SizeMismatch, match=f"^{message}$"):
+            TriangularMatrix(bad)
 
 
 def test_pascal_rows_are_the_binomials():

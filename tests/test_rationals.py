@@ -1,10 +1,12 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from genpascal.rationals import MAX_EXPONENT, format_rational, parse_rational, ratio
+import fraction_oracles as oracle
+from genpascal.rationals import MAX_EXPONENT, format_rational, format_rows, parse_rational, ratio
 
 
 def test_integer_format():
@@ -102,3 +104,39 @@ def test_ratio_is_the_fraction_of_top_and_bottom(top, bottom):
         else:
             got = ratio(top, bottom)
             assert got == want and type(got) is Fraction
+
+
+@st.composite
+def int_rows(draw):
+    """A row of 0 to 9 signed ints, as a tuple or a list: a palindrome (its first
+    half drawn and mirrored, around a middle entry when its length is odd) or not."""
+    length = draw(st.integers(0, 9))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    if draw(st.booleans()):
+        half = draw(st.lists(entries, min_size=length // 2, max_size=length // 2))
+        row = half + draw(st.lists(entries, min_size=length % 2, max_size=length % 2)) + half[::-1]
+    else:
+        row = draw(st.lists(entries, min_size=length, max_size=length))
+    return draw(st.sampled_from([tuple, list]))(row)
+
+
+@given(st.integers(1, 12), st.lists(int_rows(), max_size=6))
+@example(1, [(), (5,), (1, 1), (1, 2, 1), (1, 2, 2, 1), (1, 2), (1, 2, 3)])
+@example(6, [(3, -4, 3), (2, 9, 12, 9, 2), (4, 4), (6, -6, 0)])  # unreduced numerators over den 6
+def test_format_rows_is_the_per_entry_text(den, rows):
+    # the palindromic rows are formatted from their first half and mirrored; the others in full
+    assert format_rows(den, rows) == oracle.format_rows(den, rows)
+    assert oracle.format_rows(den, rows) == [[format_rational(Fraction(x, den)) for x in row] for row in rows]
+
+
+INT_TEXT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(INT_TEXT_LIMIT != 4300, reason="needs CPython's default cap on int-to-text conversion")
+@pytest.mark.parametrize("den, row", [(1, (1, 10**4300, 1)), (3, (3, 10**4301 + 1, 10**4301 + 1, 3))])
+def test_format_rows_refuses_a_palindrome_past_the_int_text_limit(den, row):
+    # the middle entry lies in the half that is formatted, so the mirror cannot skip it
+    message = r"^an entry has more than 4300 digits, more than the JSON/CSV writers can print$"
+    for fmt in (format_rows, oracle.format_rows):
+        with pytest.raises(ValueError, match=message):
+            fmt(den, [(1,), row])

@@ -285,6 +285,26 @@ def test_pbm_bytes_rows_and_their_fallback(size, den):
 
 
 @st.composite
+def bitmap_views(draw):
+    """(den, rows) of size 0 to 10, each row drawn from one of three pools: entries
+    in 0..255 (the bytes() path), zero-free entries with some above 255 or below 0
+    (a run of '1's), and any entries, a 0 among them (bool per entry)."""
+    size = draw(st.integers(0, 10))
+    big = st.one_of(st.integers(256, 10**40), st.integers(-(10**40), -1))
+    pools = [st.integers(0, 255), st.one_of(st.integers(1, 255), big), st.one_of(st.just(0), st.integers(0, 255), big)]
+    rows = [draw(st.lists(draw(st.sampled_from(pools)), min_size=n + 1, max_size=n + 1)) for n in range(size)]
+    return draw(st.integers(1, 7)), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(bitmap_views())
+@example((1, [[256], [1, 10**40], [300, 0, 5], [0, 0, 0, 0]]))
+def test_pbm_matches_the_bool_per_entry_writer(view):
+    matrix = TriangularMatrix.from_view(*view)
+    assert matrix_to_pbm(matrix) == oracle.matrix_to_pbm(matrix)
+
+
+@st.composite
 def view_matrices(draw):
     """from_view matrices of size 0 to 12 with signed, often fractional entries."""
     size = draw(st.integers(min_value=0, max_value=12))
