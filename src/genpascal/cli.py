@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from . import fractal, special, zeroalg
 from .errors import ZeroEntry, ZeroFactor
-from .matrices import TriangularMatrix
 from .matrices import build_from_c  # noqa: F401  unused here; perfbench/tests checks the tracer patches it
 from .rationals import format_pairs, format_rational, format_rows, parse_rational
 from .serialize import matrix_from_json, matrix_to_csv, matrix_to_json, matrix_to_pbm
@@ -45,8 +44,8 @@ def _require_q(args, minimum: int | None = 2) -> int:
     return args.q
 
 
-def build_matrix(args) -> tuple[TriangularMatrix, Fraction | None]:
-    """The matrix the arguments describe, and ``--phi`` as given (None when omitted)."""
+def build_spec(args) -> tuple[GPSpec, Fraction | None]:
+    """The spec the arguments describe, and ``--phi`` as given (None when omitted)."""
     if args.size < 1:
         raise ValueError("--size must be >= 1")
     kind = args.kind
@@ -56,7 +55,7 @@ def build_matrix(args) -> tuple[TriangularMatrix, Fraction | None]:
     required = FAMILIES[kind][2]
     q = _require_q(args, required["q"]) if "q" in required else None
     spec_phi = q if kind == "fractal" and phi is None else phi
-    return GPSpec(kind, phi=spec_phi, q=q).materialize(args.size), phi
+    return GPSpec(kind, phi=spec_phi, q=q), phi
 
 
 def _write(text: str, path: str | None) -> None:
@@ -72,7 +71,8 @@ def _write(text: str, path: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    matrix, phi = build_matrix(args)
+    spec, phi = build_spec(args)
+    matrix = spec.materialize(args.size)
     text = matrix_to_json(matrix, args.kind, args.q, phi) if args.format == "json" else matrix_to_csv(matrix)
     _write(text, args.output)
     return 0
@@ -115,7 +115,7 @@ def cmd_decompose(args) -> int:
     if args.input is not None:
         matrix = matrix_from_json(_read_document(args.input))
     elif args.kind is not None:
-        matrix, _ = build_matrix(args)
+        matrix = build_spec(args)[0].materialize(args.size)
     else:
         raise ValueError("decompose needs --kind or --input")
     if args.max_q is None and matrix.size < 3:
@@ -157,8 +157,8 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_export(args) -> int:
-    matrix, _ = build_matrix(args)
-    _write(matrix_to_pbm(matrix), args.output)
+    # the rows come from the kind's zero pattern, with no entry built
+    _write(matrix_to_pbm(build_spec(args)[0].bitmap(args.size)), args.output)
     return 0
 
 

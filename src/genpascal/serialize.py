@@ -5,9 +5,10 @@ JSON document layout:
      "size": N, "rows": [[rational-string, ...], ...]}
 with row n holding n+1 entries. CSV writes one matrix row per line, entries
 as rational strings, lower triangle only. PBM marks nonzero entries with '1',
-zero-padded above the diagonal, one image row per matrix row. The writers
-read the integer view of the matrix and the JSON reader builds it, so
-neither makes a Fraction per entry.
+zero-padded above the diagonal, one image row per matrix row; it writes a
+matrix's pattern or the rows a spec draws from its family's zero pattern,
+with no entry built. The writers read the integer view of the matrix and the
+JSON reader builds it, so neither makes a Fraction per entry.
 """
 
 from __future__ import annotations
@@ -134,22 +135,20 @@ def _wire_view(entries) -> tuple[int, list[int]] | None:
     return den, list(map(mul, nums, map(floordiv, repeat(den), dens)))
 
 
-_BITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)  # a zero byte to '0', any other to '1'
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def matrix_to_pbm(matrix: TriangularMatrix) -> str:
-    """P1 bitmap of the nonzero pattern, row n padded with zeros beyond the
-    diagonal to the full width. A row whose entries all lie in 0..255 is
-    read as bytes in C. Of the other rows, one with no 0 in it is a run of
-    '1's, and only one with a 0 goes through bool once per entry."""
-    size = matrix.size
+def pbm_rows(matrix: TriangularMatrix) -> list[bytes]:
+    """The PBM rows of a matrix's nonzero pattern, row n padded with zeros
+    beyond the diagonal to the full width."""
     _, rows = matrix.int_view()
-    pad = b"0" * size
-    lines = [b"P1", b"%d %d" % (size, size)]
-    for n, row in enumerate(rows):
-        try:
-            bits = bytes(row).translate(_BITS)
-        except ValueError:  # an entry below 0 or above 255; the 0 test is made only here, off the bytes path
-            bits = bytes(map(bool, row)).translate(_BITS) if 0 in row else b"1" * (n + 1)
-        lines.append(bits + pad[n + 1 :])
-    return (b"\n".join(lines) + b"\n").decode("ascii")
+    zeros = bytes(matrix.size)
+    return [(bytes(map(bool, row)) + zeros[n + 1 :]).translate(_BITS) for n, row in enumerate(rows)]
+
+
+def matrix_to_pbm(bitmap: TriangularMatrix | list[bytes]) -> str:
+    """P1 bitmap of a matrix's nonzero pattern, or of PBM rows made without
+    the matrix (``GPSpec.bitmap``), one image row per matrix row."""
+    rows = pbm_rows(bitmap) if isinstance(bitmap, TriangularMatrix) else bitmap
+    size = len(rows)
+    return b"\n".join([b"P1", b"%d %d" % (size, size), *rows, b""]).decode("ascii")

@@ -14,6 +14,17 @@ entry walks up to the first base above n, where k = 0 for the rest. A base
 with q <= n < q**2 has the one modulus q, so its k is the comparison
 n mod q < m mod q, made inline; only bases with q**2 <= n call carry_count.
 The other kinds give their per-entry forms. One Fraction is built per entry.
+
+``bitmap`` gives the truncation's PBM rows, each ``size`` bytes of ``0``/``1``.
+Every CLI kind's zero pattern is a closed form in its parameters, so its rows
+are made by C-level bytes operations with no entry built: no zero in the
+triangle (pascal, ones, phiq and fractal at phi != 0, the q-umbral pair at
+q not in {-1, 0}); the one-digit mask n mod q >= m mod q (phiq at phi = 0,
+zero-overlay, and the q-umbral pair at q = -1 with modulus 2); base-q digit
+dominance, the generalized Sierpinski pattern by Lucas's theorem (fractal at
+phi = 0, tmatrix); and the band n - m <= 1 (qumbral-inverse at q = 0).
+``from-c`` and ``hadamard`` read the nonzero pattern off their materialized
+view.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from .fractal import carry_count, fractal_entry, fractal_matrix
 from .matrices import TriangularMatrix, all_ones, build_from_c, hadamard, pascal_rows
 from .rationals import ONE, ZERO, Value, lazy, ratio
 from .sequences import CSequence
+from .serialize import pbm_rows
 from .special import phi_q_matrix, q_umbral_inverse, q_umbral_matrix, zero_overlay_matrix
 from .zeroalg import t_coefficient, t_matrix
 
@@ -81,6 +93,9 @@ class GPSpec(Value):
     def materialize(self, size: int) -> TriangularMatrix:
         return FAMILIES[self.kind][0](self, size)
 
+    def bitmap(self, size: int) -> list[bytes]:
+        return FAMILIES[self.kind][3](self, size)
+
     @lazy
     def _hadamard_parts(self) -> tuple[list[tuple[int, int, int]], list["GPSpec"]]:
         """A Hadamard spec's factors, resolved on its first entry: the fractal ones
@@ -133,40 +148,92 @@ def _q_binomial(q: Fraction | int, n: int, m: int, inverse: bool = False) -> Fra
     return Fraction(num, den)
 
 
+def _band(width: int, size: int) -> list[bytes]:
+    """The rows whose nonzero entries are the last ``width`` of the triangle's, n - width < m <= n:
+    row n is the slice of one line of 1s between 0s that ends at column n."""
+    line = b"0" * size + b"1" * width + b"0" * size
+    return [line[k : k + size] for k in range(size + width - 1, width - 1, -1)]
+
+
+_NUL = bytes.maketrans(b"\0", b"0")
+
+
+def _digit_rows(q: int, size: int, lucas: bool) -> list[bytes]:
+    """The rows of the one-digit mask n mod q >= m mod q or, with ``lucas``, of base-q digit
+    dominance. Row n = dq + r is d blocks of r + 1 ones and q - r - 1 zeros, then r + 1 ones; under
+    dominance row d widens instead, each 1 to that block and each 0 to q zeros. A base above the
+    size acts as the size, so the blocks never outgrow a row."""
+    q, rows = min(q, size), []
+    for n in range(size):
+        d, r = divmod(n, q)
+        block = b"1" * (r + 1) + b"0" * (q - r - 1)
+        if lucas:
+            head = rows[d][:d].replace(b"0", b"\0" * q).replace(b"1", block).translate(_NUL) if d else b""
+        else:
+            head = block * d
+        rows.append((head + block[: r + 1]).ljust(size, b"0"))
+    return rows
+
+
 # kind -> (materialize(spec, size), entry(spec, n, m) for 0 <= m <= n, {field the spec requires:
-# its least value or None}); a digit kind's q is a base, a q-umbral q is any number
+# its least value or None}, bitmap(spec, size)); a digit kind's q is a base, a q-umbral q is any
+# number, and at q = -1 its entries are the zero-overlay's of modulus 2
 FAMILIES = {
     "pascal": (
         lambda s, size: TriangularMatrix.from_view(1, pascal_rows(size)),
         lambda s, n, m: Fraction(comb(n, m)),
         {},
+        lambda s, size: _band(size, size),
     ),
-    "ones": (lambda s, size: all_ones(size), lambda s, n, m: ONE, {}),
-    "from-c": (lambda s, size: build_from_c(s.c, size), _from_c_entry, {"c": None}),
+    "ones": (lambda s, size: all_ones(size), lambda s, n, m: ONE, {}, lambda s, size: _band(size, size)),
+    "from-c": (
+        lambda s, size: build_from_c(s.c, size),
+        _from_c_entry,
+        {"c": None},
+        lambda s, size: pbm_rows(s.materialize(size)),
+    ),
     "phiq": (
         lambda s, size: phi_q_matrix(s.phi, s.q, size),
         lambda s, n, m: ONE if n % s.q >= m % s.q else s.phi,
         {"q": 2, "phi": None},
+        lambda s, size: _band(size, size) if s.phi else _digit_rows(s.q, size, False),
     ),
     "fractal": (
         lambda s, size: fractal_matrix(s.phi, s.q, size),
         lambda s, n, m: fractal_entry(s.phi, s.q, n, m),
         {"q": 2, "phi": None},
+        lambda s, size: _band(size, size) if s.phi else _digit_rows(s.q, size, True),
     ),
-    "qumbral": (lambda s, size: q_umbral_matrix(s.q, size), lambda s, n, m: _q_binomial(s.q, n, m), {"q": None}),
+    "qumbral": (
+        lambda s, size: q_umbral_matrix(s.q, size),
+        lambda s, n, m: _q_binomial(s.q, n, m),
+        {"q": None},
+        lambda s, size: _digit_rows(2, size, False) if s.q == -1 else _band(size, size),
+    ),
+    # the inverse's q**C(n-m, 2) is 0 at q = 0 from n - m = 2 on
     "qumbral-inverse": (
-        lambda s, size: q_umbral_inverse(s.q, size), lambda s, n, m: _q_binomial(s.q, n, m, True), {"q": None}
+        lambda s, size: q_umbral_inverse(s.q, size),
+        lambda s, n, m: _q_binomial(s.q, n, m, True),
+        {"q": None},
+        lambda s, size: _digit_rows(2, size, False) if s.q == -1 else _band(size if s.q else 2, size),
     ),
     "zero-overlay": (
         lambda s, size: zero_overlay_matrix(s.q, size),
         lambda s, n, m: Fraction(comb(n // s.q, m // s.q)) if n % s.q >= m % s.q else ZERO,
         {"q": 2},
+        lambda s, size: _digit_rows(s.q, size, False),
     ),
-    "tmatrix": (lambda s, size: t_matrix(s.q, size), lambda s, n, m: t_coefficient(s.q, n, m), {"q": 2}),
+    "tmatrix": (
+        lambda s, size: t_matrix(s.q, size),
+        lambda s, n, m: t_coefficient(s.q, n, m),
+        {"q": 2},
+        lambda s, size: _digit_rows(s.q, size, True),
+    ),
     # the product of the factors' views, built one factor at a time; no factors give all ones
     "hadamard": (
         lambda s, size: reduce(hadamard, (f.materialize(size) for f in s.factors), all_ones(size)),
         _hadamard_entry,
         {},
+        lambda s, size: pbm_rows(s.materialize(size)),
     ),
 }

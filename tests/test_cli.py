@@ -17,10 +17,11 @@ from genpascal import cli
 from genpascal.cli import MAX_INPUT_BYTES, main
 from genpascal.errors import NotFractal
 from genpascal.fractal import fractal_matrix
-from genpascal.matrices import all_ones, build_from_c
+from genpascal.matrices import TriangularMatrix, all_ones, build_from_c
 from genpascal.rationals import format_rational
 from genpascal.sequences import CSequence
 from genpascal.serialize import matrix_from_json, matrix_to_json
+from genpascal.specs import GPSpec
 from genpascal.zeroalg import fractal_series
 
 
@@ -469,6 +470,39 @@ def test_export_pbm(capsys, tmp_path):
     )
     assert code == 0
     assert path.read_text() == "P1\n4 4\n1000\n1100\n1010\n1111\n"
+
+
+# each kind at parameters that give its zero pattern zeros where it has any
+EXPORT_KINDS = {
+    "pascal": [],
+    "ones": [],
+    "phiq": ["--q", "3", "--phi", "0"],
+    "fractal": ["--q", "2", "--phi", "0"],
+    "qumbral": ["--q", "-1"],
+    "qumbral-inverse": ["--q", "0"],
+    "zero-overlay": ["--q", "2"],
+    "tmatrix": ["--q", "3"],
+}
+
+
+def test_export_builds_no_matrix(capsys, monkeypatch):
+    assert EXPORT_KINDS.keys() == set(cli.KINDS)
+    wanted = {}
+    for kind, args in EXPORT_KINDS.items():
+        q = int(args[1]) if args else None
+        spec = GPSpec(kind, q=q, phi=0 if "--phi" in args else q if kind == "fractal" else None)
+        wanted[kind] = oracle.matrix_to_pbm(spec.materialize(30))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("export built a matrix")
+
+    monkeypatch.setattr(GPSpec, "materialize", refuse)
+    monkeypatch.setattr(TriangularMatrix, "from_view", refuse)
+    for kind, args in EXPORT_KINDS.items():
+        assert run(capsys, "export", "--kind", kind, *args, "--size", "30") == (0, wanted[kind], ""), kind
+    # the argument checks come first, as before
+    assert run(capsys, "export", "--kind", "tmatrix", "--q", "1") == (2, "", "error: --q must be >= 2 for kind tmatrix\n")
+    assert run(capsys, "export", "--kind", "phiq", "--q", "2") == (2, "", "error: --kind phiq requires --phi\n")
 
 
 def test_export_rejects_other_formats(capsys):

@@ -98,6 +98,18 @@ SUCCESS_ARGS = [
     ["decompose", "--kind", "pascal", "--size", "8", "--max-q", "6"],
 ]
 
+# export edges that the kind rows at size 9 do not reach, recorded before export drew its bitmaps
+# from each family's zero pattern: a base above the size, a size past q**3, the one-digit masks
+# and the q-umbral inverse at its two zero-making q
+EXPORT_EDGES = [
+    ["export", "--kind", "tmatrix", "--q", "11", "--size", "9"],
+    ["export", "--kind", "fractal", "--q", "3", "--phi", "0", "--size", "28"],
+    ["export", "--kind", "zero-overlay", "--q", "2", "--size", "9"],
+    ["export", "--kind", "phiq", "--q", "4", "--phi", "0", "--size", "9"],
+    ["export", "--kind", "qumbral-inverse", "--q", "-1", "--size", "9"],
+    ["export", "--kind", "qumbral-inverse", "--q", "0", "--size", "9"],
+]
+
 INPUT_ARGS = [
     ["decompose", "--input", f"tests/data/decompose-{name}.json"] for name in ("wire", "forms", "malformed")
 ]
@@ -106,7 +118,7 @@ COMMANDS = [
     [command, *kind, "--size", "9", *fmt]
     for kind in KIND_ARGS
     for command, fmt in (("gen", ["--format", "json"]), ("gen", ["--format", "csv"]), ("export", []))
-] + ERROR_ARGS + SUCCESS_ARGS + INPUT_ARGS
+] + ERROR_ARGS + SUCCESS_ARGS + INPUT_ARGS + EXPORT_EDGES
 
 
 def digest(argv: list[str]) -> list:

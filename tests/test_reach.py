@@ -19,8 +19,8 @@ the detail:
 - ``perfbench``: the detail is a tracer target in ``perfbench/tracer.py`` or
   a name a ``perfbench/tests`` assertion checks;
 - ``dunder``: a dunder of a stored value (``__hash__``, ``__repr__``);
-- ``family``: the detail is the ``specs.FAMILIES`` kind whose per-entry form
-  it is.
+- ``family``: the detail is the ``specs.FAMILIES`` kind whose per-entry or
+  bitmap form it is.
 """
 
 import ast
@@ -51,6 +51,8 @@ UNREACHED = {
     "rationals.Value.__setattr__": ("guard", "test_values.py::test_every_value_refuses_assignment"),
     "rationals._too_long_to_print": ("guard", "test_cli.py::test_entries_past_the_int_text_limit_are_a_config_error"),
     "sequences.BSequence._check": ("guard", "test_sequences.py::test_b_explicit_error_keeps_its_message"),
+    # the bitmap of the library-only kinds, read off the matrix; every CLI kind draws its zero pattern
+    "serialize.pbm_rows": ("family", "from-c"),
     "special.PhiCoordinates.is_involution": ("acceptance", "homomorphism_check"),
     "special.homomorphism_check": ("acceptance", "homomorphism_check"),
     "specs._q_binomial": ("family", "qumbral"),

@@ -276,8 +276,8 @@ PBM_ENTRIES = [0, 1, 255, 256, -1, 10**40]
 @pytest.mark.parametrize("den", [1, 7])
 @pytest.mark.parametrize("size", [0, 1, 2, 6])
 def test_pbm_bytes_rows_and_their_fallback(size, den):
-    # entries in 0..255 take the bytes() path and a row with any other entry falls back to bool per entry,
-    # over a denominator too; each shift puts every entry at (0, 0), on the diagonal and in the first column
+    # entries in 0..255, above it and below 0, each row over a denominator too; each shift puts every
+    # entry at (0, 0), on the diagonal and in the first column
     for shift in range(len(PBM_ENTRIES)):
         rows = [[PBM_ENTRIES[(n + m + shift) % len(PBM_ENTRIES)] for m in range(n + 1)] for n in range(size)]
         matrix = TriangularMatrix.from_view(den, rows)
@@ -287,8 +287,8 @@ def test_pbm_bytes_rows_and_their_fallback(size, den):
 @st.composite
 def bitmap_views(draw):
     """(den, rows) of size 0 to 10, each row drawn from one of three pools: entries
-    in 0..255 (the bytes() path), zero-free entries with some above 255 or below 0
-    (a run of '1's), and any entries, a 0 among them (bool per entry)."""
+    in 0..255, zero-free entries with some above 255 or below 0, and any
+    entries, a 0 among them."""
     size = draw(st.integers(0, 10))
     big = st.one_of(st.integers(256, 10**40), st.integers(-(10**40), -1))
     pools = [st.integers(0, 255), st.one_of(st.integers(1, 255), big), st.one_of(st.just(0), st.integers(0, 255), big)]

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraction_oracles import c_fractal, c_geometric, materialize_hadamard, phi_q_series, qumbral_entry
+from fraction_oracles import matrix_to_pbm as pbm_per_entry
 from genpascal.matrices import identity_check
 from genpascal.rationals import format_rational
 from genpascal.sequences import CSequence
@@ -163,3 +164,64 @@ def test_weights_and_umbral_qs_are_stored_as_fractions():
     # a digit base stays an int, and a spec with no weight has none
     assert type(GPSpec.fractal(2, 3).q) is int and type(GPSpec.tmatrix(3).q) is int
     assert GPSpec("pascal").phi is None and GPSpec("pascal").q is None
+
+
+# the bitmaps' draws: a digit base to 40 or above every size, a zero weight or another, the q-umbral
+# qs that make zeros (-1, 0) and some that make none; a from-c and a hadamard spec read their view
+digit_bases = st.integers(min_value=2, max_value=40) | st.just(10**20)
+weights = st.just(Fraction(0)) | phis
+BITMAP_SPECS = st.one_of(
+    st.sampled_from(
+        [
+            GPSpec("pascal"),
+            GPSpec("ones"),
+            GPSpec.from_c(c_geometric()),
+            GPSpec.hadamard([GPSpec.fractal(0, 2), GPSpec.phiq(Fraction(1, 2), 3), GPSpec("zero-overlay", q=5)]),
+        ]
+    ),
+    st.builds(GPSpec.phiq, weights, digit_bases),
+    st.builds(GPSpec.fractal, weights, digit_bases),
+    digit_bases.map(lambda q: GPSpec("zero-overlay", q=q)),
+    digit_bases.map(GPSpec.tmatrix),
+    st.builds(
+        GPSpec,
+        st.sampled_from(["qumbral", "qumbral-inverse"]),
+        q=st.sampled_from([-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 3)]),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(BITMAP_SPECS, st.integers(min_value=0, max_value=200))
+# sizes at q**k - 1, q**k and q**k + 1, where a row first has k + 1 digits
+@example(GPSpec.tmatrix(3), 26)
+@example(GPSpec.tmatrix(3), 27)
+@example(GPSpec.tmatrix(3), 28)
+@example(GPSpec.fractal(0, 2), 127)
+@example(GPSpec.fractal(0, 2), 128)
+@example(GPSpec.fractal(0, 2), 129)
+@example(GPSpec.tmatrix(11), 120)
+@example(GPSpec.tmatrix(11), 121)
+@example(GPSpec.tmatrix(11), 122)
+@example(GPSpec.phiq(0, 7), 48)
+@example(GPSpec.phiq(0, 7), 49)
+@example(GPSpec.phiq(0, 7), 50)
+@example(GPSpec("zero-overlay", q=5), 124)
+@example(GPSpec("zero-overlay", q=5), 125)
+@example(GPSpec("zero-overlay", q=5), 126)
+@example(GPSpec("qumbral-inverse", q=-1), 63)
+@example(GPSpec("qumbral-inverse", q=-1), 64)
+@example(GPSpec("qumbral-inverse", q=-1), 65)
+def test_bitmap_is_the_nonzero_pattern_of_the_truncation(spec, size):
+    if spec.kind.startswith("qumbral") and abs(spec.q) not in (0, 1):
+        size = min(size, 40)  # their entries grow as q**(n*n)
+    rows = spec.bitmap(size)
+    assert all(len(row) == size for row in rows)
+    assert matrix_to_pbm(rows) == pbm_per_entry(spec.materialize(size))
+
+
+def test_bitmap_of_a_zero_c_n_raises():
+    spec = GPSpec.from_c(CSequence("zero", lambda n: 1 if n < 2 else 0))
+    assert spec.bitmap(2) == [b"10", b"11"]
+    with pytest.raises(ZeroDivisionError):
+        spec.bitmap(3)
