@@ -132,16 +132,21 @@ def pascal_rows(size: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def build_from_c(c: CSequence, size: int) -> TriangularMatrix:
-    """Matrix with entries c_m c_{n-m} / c_n.
-
-    Each c_k is read once as a_k / B, with B the lcm of the c denominators, so
-    over L, the lcm of the |B a_n|, entry (n,m) has the int numerator
-    a_m a_{n-m} (L / (B a_n)). A zero c_n raises ZeroDivisionError.
-    """
+def c_view(c: CSequence, size: int) -> tuple[int, list[int]]:
+    """(B, a) with c_k = a_k / B for k < size, B the lcm of their denominators; a zero c_n raises ZeroDivisionError."""
     b, a = to_view(c[n] for n in range(size))
     if 0 in a:
         raise ZeroDivisionError(f"c_{a.index(0)} = 0")
+    return b, a
+
+
+def build_from_c(c: CSequence, size: int) -> TriangularMatrix:
+    """Matrix with entries c_m c_{n-m} / c_n.
+
+    Each c_k is read once as a_k / B (``c_view``), so over L, the lcm of the
+    |B a_n|, entry (n,m) has the int numerator a_m a_{n-m} (L / (B a_n)).
+    """
+    b, a = c_view(c, size)
     den = lcm(*(b * x for x in a))
     rev = a[::-1]  # rev[size - 1 - n + m] = a_{n-m}
     rows = []

@@ -5,10 +5,10 @@ JSON document layout:
      "size": N, "rows": [[rational-string, ...], ...]}
 with row n holding n+1 entries. CSV writes one matrix row per line, entries
 as rational strings, lower triangle only. PBM marks nonzero entries with '1',
-zero-padded above the diagonal, one image row per matrix row; it writes a
-matrix's pattern or the rows a spec draws from its family's zero pattern,
-with no entry built. The writers read the integer view of the matrix and the
-JSON reader builds it, so neither makes a Fraction per entry.
+zero-padded above the diagonal, one image row per matrix row; its rows are
+the ones a spec draws from its family's zero pattern (``GPSpec.bitmap``), with
+no entry built. The JSON and CSV writers read the integer view of the matrix
+and the JSON reader builds it, so none of them makes a Fraction per entry.
 """
 
 from __future__ import annotations
@@ -135,20 +135,7 @@ def _wire_view(entries) -> tuple[int, list[int]] | None:
     return den, list(map(mul, nums, map(floordiv, repeat(den), dens)))
 
 
-_BITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def pbm_rows(matrix: TriangularMatrix) -> list[bytes]:
-    """The PBM rows of a matrix's nonzero pattern, row n padded with zeros
-    beyond the diagonal to the full width."""
-    _, rows = matrix.int_view()
-    zeros = bytes(matrix.size)
-    return [(bytes(map(bool, row)) + zeros[n + 1 :]).translate(_BITS) for n, row in enumerate(rows)]
-
-
-def matrix_to_pbm(bitmap: TriangularMatrix | list[bytes]) -> str:
-    """P1 bitmap of a matrix's nonzero pattern, or of PBM rows made without
-    the matrix (``GPSpec.bitmap``), one image row per matrix row."""
-    rows = pbm_rows(bitmap) if isinstance(bitmap, TriangularMatrix) else bitmap
+def matrix_to_pbm(rows: list[bytes]) -> str:
+    """P1 bitmap of the PBM rows that ``GPSpec.bitmap`` draws, one image row per matrix row."""
     size = len(rows)
     return b"\n".join([b"P1", b"%d %d" % (size, size), *rows, b""]).decode("ascii")

@@ -16,15 +16,14 @@ n mod q < m mod q, made inline; only bases with q**2 <= n call carry_count.
 The other kinds give their per-entry forms. One Fraction is built per entry.
 
 ``bitmap`` gives the truncation's PBM rows, each ``size`` bytes of ``0``/``1``.
-Every CLI kind's zero pattern is a closed form in its parameters, so its rows
-are made by C-level bytes operations with no entry built: no zero in the
-triangle (pascal, ones, phiq and fractal at phi != 0, the q-umbral pair at
-q not in {-1, 0}); the one-digit mask n mod q >= m mod q (phiq at phi = 0,
-zero-overlay, and the q-umbral pair at q = -1 with modulus 2); base-q digit
-dominance, the generalized Sierpinski pattern by Lucas's theorem (fractal at
-phi = 0, tmatrix); and the band n - m <= 1 (qumbral-inverse at q = 0).
-``from-c`` and ``hadamard`` read the nonzero pattern off their materialized
-view.
+Every kind's zero pattern is a closed form in its parameters, so its rows are
+made by C-level bytes operations with no matrix built: no zero in the triangle
+(pascal, ones, from-c once its c_n are read as build_from_c reads them, phiq and
+fractal at phi != 0, the q-umbral pair at q not in {-1, 0}); the one-digit mask
+n mod q >= m mod q (phiq at phi = 0, zero-overlay, and the q-umbral pair at
+q = -1 with modulus 2); base-q digit dominance, the generalized Sierpinski
+pattern by Lucas's theorem (fractal at phi = 0, tmatrix); the band n - m <= 1
+(qumbral-inverse at q = 0); and the AND of the factors' rows (hadamard).
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ from math import comb, prod
 from operator import itemgetter
 
 from .fractal import carry_count, fractal_entry, fractal_matrix
-from .matrices import TriangularMatrix, all_ones, build_from_c, hadamard, pascal_rows
+from .matrices import TriangularMatrix, all_ones, build_from_c, c_view, hadamard, pascal_rows
 from .rationals import ONE, ZERO, Value, lazy, ratio
 from .sequences import CSequence
-from .serialize import pbm_rows
 from .special import phi_q_matrix, q_umbral_inverse, q_umbral_matrix, zero_overlay_matrix
 from .zeroalg import t_coefficient, t_matrix
 
@@ -190,7 +188,7 @@ FAMILIES = {
         lambda s, size: build_from_c(s.c, size),
         _from_c_entry,
         {"c": None},
-        lambda s, size: pbm_rows(s.materialize(size)),
+        lambda s, size: _band(len(c_view(s.c, size)[1]), size),  # c_view refuses a zero c_n
     ),
     "phiq": (
         lambda s, size: phi_q_matrix(s.phi, s.q, size),
@@ -229,11 +227,18 @@ FAMILIES = {
         {"q": 2},
         lambda s, size: _digit_rows(s.q, size, True),
     ),
-    # the product of the factors' views, built one factor at a time; no factors give all ones
+    # the product of the factors' views, built one factor at a time; no factors give all ones. The bitmap
+    # ANDs the factors' rows, drawn one at a time, as big-endian ints: exact on ASCII 0/1, as 0x30 & 0x31 =
+    # 0x30; the ones rows come in as a factor, since a reduce's start value is held until it returns
     "hadamard": (
         lambda s, size: reduce(hadamard, (f.materialize(size) for f in s.factors), all_ones(size)),
         _hadamard_entry,
         {},
-        lambda s, size: pbm_rows(s.materialize(size)),
+        lambda s, size: reduce(
+            lambda rows, more: [
+                (int.from_bytes(a, "big") & int.from_bytes(b, "big")).to_bytes(size, "big") for a, b in zip(rows, more)
+            ],
+            (f.bitmap(size) for f in s.factors or (GPSpec("ones"),)),
+        ),
     ),
 }

@@ -51,8 +51,6 @@ UNREACHED = {
     "rationals.Value.__setattr__": ("guard", "test_values.py::test_every_value_refuses_assignment"),
     "rationals._too_long_to_print": ("guard", "test_cli.py::test_entries_past_the_int_text_limit_are_a_config_error"),
     "sequences.BSequence._check": ("guard", "test_sequences.py::test_b_explicit_error_keeps_its_message"),
-    # the bitmap of the library-only kinds, read off the matrix; every CLI kind draws its zero pattern
-    "serialize.pbm_rows": ("family", "from-c"),
     "special.PhiCoordinates.is_involution": ("acceptance", "homomorphism_check"),
     "special.homomorphism_check": ("acceptance", "homomorphism_check"),
     "specs._q_binomial": ("family", "qumbral"),

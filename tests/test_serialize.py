@@ -255,53 +255,19 @@ def test_size_field_mismatch_comes_after_the_entries():
 
 
 def test_pbm_small():
-    text = matrix_to_pbm(fractal_matrix(0, 2, 4))
+    text = matrix_to_pbm(GPSpec.fractal(0, 2).bitmap(4))
     assert text == "P1\n4 4\n1000\n1100\n1010\n1111\n"
 
 
 def test_pbm_golden_file():
     # the checked-in bitmap was produced from parities of ordinary binomials
     golden = (DATA / "sierpinski64.pbm").read_text(encoding="ascii")
-    assert matrix_to_pbm(fractal_matrix(0, 2, 64)) == golden
+    assert matrix_to_pbm(GPSpec.fractal(0, 2).bitmap(64)) == golden
     lines = golden.splitlines()
     assert lines[0] == "P1" and lines[1] == "64 64"
     for n, line in enumerate(lines[2:]):
         for m, bit in enumerate(line):
             assert int(bit) == (comb(n, m) % 2 if m <= n else 0)
-
-
-PBM_ENTRIES = [0, 1, 255, 256, -1, 10**40]
-
-
-@pytest.mark.parametrize("den", [1, 7])
-@pytest.mark.parametrize("size", [0, 1, 2, 6])
-def test_pbm_bytes_rows_and_their_fallback(size, den):
-    # entries in 0..255, above it and below 0, each row over a denominator too; each shift puts every
-    # entry at (0, 0), on the diagonal and in the first column
-    for shift in range(len(PBM_ENTRIES)):
-        rows = [[PBM_ENTRIES[(n + m + shift) % len(PBM_ENTRIES)] for m in range(n + 1)] for n in range(size)]
-        matrix = TriangularMatrix.from_view(den, rows)
-        assert matrix_to_pbm(matrix) == oracle.matrix_to_pbm(matrix)
-
-
-@st.composite
-def bitmap_views(draw):
-    """(den, rows) of size 0 to 10, each row drawn from one of three pools: entries
-    in 0..255, zero-free entries with some above 255 or below 0, and any
-    entries, a 0 among them."""
-    size = draw(st.integers(0, 10))
-    big = st.one_of(st.integers(256, 10**40), st.integers(-(10**40), -1))
-    pools = [st.integers(0, 255), st.one_of(st.integers(1, 255), big), st.one_of(st.just(0), st.integers(0, 255), big)]
-    rows = [draw(st.lists(draw(st.sampled_from(pools)), min_size=n + 1, max_size=n + 1)) for n in range(size)]
-    return draw(st.integers(1, 7)), rows
-
-
-@settings(max_examples=200, deadline=None)
-@given(bitmap_views())
-@example((1, [[256], [1, 10**40], [300, 0, 5], [0, 0, 0, 0]]))
-def test_pbm_matches_the_bool_per_entry_writer(view):
-    matrix = TriangularMatrix.from_view(*view)
-    assert matrix_to_pbm(matrix) == oracle.matrix_to_pbm(matrix)
 
 
 @st.composite
@@ -345,11 +311,16 @@ def pinned_writer_specs():
         yield "tmatrix", GPSpec.tmatrix(q), q
         factors = [GPSpec.phiq(Fraction(3, 2), q), GPSpec.fractal(Fraction(-3, 2), q)]
         yield "hadamard", GPSpec.hadamard(factors), q
+        # zeros of two bases under a from-c factor, one Hadamard spec inside another
+        inner = GPSpec.hadamard([GPSpec.fractal(0, q), GPSpec("zero-overlay", q=q + 1)])
+        yield "hadamard", GPSpec.hadamard([GPSpec.from_c(oracle.phi_q_series(Fraction(3, 2), q)), inner]), q
 
 
 def case_id(kind, spec, q):
     if kind == "from-c":
         return f"from-c-{spec.c.kind}"
+    if any(f.kind == "hadamard" for f in spec.factors):
+        return f"hadamard-nested-q={q}"
     return f"{kind}-q={spec.q if q is None else q}-phi={spec.phi}"
 
 
@@ -357,7 +328,8 @@ def case_id(kind, spec, q):
     "kind, spec, q", [pytest.param(*case, id=case_id(*case)) for case in pinned_writer_specs()]
 )
 def test_writers_match_the_per_entry_text(kind, spec, q):
-    # the writers read the integer view; the oracle formats each exact entry
+    # the JSON and CSV writers read the integer view and the bitmap is the spec's closed form;
+    # the oracle formats each exact entry
     sizes = {0, 1, 40} | ({q, q * q + 1} if q else {2, 3, 5, 10, 26})
     for size in sorted(sizes):
         matrix = spec.materialize(size)
@@ -366,4 +338,4 @@ def test_writers_match_the_per_entry_text(kind, spec, q):
         assert matrix_to_json(matrix, kind, q) == json.dumps(doc, indent=1)
         assert matrix_to_csv(matrix) == "\n".join(map(",".join, texts)) + "\n"
         bits = ["".join("1" if spec.entry(n, m) != 0 else "0" for m in range(size)) for n in range(size)]
-        assert matrix_to_pbm(matrix) == "\n".join(["P1", f"{size} {size}", *bits]) + "\n"
+        assert matrix_to_pbm(spec.bitmap(size)) == "\n".join(["P1", f"{size} {size}", *bits]) + "\n"

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +11,8 @@ from hypothesis import strategies as st
 
 from fraction_oracles import c_fractal, c_geometric, materialize_hadamard, phi_q_series, qumbral_entry
 from fraction_oracles import matrix_to_pbm as pbm_per_entry
-from genpascal.matrices import identity_check
+import genpascal
+from genpascal.matrices import TriangularMatrix, identity_check
 from genpascal.rationals import format_rational
 from genpascal.sequences import CSequence
 from genpascal.serialize import matrix_from_json, matrix_to_csv, matrix_to_json, matrix_to_pbm
@@ -38,7 +43,9 @@ SPECS = {
     "zero-overlay": bases.map(lambda q: GPSpec("zero-overlay", q=q)),
     "tmatrix": st.builds(GPSpec.tmatrix, bases),
 }
-SPECS["hadamard"] = st.lists(st.one_of(*SPECS.values()), max_size=5).map(GPSpec.hadamard)
+# a factor may itself be a Hadamard spec of the other kinds
+flat_hadamards = st.lists(st.one_of(*SPECS.values()), max_size=3).map(GPSpec.hadamard)
+SPECS["hadamard"] = st.lists(st.one_of(*SPECS.values(), flat_hadamards), max_size=5).map(GPSpec.hadamard)
 
 
 def test_strategies_cover_every_family():
@@ -63,7 +70,8 @@ def test_family_differential(kind, data):
     for n in range(size):
         assert spec.entry(n, -1) == spec.entry(n, n + 1) == matrix.entry(n, -1) == matrix.entry(n, n + 1) == 0
 
-    # the writers read the integer view; the text formatted entry by entry is the oracle
+    # the JSON and CSV writers read the integer view and the bitmap is the spec's closed form;
+    # the text formatted entry by entry is the oracle
     texts = [[format_rational(e) for e in row] for row in rows]
     phi = None if spec.phi is None else format_rational(spec.phi)
     json_text = matrix_to_json(matrix, kind, q, spec.phi)
@@ -71,7 +79,7 @@ def test_family_differential(kind, data):
     csv_text = matrix_to_csv(matrix)
     assert csv_text == "\n".join(map(",".join, texts)) + "\n"
     bits = ["".join("1" if spec.entry(n, m) != 0 else "0" for m in range(size)) for n in range(size)]
-    assert matrix_to_pbm(matrix) == "\n".join(["P1", f"{size} {size}", *bits]) + "\n"
+    assert matrix_to_pbm(spec.bitmap(size)) == "\n".join(["P1", f"{size} {size}", *bits]) + "\n"
     assert matrix_from_json(json_text) == matrix
 
     # a nonzero generalized Pascal matrix is the Hadamard product of the masks its coordinates weigh
@@ -167,7 +175,7 @@ def test_weights_and_umbral_qs_are_stored_as_fractions():
 
 
 # the bitmaps' draws: a digit base to 40 or above every size, a zero weight or another, the q-umbral
-# qs that make zeros (-1, 0) and some that make none; a from-c and a hadamard spec read their view
+# qs that make zeros (-1, 0) and some that make none; a from-c spec and a flat and a nested hadamard spec
 digit_bases = st.integers(min_value=2, max_value=40) | st.just(10**20)
 weights = st.just(Fraction(0)) | phis
 BITMAP_SPECS = st.one_of(
@@ -177,6 +185,7 @@ BITMAP_SPECS = st.one_of(
             GPSpec("ones"),
             GPSpec.from_c(c_geometric()),
             GPSpec.hadamard([GPSpec.fractal(0, 2), GPSpec.phiq(Fraction(1, 2), 3), GPSpec("zero-overlay", q=5)]),
+            GPSpec.hadamard([GPSpec.from_c(c_geometric()), GPSpec.hadamard([GPSpec.tmatrix(3), GPSpec.phiq(0, 2)])]),
         ]
     ),
     st.builds(GPSpec.phiq, weights, digit_bases),
@@ -220,8 +229,54 @@ def test_bitmap_is_the_nonzero_pattern_of_the_truncation(spec, size):
     assert matrix_to_pbm(rows) == pbm_per_entry(spec.materialize(size))
 
 
+def refusal(form, size):
+    with pytest.raises(Exception) as err:
+        form(size)
+    return err.type, str(err.value)
+
+
 def test_bitmap_of_a_zero_c_n_raises():
-    spec = GPSpec.from_c(CSequence("zero", lambda n: 1 if n < 2 else 0))
-    assert spec.bitmap(2) == [b"10", b"11"]
-    with pytest.raises(ZeroDivisionError):
-        spec.bitmap(3)
+    # the bitmap reads the c values as build_from_c does, alone or as a factor after one that draws its rows
+    zero_c2 = GPSpec.from_c(CSequence("zero", lambda n: 1 if n < 2 else 0))
+    short = GPSpec.from_c(CSequence.explicit([1, 1, 2]))
+    cases = [(zero_c2, 3, ZeroDivisionError, "c_2 = 0"), (short, 5, IndexError, "explicit c-sequence has no index 3")]
+    cases += [(GPSpec.hadamard([GPSpec.fractal(0, 2), spec]), size, *err) for spec, size, *err in cases]
+    for spec, size, kind, message in cases:
+        assert refusal(spec.bitmap, size) == refusal(spec.materialize, size) == (kind, message)
+    # a zero c_n at n >= size is never read
+    for spec in (zero_c2, GPSpec.hadamard([GPSpec("pascal"), zero_c2])):
+        assert spec.bitmap(2) == [b"10", b"11"]
+        assert matrix_to_pbm(spec.bitmap(2)) == pbm_per_entry(spec.materialize(2))
+
+
+def test_bitmap_builds_no_matrix(monkeypatch):
+    # every kind, a nested Hadamard spec among them, at parameters that give zeros where the kind has any
+    specs = [
+        GPSpec("pascal"),
+        GPSpec("ones"),
+        GPSpec.from_c(c_geometric()),
+        GPSpec.phiq(0, 3),
+        GPSpec.fractal(0, 2),
+        GPSpec.qumbral(-1),
+        GPSpec("qumbral-inverse", q=0),
+        GPSpec("zero-overlay", q=2),
+        GPSpec.tmatrix(3),
+        GPSpec.hadamard([GPSpec.fractal(0, 2), GPSpec("zero-overlay", q=3)]),
+        GPSpec.hadamard([GPSpec.from_c(phi_q_series(Fraction(3, 2), 2)), GPSpec.hadamard([GPSpec.tmatrix(3)])]),
+    ]
+    assert {spec.kind for spec in specs} == FAMILIES.keys()
+    wanted = [pbm_per_entry(spec.materialize(30)) for spec in specs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bitmap built a matrix")
+
+    monkeypatch.setattr(GPSpec, "materialize", refuse)
+    monkeypatch.setattr(TriangularMatrix, "from_view", refuse)
+    assert [matrix_to_pbm(spec.bitmap(30)) for spec in specs] == wanted
+
+
+def test_the_library_loads_no_writer():
+    # specs draws the bitmaps itself, so genpascal.serialize comes in with the CLI alone
+    code = "import sys, genpascal; assert 'genpascal.serialize' not in sys.modules, sorted(sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(genpascal.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
