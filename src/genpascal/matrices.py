@@ -18,6 +18,7 @@ numerator, and caches them. No raw int ever leaves the view.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, islice, repeat
 from math import lcm
 from operator import add, mul
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import SizeMismatch
 from .polynomials import Polynomial
-from .rationals import ZERO, SharedFractions, Value, lazy, lowest_view, ratio, to_view
+from .rationals import ZERO, SharedFractions, Value, lowest_view, ratio, to_view
 from .report import Report
 from .sequences import BSequence, CSequence
 
@@ -51,7 +52,7 @@ class TriangularMatrix(Value):
         _check_shape(ints)
         return cls._make(len(ints), (den, ints))
 
-    @lazy
+    @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as exact Fractions, built from the view on first read."""
         den, ints = self._view

@@ -17,11 +17,12 @@ convolution its base block.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .rationals import ONE, SharedFractions, Value, lazy, lowest_view, to_view
+from .rationals import ONE, SharedFractions, Value, lowest_view, to_view
 
 
 class Polynomial(Value):
@@ -45,7 +46,7 @@ class Polynomial(Value):
         den, (ints,) = lowest_view(den, (ints,))
         return cls._make((den, tuple(ints)))
 
-    @lazy
+    @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as exact Fractions, built from the view on first read."""
         den, ints = self._view

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import cache, update_wrapper
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -24,7 +24,7 @@ ONE = Fraction(1)
 class Value:
     """A matrix, polynomial, set of mask weights, spec or report. Its fields are its class's ``__slots__``, set
     once by ``__init__``, or by ``_make`` with none of a subclass's checks; ``==``, ``hash``, ``repr`` (of the
-    public fields) and copying read them. The ``lazy`` caches live in the instance ``__dict__``."""
+    public fields) and copying read them. Its ``functools.cached_property`` caches live in the instance ``__dict__``."""
 
     __slots__ = ("__dict__",)
 
@@ -58,19 +58,6 @@ class Value:
 
     def __reduce__(self):
         return self._make, self._state()
-
-
-class lazy:
-    """A ``Value`` attribute that ``build(value)`` makes on its first read, kept in the
-    value's ``__dict__``, where later reads find it as a plain attribute and call nothing."""
-
-    def __init__(self, build):
-        update_wrapper(self, build)
-
-    def __get__(self, value, owner=None):
-        if value is None:
-            return self
-        return value.__dict__.setdefault(self.__name__, self.__wrapped__(value))
 
 
 def to_view(values: Iterable) -> tuple[int, list[int]]:
@@ -136,10 +123,7 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction | int) -> str:
     if type(value) is not Fraction:
         value = Fraction(value)
-    try:
-        return str(value)
-    except ValueError:  # CPython's cap on int-to-text conversion
-        raise ValueError(_too_long_to_print()) from None
+    return format_pairs([(value.numerator, value.denominator)])[0]
 
 
 def format_pairs(pairs: Iterable[tuple[int, int]]) -> list[str]:

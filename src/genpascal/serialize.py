@@ -9,12 +9,14 @@ zero-padded above the diagonal, one image row per matrix row; its rows are
 the ones a spec draws from its family's zero pattern (``GPSpec.bitmap``), with
 no entry built. The JSON and CSV writers read the integer view of the matrix
 and the JSON reader builds it, so none of them makes a Fraction per entry.
+``matrix_to_json`` writes the five-key document and ``matrix_from_json``
+checks its shape and ``size`` itself; no dict form of it is passed between
+functions.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
 from operator import floordiv, mul
@@ -23,35 +25,25 @@ from .matrices import TriangularMatrix
 from .rationals import format_rational, format_rows, parse_rational, to_view
 
 
-def matrix_to_doc(
-    matrix: TriangularMatrix,
-    kind: str,
-    q: int | None = None,
-    phi: Fraction | None = None,
-) -> dict:
-    return {
-        "kind": kind,
-        "q": q,
-        "phi": None if phi is None else format_rational(phi),
-        "size": matrix.size,
-        "rows": format_rows(*matrix.int_view()),
-    }
-
-
 def matrix_to_json(matrix: TriangularMatrix, kind: str, q=None, phi=None) -> str:
-    """``json.dumps(matrix_to_doc(...), indent=1)``, byte for byte. The header
-    goes through json.dumps; the rows are joined directly, since their
+    """The document as ``json.dumps(..., indent=1)`` lays it out, byte for byte. The
+    five-key header goes through json.dumps; the rows are joined directly, since their
     entries are wire rationals, ``-?digits(/digits)?``, which need no escaping."""
-    doc = matrix_to_doc(matrix, kind, q, phi)
-    rows, doc["rows"] = doc["rows"], []
-    text = json.dumps(doc, indent=1)  # ends with '"rows": []\n}'
+    phi = None if phi is None else format_rational(phi)
+    rows = format_rows(*matrix.int_view())
+    header = {"kind": kind, "q": q, "phi": phi, "size": matrix.size, "rows": []}
+    text = json.dumps(header, indent=1)  # ends with '"rows": []\n}'
     if not rows:
         return text
     body = '"\n  ],\n  [\n   "'.join('",\n   "'.join(row) for row in rows)
     return f'{text[:-4]}[\n  [\n   "{body}"\n  ]\n ]\n}}'
 
 
-def matrix_from_doc(doc: dict) -> TriangularMatrix:
+def matrix_from_json(text: str) -> TriangularMatrix:
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("matrix document nests too deeply") from None
     # shape checked per document and per row, never per entry: parse_rational rejects bad entries
     rows = doc.get("rows") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -60,14 +52,6 @@ def matrix_from_doc(doc: dict) -> TriangularMatrix:
     if matrix.size != doc.get("size", matrix.size):
         raise ValueError("size field disagrees with row count")
     return matrix
-
-
-def matrix_from_json(text: str) -> TriangularMatrix:
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        raise ValueError("matrix document nests too deeply") from None
-    return matrix_from_doc(doc)
 
 
 def matrix_to_csv(matrix: TriangularMatrix) -> str:

@@ -11,13 +11,14 @@ weights of its proper divisors (Moebius inversion, done as a sieve).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 from operator import ge
 
 from .digits import digit_product_rows
 from .errors import ZeroEntry
 from .matrices import TriangularMatrix, all_ones, hadamard, pascal_rows
-from .rationals import Value, lazy
+from .rationals import Value
 from .report import Report, check_equal, merge_reports
 
 
@@ -49,7 +50,7 @@ class PhiCoordinates(Value):
     def __init__(self, pairs: dict[int, tuple[int, int]]):
         super().__init__(pairs)
 
-    @lazy
+    @cached_property
     def betas(self) -> dict[int, Fraction]:
         return {q: Fraction(a, d) for q, (a, d) in self.pairs.items()}
 

@@ -2,17 +2,19 @@
 
 A GPSpec names a matrix family and its parameters. ``FAMILIES`` holds one row
 per kind, the eight CLI kinds plus ``from-c`` and ``hadamard``: its
-full-truncation constructor, its per-entry form (the two agree bit-exactly)
-and the spec fields it requires, each with its least value where there is one,
-checked when a spec is made. ``entry`` gives one coefficient, ``materialize``
-the truncation. A Hadamard spec materializes its factors one at a time and
-multiplies their integer views, so at most the running product and one factor
-are alive. Its entry multiplies the factors' entries as ints: a ``fractal``
-factor of weight a/d gives a**k and d**k, with k its carry count; the fractal
-factors are resolved once per spec into a table sorted by base, which the
-entry walks up to the first base above n, where k = 0 for the rest. A base
-with q <= n < q**2 has the one modulus q, so its k is the comparison
-n mod q < m mod q, made inline; only bases with q**2 <= n call carry_count.
+full-truncation constructor, its per-entry form (the two agree bit-exactly),
+the spec fields it requires, each with its least value where there is one,
+checked when a spec is made, and its bitmap form. ``entry`` gives one
+coefficient, ``materialize`` the truncation and ``bitmap`` its zero pattern.
+A Hadamard spec materializes its factors one at a time and multiplies their
+integer views, starting from the first factor, so at most the running product
+and one factor are alive. Its entry multiplies the factors' entries as ints: a
+``fractal`` factor of weight a/d gives a**k and d**k, with k its carry count;
+the fractal factors are resolved on the first entry into a table sorted by
+base, kept as a ``functools.cached_property``, which the entry walks up to
+the first base above n, where k = 0 for the rest. A base with q <= n < q**2
+has the one modulus q, so its k is the comparison n mod q < m mod q, made
+inline; only bases with q**2 <= n call carry_count.
 The other kinds give their per-entry forms. One Fraction is built per entry.
 
 ``bitmap`` gives the truncation's PBM rows, each ``size`` bytes of ``0``/``1``.
@@ -29,13 +31,13 @@ pattern by Lucas's theorem (fractal at phi = 0, tmatrix); the band n - m <= 1
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import comb, prod
 from operator import itemgetter
 
 from .fractal import carry_count, fractal_entry, fractal_matrix
 from .matrices import TriangularMatrix, all_ones, build_from_c, c_view, hadamard, pascal_rows
-from .rationals import ONE, ZERO, Value, lazy, ratio
+from .rationals import ONE, ZERO, Value, ratio
 from .sequences import CSequence
 from .special import phi_q_matrix, q_umbral_inverse, q_umbral_matrix, zero_overlay_matrix
 from .zeroalg import t_coefficient, t_matrix
@@ -94,7 +96,7 @@ class GPSpec(Value):
     def bitmap(self, size: int) -> list[bytes]:
         return FAMILIES[self.kind][3](self, size)
 
-    @lazy
+    @cached_property
     def _hadamard_parts(self) -> tuple[list[tuple[int, int, int]], list["GPSpec"]]:
         """A Hadamard spec's factors, resolved on its first entry: the fractal ones
         as (q, a, d) for the weight a/d, sorted by q, and the others in order."""
@@ -227,11 +229,12 @@ FAMILIES = {
         {"q": 2},
         lambda s, size: _digit_rows(s.q, size, True),
     ),
-    # the product of the factors' views, built one factor at a time; no factors give all ones. The bitmap
-    # ANDs the factors' rows, drawn one at a time, as big-endian ints: exact on ASCII 0/1, as 0x30 & 0x31 =
-    # 0x30; the ones rows come in as a factor, since a reduce's start value is held until it returns
+    # the product of the factors' views, built one factor at a time, and the bitmap ANDs the factors'
+    # rows, drawn one at a time, as big-endian ints: exact on ASCII 0/1, as 0x30 & 0x31 = 0x30; no factors
+    # give the ones spec's matrix and rows, which come in as a factor, since a reduce's start value is
+    # held until it returns
     "hadamard": (
-        lambda s, size: reduce(hadamard, (f.materialize(size) for f in s.factors), all_ones(size)),
+        lambda s, size: reduce(hadamard, (f.materialize(size) for f in s.factors or (GPSpec("ones"),))),
         _hadamard_entry,
         {},
         lambda s, size: reduce(

@@ -81,6 +81,9 @@ constructors coerce through ``Fraction()``.
 readers as they were when they parsed each distinct entry to a Fraction and
 used the value constructor; ``_mobius`` is the Moebius function by trial
 division, for the explicit Moebius inversion of the first column.
+``matrix_to_doc`` is the JSON document as a dict, as the writer built it
+before it dumped its header itself, but with each entry written as ``str``
+of its Fraction from ``matrix.rows`` rather than through ``format_rows``.
 
 ``recompose`` is ``PhiCoordinates.recompose`` as it was when it computed
 every column of each row, before it computed the first half and mirrored it.
@@ -792,6 +795,16 @@ def oracle_from_json(text: str) -> TriangularMatrix:
     if matrix.size != doc.get("size", matrix.size):
         raise ValueError("size field disagrees with row count")
     return matrix
+
+
+def matrix_to_doc(matrix: TriangularMatrix, kind: str, q=None, phi=None) -> dict:
+    return {
+        "kind": kind,
+        "q": q,
+        "phi": None if phi is None else str(Fraction(phi)),
+        "size": matrix.size,
+        "rows": [list(map(str, row)) for row in matrix.rows],
+    }
 
 
 def oracle_from_csv(text: str) -> TriangularMatrix:

@@ -18,6 +18,7 @@ form with its digit loop at every base inside the triangle, and ``gbinom`` and t
 which take an exact quotient when there is one, with ``Fraction(top, bottom)``.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -33,7 +34,7 @@ from genpascal.fractal import carry_count, fast_gbinom_fractal, fractal_entry
 from genpascal.matrices import TriangularMatrix, build_from_c, gbinom
 from genpascal.rationals import format_rows, parse_rational, to_view
 from genpascal.sequences import BSequence, CSequence
-from genpascal.serialize import matrix_from_doc
+from genpascal.serialize import matrix_from_json
 from genpascal.specs import GPSpec
 from genpascal.zeroalg import (
     _extend,
@@ -319,7 +320,7 @@ def test_series_functions_at_degrees_zero_and_one(degree):
 
 
 def test_reader_reduces_unreduced_wire_fractions():
-    m = matrix_from_doc({"rows": [["3/6"], ["-4/8", "10/5"], ["0/7", "6/4", "-0/3"]]})
+    m = matrix_from_json(json.dumps({"rows": [["3/6"], ["-4/8", "10/5"], ["0/7", "6/4", "-0/3"]]}))
     assert m.int_view() == (2, ((1,), (-1, 4), (0, 3, 0)))
     assert m.rows == ((Fraction(1, 2),), (Fraction(-1, 2), 2), (0, Fraction(3, 2), 0))
 
@@ -329,7 +330,7 @@ def test_reader_leaves_other_fraction_forms_to_parse_rational(entry):
     with pytest.raises(ValueError) as want:
         parse_rational(entry)
     with pytest.raises(ValueError) as got:
-        matrix_from_doc({"rows": [[entry]]})
+        matrix_from_json(json.dumps({"rows": [[entry]]}))
     assert str(got.value) == str(want.value)
 
 

@@ -8,6 +8,9 @@ message ``<Type> is immutable``, and copies and pickles to an equal value.
 
 import copy
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -167,3 +170,27 @@ def test_a_lazy_cache_is_built_once_and_read_as_a_plain_attribute():
     spec = GPSpec.hadamard([GPSpec.fractal(2, 3), GPSpec("pascal")])
     spec.entry(4, 1)
     assert vars(spec)["_hadamard_parts"] == ([(3, 2, 1)], [GPSpec("pascal")])
+
+
+def test_caches_fill_alike_from_several_threads():
+    # from Python 3.12 on, cached_property takes no lock, so two racing first reads may each build
+    # an equal value and either may be kept: the reads are compared by equality, not identity
+    cached = [(value, CACHES[type(value)]) for value in values() if type(value) in CACHES]
+    twins = [value for value in values() if type(value) in CACHES]  # equal values, read one at a time
+    want = [getattr(twin, name) for twin, (_, name) in zip(twins, cached)]
+    assert len(cached) == 5 and all(vars(value) == {} for value, _ in cached)
+    start = threading.Barrier(8, timeout=30)  # the eight first reads begin together
+
+    def read(_):
+        start.wait()
+        return [getattr(value, name) for value, name in cached]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the first reads too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(read, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == want for got in results)
+    assert [vars(value)[name] for value, name in cached] == want

@@ -15,8 +15,9 @@ calls made at import time count), it runs four drivers:
 It prints, sorted and one a line, ``module.qualname`` of each module-level
 function and class method whose code lies in a ``src/genpascal`` module and
 that no driver called. Code made elsewhere is not counted; a function under
-``functools.cache`` or ``rationals.lazy`` counts under its own name. ``tests/test_reach.py`` compares the output with
-its list of the names that are allowed to stay unreached, each with a reason.
+``functools.cache`` or ``functools.cached_property`` counts under its own name.
+``tests/test_reach.py`` compares the output with its list of the names that
+are allowed to stay unreached, each with a reason.
 Only the standard library is used.
 """
 
@@ -44,7 +45,8 @@ def defined_functions(module) -> dict[str, object]:
 
     def add(value) -> None:
         value = getattr(value, "__func__", value)  # classmethod, staticmethod
-        value = getattr(value, "__wrapped__", value)  # functools.cache, rationals.lazy
+        value = getattr(value, "func", value)  # functools.cached_property
+        value = getattr(value, "__wrapped__", value)  # functools.cache
         code = getattr(value, "__code__", None)
         if code is not None and code.co_filename == module.__file__:
             found[f"{module.__name__.removeprefix('genpascal.')}.{value.__qualname__}"] = code
